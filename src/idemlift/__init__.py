@@ -66,7 +66,6 @@ from .rings import (
     PrimePowerFactorization,
     ResidueRing,
     Ring,
-    characteristic_of,
     factorize,
     is_prime,
     modular_inverse,
@@ -105,7 +104,6 @@ __all__ = [
     "chain_for_group_ring",
     "chain_for_nilpotent_ideal",
     "chain_lift",
-    "characteristic_of",
     "crt_combine",
     "crt_combine_powerform",
     "cyclic_base_idempotents",

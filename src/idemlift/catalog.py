@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
-from .group_rings import GroupRing, GroupRingElement
+from .group_rings import GroupRing
 from .groups import (
     AbelianGroup,
     TRIVIAL_GROUP,
@@ -194,7 +194,7 @@ def cyclic_base_idempotents(n: int, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
     for fac, cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         e_poly = (inv * cof) % xn1
         coeffs = e_poly.coeffs + (0,) * (n - len(e_poly.coeffs))
-        primitive.append(ring.from_int_coeffs(coeffs))
+        primitive.append(ring.from_coeffs(coeffs))
     components = len(fact.factors)
     if components != frobenius_orbit_count(group, p):
         raise ArithmeticError(
@@ -329,32 +329,6 @@ def base_field_idempotents(
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
-def _pad_quotient(x, target: QuotientRing):
-    """Re-read a factor-quotient polynomial into the full quotient."""
-    vec = tuple(x.coeff_vector())
-    return target.from_coeffs(vec + (0,) * (target.dimension - len(vec)))
-
-
-def _recast_group_family(fam: IdempotentFamily, cast_ring: GroupRing) -> IdempotentFamily:
-    """Move a family over F_p G onto same-shape coefficients (a linear quotient)."""
-    base = cast_ring.base
-
-    def cast(e):
-        return cast_ring.from_group_coeffs(
-            [base.from_coeffs(c.coeff_vector()) for c in e.coeffs]
-        )
-
-    return IdempotentFamily(
-        ring=cast_ring,
-        members=tuple(cast(e) for e in fam.members),
-        primitive=tuple(cast(e) for e in fam.primitive),
-        count=fam.count,
-        complete=fam.complete,
-        orthogonal_primitive=fam.orthogonal_primitive,
-        provenance=fam.provenance,
-    )
-
-
 def poly_crt_combine(
     p: int,
     mpoly: Polynomial,
@@ -384,8 +358,9 @@ def poly_crt_combine(
     for idx, (fac, cof, inv) in enumerate(
         zip(fact.factors, fact.cofactors, fact.inverses)
     ):
-        w_poly = (inv * cof) % mpoly
-        weights.append(quotient.from_polynomial(w_poly))
+        # the weight s_i(x) m_i(x) sits at the group identity, block 0
+        w = quotient.from_polynomial((inv * cof) % mpoly).coeffs
+        weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
         alphas.append(p ** (fac.multiplicity - 1))
         if base_families is not None:
             families.append(base_families[idx])
@@ -394,24 +369,15 @@ def poly_crt_combine(
         if group.is_trivial:
             families.append(_trivial_pair_family(factor_ring, "factorization"))
         elif fac.poly.degree == 1:
-            base = base_field_idempotents(
-                GroupRing(ResidueRing(p), group), list_cap
-            )
+            # F_p[x]/(x - a) is F_p, so E(F_p G) is the factor's family
             families.append(
-                _recast_group_family(base, GroupRing(factor_ring, group))
+                base_field_idempotents(GroupRing(ResidueRing(p), group), list_cap)
             )
         else:
             raise UnsupportedError(
                 f"factor {fac.poly.to_text()} has degree {fac.poly.degree} > 1: "
                 "extension-field coefficients with a nontrivial group are unsupported"
             )
-
-    def embed(x):
-        if isinstance(x, GroupRingElement):
-            return carrier.from_group_coeffs(
-                [_pad_quotient(c, quotient) for c in x.coeffs]
-            )
-        return _pad_quotient(x, quotient)
 
     if len(fact.factors) > 1:
         provenance = "crt-combined"
@@ -424,10 +390,20 @@ def poly_crt_combine(
         weights=weights,
         alphas=alphas,
         families=families,
-        embed=embed,
-        scale=(lambda e, w: e * w) if group.is_trivial else (lambda e, w: e.scale(w)),
         provenance=provenance,
         list_cap=list_cap,
+    )
+
+
+def _embed(x, carrier: Ring):
+    """Read x into a carrier over the same group whose coefficient blocks
+    are at least as long, padding each block with zeros (a residue or a
+    factor-quotient coefficient read into the full quotient)."""
+    order = carrier.group.order if isinstance(carrier, GroupRing) else 1
+    src = len(x.coeffs) // order
+    pad = (0,) * (carrier.dimension // order - src)
+    return carrier.from_coeffs(
+        tuple(c for g in range(order) for c in x.coeffs[g * src : (g + 1) * src] + pad)
     )
 
 
@@ -437,21 +413,20 @@ def _combine(
     weights,
     alphas,
     families,
-    embed,
-    scale,
     provenance: str,
     list_cap: int,
 ) -> IdempotentFamily:
-    """Glue per-component families: e = sum_i w_i * embed(f_i)^{alpha_i}."""
+    """Glue per-component families: e = sum_i w_i * embed(f_i)^{alpha_i}.
+
+    The weights w_i are carrier elements.
+    """
     count = prod(f.count for f in families)
     lifted_members = []
     lifted_primitives = []
-    for i, fam in enumerate(families):
-        lifted_members.append(
-            [scale(embed(f) ** alphas[i], weights[i]) for f in fam.members]
-        )
+    for w, alpha, fam in zip(weights, alphas, families):
+        lifted_members.append([w * _embed(f, carrier) ** alpha for f in fam.members])
         lifted_primitives.append(
-            [scale(embed(f) ** alphas[i], weights[i]) for f in fam.primitive]
+            [w * _embed(f, carrier) ** alpha for f in fam.primitive]
         )
     primitive = []
     expected = None
@@ -545,8 +520,6 @@ def _crt_enumerate(
         weights=weights,
         alphas=alphas,
         families=families,
-        embed=lambda x: ring.from_coeffs(x.coeff_vector()),
-        scale=lambda e, w: e * w,
         provenance="lifted" if single else "crt-combined",
         list_cap=list_cap,
     )

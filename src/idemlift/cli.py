@@ -175,6 +175,8 @@ def _cmd_lift(args) -> int:
     f = parse_element(args.element, ring)
     if args.tower is not None:
         s, count = args.tower
+        if s < 1 or count < 0:
+            raise ParseError(f"--tower needs S >= 1 and K >= 0, got {s} {count}")
         chain = trusted_chain(ring, [s] * count, [2] * count)
     else:
         chain = standard_chain(ring)

@@ -1,85 +1,29 @@
 """Group rings RG for a finite abelian group G over the rings defined here.
 
-An element is a dense coefficient vector indexed by the group's canonical
-element order.  Multiplication is the straightforward O(|G|^2) convolution;
-that naive loop doubles as the reference the vectorized scan kernel is
-tested against.
+An element is the flat coefficient vector of ``rings.Element``: one block
+of ``base.dimension`` coefficients per group element, in the group's
+canonical index order.  The product is a single block convolution over
+the mixed-radix index; the base ring reduces each output block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from .errors import UnsupportedError
-from .groups import AbelianGroup, Subgroup, _MUL_TABLE_CAP
-from .rings import Ring, modular_inverse
+from .groups import AbelianGroup, Subgroup
+from .rings import Element, Ring, modular_inverse
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
-    coeffs: tuple
-    ring: "GroupRing"
-
-    def _match(self, other: "GroupRingElement"):
-        if self.ring != other.ring:
-            raise ValueError("mismatched group rings")
-
-    def __add__(self, other):
-        self._match(other)
-        return GroupRingElement(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.ring
-        )
-
-    def __sub__(self, other):
-        self._match(other)
-        return GroupRingElement(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.ring
-        )
-
-    def __neg__(self):
-        return GroupRingElement(tuple(-a for a in self.coeffs), self.ring)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(tuple(a * other for a in self.coeffs), self.ring)
-        self._match(other)
-        return self.ring._convolve(self, other)
-
-    def __rmul__(self, scalar: int):
-        return self * scalar
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not defined here")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def scale(self, c) -> "GroupRingElement":
-        """Multiply by a coefficient-ring element."""
-        return GroupRingElement(tuple(a * c for a in self.coeffs), self.ring)
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
-
-    def coeff_vector(self) -> tuple[int, ...]:
-        flat = []
-        for a in self.coeffs:
-            flat.extend(a.coeff_vector())
-        return tuple(flat)
-
-    def __str__(self):
-        return self.ring.element_text(self)
+class GroupRingElement(Element):
+    # The benchmark's span tracer (perfbench/spans.py) wraps these through
+    # this class's own __dict__, so they are bound here and not inherited.
+    __slots__ = ()
+    __mul__ = Element.__mul__
+    __pow__ = Element.__pow__
 
 
 class GroupRing(Ring):
     """RG for a base coefficient ring R and finite abelian G."""
+
+    element = GroupRingElement
 
     def __init__(self, base: Ring, group: AbelianGroup):
         self.base = base
@@ -87,68 +31,28 @@ class GroupRing(Ring):
         self.coefficient_modulus = base.coefficient_modulus
         self.dimension = group.order * base.dimension
 
-    @property
-    def one(self) -> GroupRingElement:
-        coeffs = [self.base.zero] * self.group.order
-        coeffs[0] = self.base.one
-        return GroupRingElement(tuple(coeffs), self)
-
-    @property
-    def zero(self) -> GroupRingElement:
-        return GroupRingElement(tuple([self.base.zero] * self.group.order), self)
-
-    def from_group_coeffs(self, coeffs: Sequence) -> GroupRingElement:
-        if len(coeffs) != self.group.order:
-            raise ValueError(
-                f"expected {self.group.order} coefficients, got {len(coeffs)}"
-            )
-        return GroupRingElement(tuple(coeffs), self)
-
-    def from_int_coeffs(self, ints: Sequence[int]) -> GroupRingElement:
-        return self.from_group_coeffs([self.base.from_int(v) for v in ints])
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> GroupRingElement:
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """Coefficient d of block g times coefficient e of block h adds to
+        coefficient d + e of block g*h of an unreduced product whose blocks
+        are 2*bd - 1 wide; the base then reduces each block (by q)."""
         bd = self.base.dimension
-        if len(coeffs) != self.group.order * bd:
-            raise ValueError("flat coefficient vector has the wrong length")
-        return GroupRingElement(
-            tuple(
-                self.base.from_coeffs(coeffs[k * bd : (k + 1) * bd])
-                for k in range(self.group.order)
-            ),
-            self,
+        width = 2 * bd - 1
+        order = self.group.order
+        acc = [0] * (order * width)
+        right = [(k // bd, k % bd, v) for k, v in enumerate(b) if v]
+        for g in range(order):
+            block = a[g * bd : (g + 1) * bd]
+            if not any(block):
+                continue
+            row = self.group.row(g)
+            for d, u in enumerate(block):
+                if u:
+                    for h, e, v in right:
+                        acc[row[h] * width + d + e] += u * v
+        reduce = self.base.reduce_product
+        return tuple(
+            c for k in range(0, len(acc), width) for c in reduce(acc[k : k + width])
         )
-
-    def from_int(self, v: int) -> GroupRingElement:
-        coeffs = [self.base.zero] * self.group.order
-        coeffs[0] = self.base.from_int(v)
-        return GroupRingElement(tuple(coeffs), self)
-
-    def _convolve(self, x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-        group = self.group
-        zero = self.base.zero
-        out = [zero] * group.order
-        if group.order <= _MUL_TABLE_CAP:
-            table = group.mul_table()
-            for i, ci in enumerate(x.coeffs):
-                if ci.is_zero():
-                    continue
-                row = table[i]
-                for j, cj in enumerate(y.coeffs):
-                    if cj.is_zero():
-                        continue
-                    k = row[j]
-                    out[k] = out[k] + ci * cj
-        else:
-            for i, ci in enumerate(x.coeffs):
-                if ci.is_zero():
-                    continue
-                for j, cj in enumerate(y.coeffs):
-                    if cj.is_zero():
-                        continue
-                    k = group.mul(i, j)
-                    out[k] = out[k] + ci * cj
-        return GroupRingElement(tuple(out), self)
 
     def hat(self, sub: Subgroup) -> GroupRingElement:
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
@@ -156,16 +60,10 @@ class GroupRing(Ring):
             raise ValueError("subgroup belongs to a different group")
         m = self.coefficient_modulus
         inv = modular_inverse(sub.order, m) if m > 1 else 0
-        coeffs = [self.base.zero] * self.group.order
-        c = self.base.from_int(inv)
+        coeffs = [0] * self.dimension
         for idx in sub.members:
-            coeffs[idx] = c
-        return GroupRingElement(tuple(coeffs), self)
-
-    def group_sum(self) -> GroupRingElement:
-        return GroupRingElement(
-            tuple(self.base.one for _ in range(self.group.order)), self
-        )
+            coeffs[idx * self.base.dimension] = inv
+        return self.from_coeffs(coeffs)
 
     def reduce_to(self, c: int) -> "GroupRing":
         return GroupRing(self.base.reduce_to(c), self.group)
@@ -181,12 +79,14 @@ class GroupRing(Ring):
         terms since those carriers have |G| >= 4 basis elements.
         """
         dense = self.group.rank <= 1
+        bd = self.base.dimension
         terms = []
-        for idx, c in enumerate(x.coeffs):
-            if c.is_zero() and not dense:
+        for idx in range(self.group.order):
+            block = x.coeffs[idx * bd : (idx + 1) * bd]
+            if not any(block) and not dense:
                 continue
-            cname = self.base.element_text(c)
-            if self.base.dimension > 1 and not c.is_zero():
+            cname = self.base.element_text(self.base.element(self.base, block))
+            if bd > 1 and any(block):
                 cname = f"({cname})"
             terms.append(f"{cname}*{self.group.element_name(idx)}")
         return " + ".join(terms) if terms else "0"

@@ -76,10 +76,22 @@ class AbelianGroup:
                 raise SizeLimitError(
                     f"multiplication table capped at order {_MUL_TABLE_CAP}"
                 )
-            self._mul_table = [
-                [self.mul(i, j) for j in range(self.order)] for i in range(self.order)
-            ]
+            self._mul_table = [self._row(i) for i in range(self.order)]
         return self._mul_table
+
+    def row(self, i: int) -> list[int]:
+        """Indices of i*j for every j: the cached table's row up to
+        _MUL_TABLE_CAP, computed afresh above it."""
+        if self.order <= _MUL_TABLE_CAP:
+            return self.mul_table()[i]
+        return self._row(i)
+
+    def _row(self, i: int) -> list[int]:
+        # j runs over the mixed-radix digits x, most significant first
+        row = [0]
+        for n, a, s in zip(self.factors, self.exponents(i), self._strides):
+            row = [r + (a + x) % n * s for r in row for x in range(n)]
+        return row
 
     def expression(self) -> str:
         return "{" + "x".join(f"C{n}" for n in self.factors) + "}"
@@ -193,8 +205,17 @@ def all_subgroups(
 
 
 def minimal_nontrivial_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Subgroups of prime order (the atoms of the subgroup lattice)."""
-    return [s for s in all_subgroups(group) if is_prime(s.order)]
+    """Subgroups of prime order (the atoms of the subgroup lattice).
+
+    Each is cyclic, generated by any of its nonidentity elements, so they
+    are the <x> for the x of prime order; sorted by (order, member indices).
+    """
+    found: dict[tuple[int, ...], Subgroup] = {}
+    for x in range(1, group.order):
+        if is_prime(group.element_order(x)):
+            sub = subgroup_generated(group, (x,))
+            found.setdefault(sub.members, sub)
+    return sorted(found.values(), key=lambda s: (s.order, s.members))
 
 
 def frobenius_orbit_count(group: AbelianGroup, p: int) -> int:

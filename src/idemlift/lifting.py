@@ -21,7 +21,7 @@ from math import comb, gcd
 from typing import Callable, Sequence
 
 from .errors import UnsupportedError, VerificationError
-from .rings import Ring, factorize
+from .rings import Ring, factorize, pow_mults
 
 NILPOTENCY_CAP = 64
 
@@ -141,28 +141,6 @@ class LiftReport:
         }
 
 
-class _MultCounter:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def mul(self, a, b):
-        self.count += 1
-        return a * b
-
-    def pow(self, x, e, one):
-        result = one
-        base = x
-        while e:
-            if e & 1:
-                result = base if result is one else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
-
-
 def binomial_lift(f, n: int | None = None, cap: int = NILPOTENCY_CAP):
     """Lift f to the idempotent congruent to it modulo the nil ideal.
 
@@ -221,23 +199,22 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
     In checked mode a failed verification raises; unchecked callers get
     the report with the failure bits set.
     """
-    counter = _MultCounter()
-    ring = chain.ring
-    if counter.mul(f, f) == f:
+    if f * f == f:
         # already idempotent: the tower would be a no-op
-        report = LiftReport(
+        return LiftReport(
             input=f,
             lifted=f,
             tower=chain.exponent_tower(),
             verified_idempotent=True,
             verified_congruent=True,
-            multiplications=counter.count,
+            multiplications=1,
         )
-        return report
     e = f
     for s in chain.ss:
-        e = counter.pow(e, s, ring.one)
-    ok_idem = counter.mul(e, e) == e
+        e = e**s
+    ok_idem = e * e == e
+    # the two idempotency checks and the products of each step's power
+    mults = 2 + sum(pow_mults(s) for s in chain.ss)
     ok_congruent: bool | None = None
     if chain.reduce_map is not None:
         ok_congruent = chain.reduce(e) == chain.reduce(f)
@@ -247,7 +224,7 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
         tower=chain.exponent_tower(),
         verified_idempotent=ok_idem,
         verified_congruent=ok_congruent,
-        multiplications=counter.count,
+        multiplications=mults,
     )
     if checked and not report.verified:
         raise VerificationError(

@@ -221,7 +221,8 @@ def _parse_group_basis(cur: _Cursor, ring: GroupRing) -> int:
 
 def _parse_group_element(cur: _Cursor, ring: GroupRing):
     base = ring.base
-    coeffs = [base.from_int(0) for _ in range(ring.group.order)]
+    bd = base.dimension
+    flat = [0] * ring.dimension
     while True:
         cur.skip_ws()
         coeff = None
@@ -241,10 +242,11 @@ def _parse_group_element(cur: _Cursor, ring: GroupRing):
             raise cur.error("expected a coefficient or basis symbol")
         if coeff is None:
             coeff = base.from_int(1)
-        coeffs[idx] = coeffs[idx] + coeff
+        for k, c in enumerate(coeff.coeffs):
+            flat[idx * bd + k] += c
         if not cur.take("+"):
             break
-    return ring.from_group_coeffs(coeffs)
+    return ring.from_coeffs(flat)
 
 
 def parse_element(text: str, ring: Ring):

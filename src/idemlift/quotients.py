@@ -1,81 +1,30 @@
 """Quotient rings Z_m[x]/(q) for monic q, including the Gaussian case q = x^2 + 1.
 
-Elements are residue polynomials of degree below deg q, held as coefficient
-tuples.  When q = x^2 + 1 the ring prints with ``i`` instead of ``x`` so
-Z_p[i] elements read as a + b*i.
+Elements are residue polynomials of degree below deg q, held as their flat
+coefficient tuples, lowest degree first.  When q = x^2 + 1 the ring prints
+with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import UnsupportedError
 from .polynomials import Polynomial
-from .rings import Ring, is_prime, modular_inverse
+from .rings import Element, Ring, is_prime, modular_inverse
 
 
-@dataclass(frozen=True)
-class PolyQuotientElement:
-    coeffs: tuple[int, ...]
-    ring: "QuotientRing"
-
-    def _match(self, other: "PolyQuotientElement"):
-        if self.ring != other.ring:
-            raise ValueError("mismatched quotient rings")
-
-    def __add__(self, other):
-        self._match(other)
-        return PolyQuotientElement(
-            tuple((a + b) % self.ring.coefficient_modulus for a, b in zip(self.coeffs, other.coeffs)),
-            self.ring,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        m = self.ring.coefficient_modulus
-        return PolyQuotientElement(tuple(-a % m for a in self.coeffs), self.ring)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            m = self.ring.coefficient_modulus
-            return PolyQuotientElement(tuple(a * other % m for a in self.coeffs), self.ring)
-        self._match(other)
-        return self.ring._mul(self, other)
-
-    def __rmul__(self, scalar: int):
-        return self * scalar
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not defined here")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def coeff_vector(self) -> tuple[int, ...]:
-        return self.coeffs
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(self.coeffs, self.ring.coefficient_modulus)
-
-    def __str__(self):
-        return self.ring.element_text(self)
+class PolyQuotientElement(Element):
+    # The benchmark's span tracer (perfbench/spans.py) wraps this through
+    # this class's own __dict__, so it is bound here and not inherited.
+    __slots__ = ()
+    __mul__ = Element.__mul__
 
 
 class QuotientRing(Ring):
     """Z_m[x]/(q) with q monic of degree >= 1."""
+
+    element = PolyQuotientElement
 
     def __init__(self, modulus: int, q: Polynomial):
         if modulus < 1:
@@ -96,34 +45,37 @@ class QuotientRing(Ring):
         self.dimension = q.degree
 
     @property
-    def one(self) -> PolyQuotientElement:
-        return self.from_coeffs((1,) + (0,) * (self.dimension - 1))
-
-    @property
     def variable(self) -> PolyQuotientElement:
         if self.dimension < 2:
             raise ValueError("quotient of degree 1 has no residual variable")
         return self.from_coeffs((0, 1) + (0,) * (self.dimension - 2))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> PolyQuotientElement:
-        if len(coeffs) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
-        m = self.coefficient_modulus
-        return PolyQuotientElement(tuple(c % m for c in coeffs), self)
 
     def from_polynomial(self, poly: Polynomial) -> PolyQuotientElement:
         rem = Polynomial(poly.coeffs, self.coefficient_modulus)
         if self.coefficient_modulus > 1:
             rem = rem % self.q
         cs = rem.coeffs + (0,) * (self.dimension - len(rem.coeffs))
-        return PolyQuotientElement(cs[: self.dimension], self)
+        return self.element(self, cs[: self.dimension])
 
-    def from_int(self, v: int) -> PolyQuotientElement:
-        return self.from_coeffs((v,) + (0,) * (self.dimension - 1))
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        acc = [0] * (2 * self.dimension - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    acc[i + j] += u * v
+        return self.reduce_product(acc)
 
-    def _mul(self, a: PolyQuotientElement, b: PolyQuotientElement) -> PolyQuotientElement:
-        prod = a.to_polynomial() * b.to_polynomial()
-        return self.from_polynomial(prod)
+    def reduce_product(self, acc: list[int]) -> tuple[int, ...]:
+        """The unreduced product of two elements (2n - 1 raw coefficients,
+        overwritten here) reduced by the monic q and mod m."""
+        n, m = self.dimension, self.coefficient_modulus
+        tail = self.q.coeffs[:-1]
+        for top in range(len(acc) - 1, n - 1, -1):
+            c = acc[top] % m
+            if c:
+                for k, t in enumerate(tail):
+                    acc[top - n + k] -= c * t
+        return tuple(c % m for c in acc[:n])
 
     def reduce_to(self, c: int) -> "QuotientRing":
         return QuotientRing(c, Polynomial(self.q.coeffs, c))

@@ -1,11 +1,14 @@
-"""Integer residue rings and the coefficient-ring interface everything shares.
+"""Integer residue rings, the one element type, and the carrier interface.
 
 Every carrier in this package is a finite commutative ring whose elements
 are fixed-length vectors of integers modulo m: the residue ring Z_m itself
 (length 1), polynomial quotients Z_m[x]/(q) (length deg q), and group rings
-over either (length multiplied by the group order).  That shared shape gives
-uniform enumeration, serialization, reduction mod a divisor of m, and the
-structure constants the brute-force scan kernel consumes.
+over either (length multiplied by the group order, group index major, base
+coefficient minor).  Every element is an ``Element`` holding that flat
+tuple; each carrier contributes a single product kernel on such tuples.
+That shared shape gives uniform arithmetic, enumeration, serialization,
+reduction mod a divisor of m, and the structure constants the brute-force
+scan kernel consumes.
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -20,7 +23,6 @@ from typing import Iterator, Sequence
 
 from .errors import SizeLimitError, UnsupportedError
 
-DEFAULT_CHARACTERISTIC_BOUND = 2**63
 FACTORIZATION_BOUND = 2**63
 
 
@@ -135,17 +137,111 @@ def factorize(m: int) -> PrimePowerFactorization:
     return PrimePowerFactorization(m, tuple(factors), cofactors, inverses)
 
 
+class Element:
+    """One element of any carrier: its flat coefficient vector, reduced mod m.
+
+    The vector is group index major, base coefficient minor (see the module
+    docstring).  Sums, integer scaling, equality and the power are the same
+    for every carrier; a product goes through the ring's ``mul`` kernel.
+    Mixing elements of different rings raises ValueError.
+    """
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: "Ring", coeffs: tuple[int, ...]):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def _new(self, coeffs: tuple[int, ...]) -> "Element":
+        return type(self)(self.ring, coeffs)
+
+    def _match(self, other: "Element"):
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(f"mismatched rings: {self.ring!r} vs {other.ring!r}")
+
+    def __add__(self, other):
+        self._match(other)
+        m = self.ring.coefficient_modulus
+        return self._new(tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        self._match(other)
+        m = self.ring.coefficient_modulus
+        return self._new(tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        m = self.ring.coefficient_modulus
+        return self._new(tuple(-a % m for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            m = self.ring.coefficient_modulus
+            return self._new(tuple(a * other % m for a in self.coeffs))
+        self._match(other)
+        return self._new(self.ring.mul(self.coeffs, other.coeffs))
+
+    def __rmul__(self, scalar: int):
+        return self * scalar
+
+    def __pow__(self, e: int):
+        """Square-and-multiply in ``pow_mults(e)`` products of the ring's kernel."""
+        if e < 0:
+            raise ValueError("negative exponents are not defined here")
+        mul = self.ring.mul
+        result = None
+        base = self.coeffs
+        while e:
+            if e & 1:
+                result = base if result is None else mul(result, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return self.ring.one if result is None else self._new(result)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Element)
+            and self.coeffs == other.coeffs
+            and (self.ring is other.ring or self.ring == other.ring)
+        )
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def coeff_vector(self) -> tuple[int, ...]:
+        return self.coeffs
+
+    def __str__(self):
+        return self.ring.element_text(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ring!r}, {self.coeffs!r})"
+
+
+def pow_mults(e: int) -> int:
+    """Products ``x ** e`` costs: one squaring per bit below the highest and
+    one multiply per set bit after the first (the first is free)."""
+    return e.bit_length() + e.bit_count() - 2 if e else 0
+
+
 class Ring:
     """Interface shared by the concrete carriers.
 
     Subclasses set ``coefficient_modulus`` (the m above) and ``dimension``
-    (the coefficient-vector length) and implement ``from_coeffs``,
-    ``reduce_to``, ``expression``, ``element_text`` and
-    ``structure_constants``.  Everything else is generic.
+    (the coefficient-vector length), may set ``element`` (the Element
+    subclass they hand out), and implement the product kernel
+    ``mul(a, b)`` on reduced coefficient tuples, ``reduce_to``,
+    ``expression``, ``element_text`` and ``structure_constants``.  A ring
+    that serves as a group ring's base also implements ``reduce_product``.
+    Everything else is generic.
     """
 
     coefficient_modulus: int
     dimension: int
+    element = Element
 
     @property
     def cardinality(self) -> int:
@@ -157,13 +253,23 @@ class Ring:
 
     @property
     def zero(self):
-        return self.from_coeffs((0,) * self.dimension)
+        return self.element(self, (0,) * self.dimension)
 
     @property
     def one(self):
-        raise NotImplementedError
+        return self.from_int(1)
 
     def from_coeffs(self, coeffs: Sequence[int]):
+        if len(coeffs) != self.dimension:
+            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
+        m = self.coefficient_modulus
+        return self.element(self, tuple(c % m for c in coeffs))
+
+    def from_int(self, v: int):
+        """The scalar v * 1: v at flat index 0 (identity, constant term)."""
+        return self.from_coeffs((v,) + (0,) * (self.dimension - 1))
+
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
 
     def reduce_to(self, c: int) -> "Ring":
@@ -186,7 +292,7 @@ class Ring:
         for coeffs in itertools.product(
             range(self.coefficient_modulus), repeat=self.dimension
         ):
-            yield self.from_coeffs(coeffs)
+            yield self.element(self, coeffs)
 
     def include(self, x):
         """Canonical-representative lift from a reduced twin of this ring."""
@@ -197,68 +303,8 @@ class Ring:
         return target.from_coeffs(x.coeff_vector())
 
 
-@dataclass(frozen=True)
-class ResidueElement:
-    """Least non-negative residue ``value`` modulo ``modulus``.
-
-    The modulus-1 case is the zero ring, where 0 == 1.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _match(self, other: "ResidueElement"):
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mismatched moduli: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other):
-        self._match(other)
-        return ResidueElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        self._match(other)
-        return ResidueElement(self.value - other.value, self.modulus)
-
-    def __neg__(self):
-        return ResidueElement(-self.value, self.modulus)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ResidueElement(self.value * other, self.modulus)
-        self._match(other)
-        return ResidueElement(self.value * other.value, self.modulus)
-
-    def __rmul__(self, scalar: int):
-        return ResidueElement(self.value * scalar, self.modulus)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not defined here")
-        return ResidueElement(pow(self.value, e, self.modulus), self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def coeff_vector(self) -> tuple[int, ...]:
-        return (self.value,)
-
-    @property
-    def ring(self) -> "ResidueRing":
-        return ResidueRing(self.modulus)
-
-    def __str__(self):
-        return str(self.value)
-
-
 class ResidueRing(Ring):
-    """The ring Z_m of integers modulo m >= 1."""
+    """The ring Z_m of integers modulo m >= 1; m = 1 is the zero ring, where 0 == 1."""
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -270,16 +316,12 @@ class ResidueRing(Ring):
     def modulus(self) -> int:
         return self.coefficient_modulus
 
-    @property
-    def one(self) -> ResidueElement:
-        return ResidueElement(1, self.modulus)
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return (a[0] * b[0] % self.coefficient_modulus,)
 
-    def from_int(self, v: int) -> ResidueElement:
-        return ResidueElement(v, self.modulus)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> ResidueElement:
-        (v,) = coeffs
-        return ResidueElement(v, self.modulus)
+    def reduce_product(self, acc: list[int]) -> tuple[int, ...]:
+        """The unreduced product of two elements (one raw integer), mod m."""
+        return (acc[0] % self.coefficient_modulus,)
 
     def reduce_to(self, c: int) -> "ResidueRing":
         return ResidueRing(c)
@@ -287,8 +329,8 @@ class ResidueRing(Ring):
     def expression(self) -> str:
         return f"Z({self.modulus})"
 
-    def element_text(self, x: ResidueElement) -> str:
-        return str(x.value)
+    def element_text(self, x: Element) -> str:
+        return str(x.coeffs[0])
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         return [[(1 % self.modulus,)]]
@@ -301,29 +343,3 @@ class ResidueRing(Ring):
 
     def __repr__(self):
         return f"ResidueRing({self.modulus})"
-
-
-def characteristic_of(ring: Ring, bound: int = DEFAULT_CHARACTERISTIC_BOUND) -> int:
-    """Smallest s >= 1 with s*1 == 0 in the ring, verified for minimality.
-
-    The structural value is ring.characteristic; this re-checks that it
-    annihilates 1 and that no proper divisor does.  Values above ``bound``
-    raise SizeLimitError.
-    """
-    c = ring.characteristic
-    if c > bound:
-        raise SizeLimitError(f"characteristic {c} exceeds bound {bound}")
-    one = ring.one
-    if not (c * one).is_zero():
-        raise ArithmeticError(f"claimed characteristic {c} does not annihilate 1")
-    if c > 1:
-        for pp in factorize(c).factors:
-            if ((c // pp.prime) * one).is_zero():
-                raise ArithmeticError(f"characteristic {c} is not minimal")
-    return c
-
-
-def crt_recombine(residues: Sequence[int], fact: PrimePowerFactorization) -> int:
-    """Inverse CRT: the x mod m with x == residues[i] (mod p_i^{r_i})."""
-    total = sum(w * r for w, r in zip(fact.crt_weights, residues))
-    return total % fact.modulus

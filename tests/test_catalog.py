@@ -241,7 +241,7 @@ class TestCrtCombine:
         bad_ring = good.ring
         bogus = IdempotentFamily(
             ring=bad_ring,
-            members=(bad_ring.from_int_coeffs((1, 1, 0)),),
+            members=(bad_ring.from_coeffs((1, 1, 0)),),
             primitive=(),
             count=1,
             complete=True,

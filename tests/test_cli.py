@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,15 @@ class TestCount:
         assert "|E(Z(200){C3})| = 16 = 2^4" in out
         assert "primitive count: 4" in out
 
+    def test_rank2_hat_family_within_budget(self, capsys):
+        # C13 x C13 has 14 subgroups of order 13, one per line through 0
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "Z(2){C13xC13}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "|E(Z(2){C13xC13})| = 32768 = 2^15" in out
+        assert elapsed < 5.0
+
 
 class TestPrimitive:
     def test_z200c3(self, capsys):
@@ -163,6 +173,21 @@ class TestLift:
         assert code == 0
         assert "tower:    2^3" in out
         assert "lifted:   6*e + 5*g + 5*g^2" in out
+
+    @pytest.mark.parametrize("tower", [("0", "3"), ("2", "-1")])
+    def test_invalid_tower_text(self, capsys, tower):
+        code, out, err = run(capsys, "lift", "Z(12)", "5", "--tower", *tower)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tower") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tower", [("0", "3"), ("2", "-1")])
+    def test_invalid_tower_json(self, capsys, tower):
+        code, out, _ = run(capsys, "lift", "--json", "Z(12)", "5", "--tower", *tower)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["code"] == 2
+        assert payload["error"]["type"] == "ParseError"
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "lift", "--json", "Z(25)[i]", "3 + i")

@@ -14,6 +14,7 @@ from idemlift.groups import (
     minimal_nontrivial_subgroups,
     subgroup_generated,
 )
+from idemlift.rings import is_prime
 
 
 class TestAbelianGroup:
@@ -90,6 +91,15 @@ class TestSubgroups:
         minimal = minimal_nontrivial_subgroups(g)
         assert len(minimal) == 6
         assert all(len(s.members) == 5 for s in minimal)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(2, 2), (3, 3), (5, 5), (4, 6), (2, 2, 2), (12,), (7, 7), (2, 4, 3)],
+    )
+    def test_minimal_subgroups_match_the_subgroup_filter(self, factors):
+        g = AbelianGroup(factors)
+        expected = [s for s in all_subgroups(g) if is_prime(s.order)]
+        assert minimal_nontrivial_subgroups(g) == expected
 
     def test_c2xc2xc2_counts_all_ranks(self):
         subs = all_subgroups(AbelianGroup((2, 2, 2)))

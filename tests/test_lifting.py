@@ -40,16 +40,16 @@ class TestNilpotencyIndex:
 class TestBinomialLift:
     def test_z9_from_3(self):
         e = binomial_lift(ResidueRing(9).from_int(3))
-        assert e.value == 0
+        assert e.coeff_vector() == (0,)
 
     def test_z4_from_2(self):
         e = binomial_lift(ResidueRing(4).from_int(2))
-        assert e.value == 0
+        assert e.coeff_vector() == (0,)
 
     def test_idempotent_input_fixed(self):
         z12 = ResidueRing(12)
         for v in (0, 1, 4, 9):
-            assert binomial_lift(z12.from_int(v)).value == v
+            assert binomial_lift(z12.from_int(v)).coeff_vector() == (v,)
 
     def test_explicit_index_checked(self):
         with pytest.raises(VerificationError):
@@ -96,7 +96,7 @@ class TestPowerLift:
     def test_idempotent_any_s(self):
         ring = ResidueRing(12)
         for v in (0, 1, 4, 9):
-            assert power_lift(ring.from_int(v), 7).value == v
+            assert power_lift(ring.from_int(v), 7).coeff_vector() == (v,)
 
     def test_checked_failure(self):
         with pytest.raises(VerificationError):
@@ -104,7 +104,7 @@ class TestPowerLift:
 
     def test_unchecked_passthrough(self):
         out = power_lift(ResidueRing(7).from_int(3), 2, checked=False)
-        assert out.value == 2
+        assert out.coeff_vector() == (2,)
 
 
 class TestChainValidation:
@@ -141,7 +141,7 @@ class TestChainForNilpotentIdeal:
         assert chain.ts == (2,)
         assert chain.provenance == "principal-nilpotent"
         e = chain_lift(ring.from_int(3), chain).lifted
-        assert e.value == 9
+        assert e.coeff_vector() == (9,)
 
     def test_z27_generator_3(self):
         ring = ResidueRing(27)
@@ -161,7 +161,7 @@ class TestChainForNilpotentIdeal:
 
     def test_non_scalar_needs_char(self):
         ring = GroupRing(ResidueRing(4), AbelianGroup((2,)))
-        n = ring.from_int_coeffs((2, 2))
+        n = ring.from_coeffs((2, 2))
         assert nilpotency_index(n) is not None
         with pytest.raises(ValueError):
             chain_for_nilpotent_ideal(ring, n)
@@ -172,18 +172,45 @@ class TestChainForNilpotentIdeal:
 class TestChainLift:
     def test_z8c3_worked_example(self):
         ring = GroupRing(ResidueRing(8), AbelianGroup((3,)))
-        f = ring.from_int_coeffs((0, 1, 1))
+        f = ring.from_coeffs((0, 1, 1))
         report = chain_lift(f, standard_chain(ring))
         assert report.lifted.coeff_vector() == (6, 5, 5)
         assert report.tower == (2, 2)
         assert report.verified
         assert report.verified_congruent is True
-        assert report.multiplications > 0
+        assert report.multiplications == 4
 
     def test_idempotent_short_circuit(self):
         ring = ResidueRing(200)
         report = chain_lift(ring.from_int(25), standard_chain(ring))
-        assert report.lifted.value == 25
+        assert report.lifted.coeff_vector() == (25,)
+        assert report.multiplications == 1
+
+    @pytest.mark.parametrize("s, mults", [(2, 3), (3, 4), (5, 5), (7, 6), (13, 7)])
+    def test_multiplication_count_one_step(self, s, mults):
+        # one idempotency check, bit_length(s) + popcount(s) - 2 products
+        # for f**s (the first set bit is free), one final check
+        ring = ResidueRing(s * s)
+        report = chain_lift(ring.from_int(1 + s), standard_chain(ring))
+        assert report.lifted == ring.one
+        assert report.multiplications == mults
+
+    def test_multiplication_count_multi_step(self):
+        ring = ResidueRing(36)
+        report = chain_lift(ring.from_int(15), trusted_chain(ring, (2, 3), (2, 2)))
+        assert report.lifted.coeff_vector() == (9,)
+        assert report.multiplications == 1 + 1 + 2 + 1
+        ring = GroupRing(ResidueRing(625), AbelianGroup((3,)))
+        report = chain_lift(ring.from_coeffs((6, 5, 0)), standard_chain(ring))
+        assert report.tower == (5, 3)
+        assert report.verified
+        assert report.multiplications == 1 + 3 * 3 + 1
+
+    def test_idempotent_short_circuit_on_multi_step_chain(self):
+        ring = GroupRing(ResidueRing(36), AbelianGroup((2,)))
+        e = ring.from_coeffs((9, 0))
+        report = chain_lift(e, trusted_chain(ring, (2, 3, 3), (2, 2, 2)))
+        assert report.lifted == e
         assert report.multiplications == 1
 
     def test_failure_raises_in_checked_mode(self):
@@ -220,7 +247,7 @@ class TestChainLift:
         base = ResidueRing(8)
         ring = GroupRing(base, AbelianGroup((3,)))
         chain = chain_for_group_ring(standard_chain(base), ring)
-        f = ring.from_int_coeffs((0, 1, 1))
+        f = ring.from_coeffs((0, 1, 1))
         report = chain_lift(f, chain)
         assert report.verified_congruent is True
         assert report.lifted.coeff_vector() == (6, 5, 5)
