@@ -250,29 +250,22 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
         for sub in minimal_nontrivial_subgroups(group):
             candidate.append(ring.hat(sub) - g_hat)
     expected = frobenius_orbit_count(group, p)
-    check = verify_family(candidate, ring, expected)
-    if not check.primitive_certified:
+    # The hat candidates always form an orthogonal decomposition of 1, so
+    # they are the primitive family exactly when their number is the orbit
+    # count.  _build_family then verifies the family once.
+    if len(candidate) != expected:
         raise UnsupportedError(
             "hat family certification failed for "
-            f"{ring.expression()}: size {check.size} vs {expected} components, "
-            f"orthogonal={check.orthogonal}, sum_to_one={check.sums_to_one}"
+            f"{ring.expression()}: size {len(candidate)} vs {expected} components"
         )
     count = 2**expected
-    if count <= list_cap:
-        return _build_family(
-            ring,
-            members=_subset_sums(candidate, ring),
-            primitive=candidate,
-            count=count,
-            complete=True,
-            provenance="hat-family",
-            expected_components=expected,
-        )
+    complete = count <= list_cap
     return _build_family(
         ring,
+        members=_subset_sums(candidate, ring) if complete else (),
         primitive=candidate,
         count=count,
-        complete=False,
+        complete=complete,
         provenance="hat-family",
         expected_components=expected,
     )
@@ -421,22 +414,21 @@ def _combine(
     The weights w_i are carrier elements.
     """
     count = prod(f.count for f in families)
-    lifted_members = []
-    lifted_primitives = []
-    for w, alpha, fam in zip(weights, alphas, families):
-        lifted_members.append([w * _embed(f, carrier) ** alpha for f in fam.members])
-        lifted_primitives.append(
-            [w * _embed(f, carrier) ** alpha for f in fam.primitive]
-        )
+
+    def lifted(w, alpha, elems):
+        return [w * _embed(f, carrier) ** alpha for f in elems]
+
     primitive = []
     expected = None
     if all(f.orthogonal_primitive for f in families):
         expected = sum(len(f.primitive) for f in families)
-        for batch in lifted_primitives:
-            primitive.extend(batch)
+        for w, alpha, fam in zip(weights, alphas, families):
+            primitive.extend(lifted(w, alpha, fam.primitive))
     if count <= list_cap and all(f.complete for f in families):
+        # members are lifted only here, once the listing is known to be built
         members = [carrier.zero]
-        for batch in lifted_members:
+        for w, alpha, fam in zip(weights, alphas, families):
+            batch = lifted(w, alpha, fam.members)
             members = [x + y for x in members for y in batch]
         if len(set(m.coeff_vector() for m in members)) != count:
             raise VerificationError(

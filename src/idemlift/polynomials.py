@@ -5,12 +5,15 @@ the zero polynomial is the empty tuple and ``degree`` is -1 for it.  Ring
 operations work over any modulus; gcd, extended gcd and Berlekamp
 factorization require a prime modulus and say so.
 
-The factorizer is the deterministic Berlekamp method: squarefree reduction
-through gcd with the derivative (p-th powers handled by coefficient-wise
-p-th roots, which are trivial over F_p), null space of the Frobenius matrix
-by Gaussian elimination, and splitting with gcd(f, b(x) - c) over all c in
-F_p.  Degrees stay small here (cap 64), so no probabilistic machinery is
-needed or wanted: identical input gives identical output.
+The factorizer is Berlekamp's method: squarefree reduction through gcd
+with the derivative (p-th powers handled by coefficient-wise p-th roots,
+which are trivial over F_p), null space of the Frobenius matrix by
+Gaussian elimination, and splitting by the quadratic character of each
+basis element b(x): gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the
+shifts a = 0, 1, 2, ... (Berlekamp 1970; Cantor & Zassenhaus 1981), or
+gcd(u, b(x) mod u) over F_2.  Each split costs O(log p) products, not the
+O(p) gcds of trying every constant.  The shifts are fixed, not random:
+identical input gives identical output.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ class Polynomial:
         self._match(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = modular_inverse(divisor.leading, self.modulus)
+        lead = divisor.leading
+        inv_lead = 1 if lead == 1 else modular_inverse(lead, self.modulus)
         rem = list(self.coeffs)
         dn = divisor.degree
         q = [0] * max(len(rem) - dn, 0)
@@ -282,39 +286,58 @@ def _frobenius_nullity_basis(f: Polynomial) -> list[Polynomial]:
     return [Polynomial(tuple(vec), p) for vec in basis]
 
 
+def _split_by(u: Polynomial, h: Polynomial) -> list[Polynomial]:
+    """Split a monic squarefree u into pieces modulo which h is constant.
+
+    h is constant modulo each irreducible factor of u (h is in the
+    Berlekamp basis).  Over odd p, the shift a sends a factor with value c
+    to the gcd exactly when c + a is a nonzero square; two factors with
+    distinct values differ in that for at least (p - 1)/2 of the p
+    shifts, so trying a = 0 .. p-1 in order always separates them.
+    """
+    p = u.modulus
+    one = Polynomial.constant(1, p)
+    done = []
+    todo = [u]
+    for a in range(p):
+        pending = []
+        for w in todo:
+            r = h % w
+            if r.degree < 1:
+                done.append(w)
+                continue
+            if p == 2:
+                g = poly_gcd(w, r)
+            else:
+                shifted = r + Polynomial.constant(a, p)
+                g = poly_gcd(w, poly_powmod(shifted, (p - 1) // 2, w) - one)
+            if 0 < g.degree < w.degree:
+                pending += [g, w // g]
+            else:
+                pending.append(w)
+        todo = pending
+        if not todo:
+            return done
+    raise ArithmeticError(f"no shift below {p} splits {u} by {h}")
+
+
 def _split_squarefree(f: Polynomial) -> list[Polynomial]:
     """All monic irreducible factors of a monic squarefree f over F_p."""
-    p = f.modulus
     if f.degree <= 1:
         return [f] if f.degree == 1 else []
     basis = _frobenius_nullity_basis(f)
     want = len(basis)
     factors = [f]
-    if want == 1:
-        return factors
     for h in basis:
-        if h.degree < 1:
-            continue
-        next_factors = []
-        for u in factors:
-            if u.degree == 1:
-                next_factors.append(u)
-                continue
-            pieces = []
-            rest = u
-            for c in range(p):
-                g = poly_gcd(rest, h - Polynomial.constant(c, p))
-                if 0 < g.degree < rest.degree:
-                    pieces.append(g)
-                    rest = rest // g
-                if rest.degree == 0:
-                    break
-            if rest.degree > 0:
-                pieces.append(rest)
-            next_factors.extend(pieces)
-        factors = next_factors
         if len(factors) == want:
             break
+        if h.degree < 1:
+            continue
+        factors = [piece for u in factors for piece in _split_by(u, h)]
+    if len(factors) != want:
+        raise ArithmeticError(
+            f"Berlekamp basis of size {want} split {f} into {len(factors)} factors"
+        )
     return factors
 
 

@@ -58,20 +58,74 @@ def modular_inverse(a: int, m: int) -> int:
     return x % m
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases 2..37 has no strong pseudoprime below this
+# (Sorenson & Webster, Math. Comp. 86, 2017), so is_prime is exact under it.
+MILLER_RABIN_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale moduli)."""
+    """Deterministic primality test for n < MILLER_RABIN_BOUND (about 2**78).
+
+    Trial division by the twelve primes 2..37 settles every n < 37**2;
+    above that, Miller-Rabin with those twelve bases is exact.  Larger n
+    raise SizeLimitError rather than risk a wrong answer.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 37 * 37:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise SizeLimitError(f"is_prime supports n < {MILLER_RABIN_BOUND}, got {n}")
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard 1975, Brent 1980).
+
+    Iterates y -> y^2 + c from y = 2 with c = 1, 2, ... until one constant
+    yields a factor; products of |x - y| are batched 128 to a gcd.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"Pollard-Brent rho found no factor of {n}")
 
 
 @dataclass(frozen=True)
@@ -112,29 +166,36 @@ class PrimePowerFactorization:
 
 
 def factorize(m: int) -> PrimePowerFactorization:
-    """Factor 2 <= m < 2**63 by trial division, with CRT cofactors and inverses."""
+    """Factor 2 <= m < 2**63, with CRT cofactors and inverses.
+
+    The primes 2..37 are divided out; composite cofactors are split by
+    Pollard-Brent rho and every piece is tested with ``is_prime``.  The
+    prime powers come out in ascending order of their primes.
+    """
     if m < 2:
         raise ValueError(f"factorize needs m >= 2, got {m}")
     if m >= FACTORIZATION_BOUND:
         raise SizeLimitError(f"factorize supports m < 2**63, got {m}")
-    factors = []
+    exponents: dict[int, int] = {}
     rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            factors.append(PrimePower(d, e))
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        factors.append(PrimePower(rest, 1))
+    for q in _SMALL_PRIMES:
+        while rest % q == 0:
+            rest //= q
+            exponents[q] = exponents.get(q, 0) + 1
+    pending = [rest] if rest > 1 else []
+    while pending:
+        n = pending.pop()
+        if is_prime(n):
+            exponents[n] = exponents.get(n, 0) + 1
+        else:
+            d = _pollard_brent(n)
+            pending += [d, n // d]
+    factors = tuple(PrimePower(q, e) for q, e in sorted(exponents.items()))
     cofactors = tuple(m // pp.value for pp in factors)
     inverses = tuple(
         modular_inverse(c, pp.value) for c, pp in zip(cofactors, factors)
     )
-    return PrimePowerFactorization(m, tuple(factors), cofactors, inverses)
+    return PrimePowerFactorization(m, factors, cofactors, inverses)
 
 
 class Element:

@@ -109,6 +109,21 @@ class TestHatFamily:
             brute_force_scan(GroupRing(ResidueRing(2), AbelianGroup((3,))))
         )
 
+    def test_certified_once(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        calls = []
+        real = catalog.verify_family
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "verify_family", counting)
+        fam = hat_family(AbelianGroup((5, 5)), 2)
+        assert fam.orthogonal_primitive
+        assert len(calls) == 1
+
     def test_certification_failure_c7_over_f2(self):
         # the orbit count is 3, the two-member candidate cannot be complete
         with pytest.raises(UnsupportedError):
@@ -117,6 +132,17 @@ class TestHatFamily:
     def test_certification_failure_c5xc5_over_f11(self):
         # 11 = 1 mod 5, so the power map is the identity: 25 components
         with pytest.raises(UnsupportedError):
+            hat_family(AbelianGroup((5, 5)), 11)
+
+    def test_size_mismatch_rejected_before_any_product(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_family called on a family of the wrong size")
+
+        monkeypatch.setattr(catalog, "verify_family", forbidden)
+        monkeypatch.setattr(catalog, "_subset_sums", forbidden)
+        with pytest.raises(UnsupportedError, match="size 7 vs 25 components"):
             hat_family(AbelianGroup((5, 5)), 11)
 
     def test_non_elementary_rejected(self):

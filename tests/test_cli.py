@@ -30,6 +30,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Exponents of every group-ring power taken while the test runs."""
+    from idemlift.group_rings import GroupRingElement
+
+    calls = []
+    real = GroupRingElement.__pow__
+
+    def counting(self, e):
+        calls.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(GroupRingElement, "__pow__", counting)
+    return calls
+
+
 class TestList:
     def test_z12_text(self, capsys):
         code, out, err = run(capsys, "list", "Z(12)")
@@ -71,6 +87,17 @@ class TestList:
         assert code == 3
         assert "use 'count' or raise --cap" in err
 
+    def test_cap_exceeded_lifts_no_members(self, capsys, pow_calls):
+        # 2^18 members exceed the cap: only the 18 primitives are lifted
+        code, out, err = run(capsys, "list", "Z(1000){C31}")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: |E| = 262144 exceeds the listing cap 65536; "
+            "use 'count' or raise --cap\n"
+        )
+        assert len(pow_calls) == 18
+
     def test_cap_override_small(self, capsys):
         code, _, _ = run(capsys, "list", "Z(12)", "--cap", "2")
         assert code == 3
@@ -111,6 +138,31 @@ class TestCount:
         assert "|E(Z(2){C13xC13})| = 32768 = 2^15" in out
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize(
+        "p", [100003, 1000000007, 4611686018427388039]  # the last is 2^62 + 135
+    )
+    def test_large_prime_cyclic_within_budget(self, capsys, p):
+        # F_p C7 has one component per orbit of g -> g^p: 1 + 6 / ord_7(p)
+        order = next(k for k in range(1, 7) if pow(p, k, 7) == 1)
+        log2 = 1 + 6 // order
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", f"Z({p}){{C7}}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == (
+            f"|E(Z({p}){{C7}})| = {2**log2} = 2^{log2}\nprimitive count: {log2}\n"
+        )
+        assert elapsed < 5.0
+
+    def test_square_of_31_bit_prime_within_budget(self, capsys):
+        # (2^31 - 1)^2: a prime power, so only the one orbit of the trivial group
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "Z(4611686014132420609)")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == "|E(Z(4611686014132420609))| = 2 = 2^1\nprimitive count: 1\n"
+        assert elapsed < 5.0
+
 
 class TestPrimitive:
     def test_z200c3(self, capsys):
@@ -121,6 +173,22 @@ class TestPrimitive:
             "primitive idempotents of Z(200){C3}: 4 elements [crt-combined]"
         )
         assert len(lines) == 5
+
+    def test_lifts_only_the_primitives(self, capsys, pow_calls):
+        from idemlift.catalog import enumerate_idempotents
+        from idemlift.parsing import build_ring
+
+        ring = build_ring("Z(1000){C31}")
+        expected = enumerate_idempotents(ring, list_cap=0).primitive
+        pow_calls.clear()
+        code, out, _ = run(capsys, "primitive", "Z(1000){C31}")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == (
+            "primitive idempotents of Z(1000){C31}: 18 elements [crt-combined]"
+        )
+        assert lines[1:] == [ring.element_text(x) for x in expected]
+        assert len(pow_calls) == 18
 
     def test_json_has_no_members(self, capsys):
         code, out, _ = run(capsys, "primitive", "--json", "Z(200){C3}")

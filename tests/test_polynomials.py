@@ -3,7 +3,9 @@
 The independent oracle for factorization is exhaustive: a polynomial of
 degree d over F_p is irreducible iff no monic polynomial of degree
 1..d//2 divides it, checked by trial division.  Frozen factorizations
-below were derived with that oracle.
+below were derived with that oracle.  Over large primes, where no
+exhaustive oracle is feasible, factorizations are compared with sympy's
+``gf_factor`` (skipped when sympy is missing).
 """
 
 import random
@@ -205,3 +207,60 @@ class TestBerlekamp:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             berlekamp_factor(Polynomial((1, 0, 1), 6))
+
+
+def _sympy_factorization(f: Polynomial):
+    """(unit, sorted (coeffs, multiplicity) pairs) of f by sympy's gf_factor."""
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    unit, factors = galoistools.gf_factor(
+        ZZ.map(list(reversed(f.coeffs))), f.modulus, ZZ
+    )
+    return int(unit), sorted(
+        (tuple(int(c) for c in reversed(g)), e) for g, e in factors
+    )
+
+
+class TestBerlekampAgainstSympy:
+    PRIMES = [1009, 1000003, 2**61 - 1]
+
+    @staticmethod
+    def _check(f: Polynomial):
+        fact = berlekamp_factor(f)
+        got = sorted((fac.poly.coeffs, fac.multiplicity) for fac in fact.factors)
+        assert (fact.unit, got) == _sympy_factorization(f), f
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_random_inputs(self, p):
+        rng = random.Random(p)
+        for _ in range(25):
+            deg = rng.randrange(1, 10)
+            coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+            self._check(Polynomial(tuple(coeffs), p))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_repeated_factors(self, p):
+        rng = random.Random(p + 1)
+        for _ in range(15):
+            f = Polynomial.constant(rng.randrange(1, p), p)
+            for _ in range(rng.randrange(1, 4)):
+                deg = rng.randrange(1, 4)
+                g = Polynomial(tuple(rng.randrange(p) for _ in range(deg)) + (1,), p)
+                f = f * g ** rng.randrange(1, 4)
+            self._check(f)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_split_into_linear_factors(self, p):
+        # the largest splitting jobs: every factor has degree 1
+        rng = random.Random(p + 2)
+        for _ in range(5):
+            f = Polynomial.constant(1, p)
+            for _ in range(rng.randrange(2, 12)):
+                f = f * Polynomial((rng.randrange(p), 1), p)
+            self._check(f)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("n", [7, 12, 31, 64])
+    def test_x_n_minus_1(self, p, n):
+        self._check(Polynomial((p - 1,) + (0,) * (n - 1) + (1,), p))

@@ -1,4 +1,9 @@
-"""Integer helpers, residue rings, and prime-power factorization."""
+"""Integer helpers, residue rings, and prime-power factorization.
+
+Primality and factorization are cross-checked against sympy's ``isprime``
+and ``factorint`` (skipped when sympy is missing), on fixed hard cases and
+on hypothesis-drawn n < 2**63.
+"""
 
 import random
 
@@ -6,6 +11,7 @@ import pytest
 
 from idemlift.errors import SizeLimitError, UnsupportedError
 from idemlift.rings import (
+    MILLER_RABIN_BOUND,
     ResidueRing,
     ext_gcd,
     factorize,
@@ -76,6 +82,41 @@ class TestIsPrime:
         assert not is_prime(169)
         assert is_prime(167)
 
+    def test_pseudoprimes_rejected(self):
+        # Carmichael numbers, then strong pseudoprimes to the bases 2; 2..7; 2..23
+        for n in (561, 41041, 825265, 2047, 3215031751, 3825123056546413051):
+            assert not is_prime(n), n
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 2**32 - 5, 2**61 - 1, 2**64 - 59):
+            assert is_prime(n)
+        assert not is_prime((2**31 - 1) ** 2)
+        assert not is_prime((2**31 - 1) * (2**32 - 5))
+
+    def test_size_bound(self):
+        with pytest.raises(SizeLimitError):
+            is_prime(2**89 - 1)
+        with pytest.raises(SizeLimitError):
+            is_prime(MILLER_RABIN_BOUND)
+
+    def test_matches_sympy_below_10_5(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(10**5) if is_prime(n)] == list(
+            sympy.primerange(10**5)
+        )
+
+    def test_matches_sympy_drawn(self):
+        sympy = pytest.importorskip("sympy")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(min_value=0, max_value=2**63 - 1))
+        def check(n):
+            assert is_prime(n) == sympy.isprime(n)
+
+        check()
+
 
 class TestFactorize:
     def test_200(self):
@@ -107,6 +148,42 @@ class TestFactorize:
                 for j, v in enumerate(fact.crt_weights):
                     if i != j:
                         assert (w * v) % m == 0
+
+    def test_hard_cases_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        below = sympy.prevprime(2**31)
+        above = sympy.nextprime(2**31)
+        cases = [
+            (2**31 - 1) ** 2,
+            below * above,
+            (2**31 - 1) * below,
+            sympy.prevprime(below) * above,
+            sympy.prevprime(3037000500) ** 2,  # largest prime square < 2**63
+            sympy.prevprime(2097152) ** 3,  # largest prime cube < 2**63
+            2**62,
+            3**39,
+            1000003**3,
+            2**63 - 25,  # the largest prime < 2**63
+        ]
+        for n in cases:
+            assert n < 2**63
+            got = [(pp.prime, pp.exponent) for pp in factorize(n).factors]
+            assert got == sorted(sympy.factorint(n).items()), n
+
+    def test_matches_sympy_drawn(self):
+        sympy = pytest.importorskip("sympy")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.integers(min_value=2, max_value=2**63 - 1))
+        def check(n):
+            fact = factorize(n)
+            got = [(pp.prime, pp.exponent) for pp in fact.factors]
+            assert got == sorted(sympy.factorint(n).items())
+            assert sum(fact.crt_weights) % n == 1
+
+        check()
 
     def test_bounds(self):
         with pytest.raises(ValueError):
