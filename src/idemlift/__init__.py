@@ -16,6 +16,7 @@ from .catalog import (
     crt_combine_powerform,
     cyclic_base_idempotents,
     enumerate_idempotents,
+    frobenius_idempotents,
     hat_family,
     poly_crt_combine,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "cyclic_base_idempotents",
     "enumerate_idempotents",
     "factorize",
+    "frobenius_idempotents",
     "frobenius_orbit_count",
     "gaussian_idempotents",
     "gaussian_ring",

@@ -1,11 +1,17 @@
 """Complete and primitive idempotent families for the supported carriers.
 
 Enumeration follows one shape everywhere: find the idempotents of the
-residue ring mod each prime p dividing the coefficient modulus (over a
-field there are certified providers), raise each to p^{r-1} to lift it to
-the prime-power part, and glue the prime parts with the CRT weights
-s_i * m_i.  Completeness is multiplicative across primes; primitivity is
-additive (one embedded primitive per prime component).
+residue ring mod each prime p dividing the coefficient modulus, raise each
+to p^{r-1} to lift it to the prime-power part, and glue the prime parts
+with the CRT weights s_i * m_i.  Completeness is multiplicative across
+primes; primitivity is additive (one embedded primitive per prime
+component).
+
+Over a prime there is one route per carrier kind: {0, 1} for Z_p, the
+factorization of the quotient polynomial for a quotient base, and for
+F_p G the paper's hat family where it certifies, else the splitting of
+the Frobenius-fixed subalgebra, which also serves F_{p^d} G.  The
+brute-force scan is the independent check, never a provider.
 
 Everything returned is re-verified: members are squared, primitive
 families are checked for orthogonality, their sum, and their size against
@@ -22,18 +28,19 @@ from .errors import SizeLimitError, UnsupportedError, VerificationError
 from .group_rings import GroupRing
 from .groups import (
     AbelianGroup,
+    Subgroup,
     TRIVIAL_GROUP,
     frobenius_orbit_count,
     minimal_nontrivial_subgroups,
-    subgroup_generated,
 )
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import Polynomial, berlekamp_factor
+from .polynomials import Polynomial, _null_space, _split_by, berlekamp_factor
 from .quotients import QuotientRing
-from .rings import ResidueRing, Ring, factorize, is_prime
+from .rings import ResidueRing, Ring, factorize, is_prime, modular_inverse
 
 DEFAULT_LIST_CAP = 2**16
+FROBENIUS_DIMENSION_CAP = 64
 _ATOM_DERIVATION_CAP = 4096
 
 
@@ -168,57 +175,122 @@ def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> Idempot
 
 
 def cyclic_base_idempotents(n: int, p: int, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
-    """E(F_p C_n) through the factorization of x^n - 1.
+    """E(F_p C_n), p dividing n or not, by ``frobenius_idempotents``."""
+    group = AbelianGroup((n,)) if n != 1 else TRIVIAL_GROUP
+    return frobenius_idempotents(GroupRing(ResidueRing(p), group), list_cap)
 
-    Each irreducible factor q_i contributes the primitive idempotent
-    s_i(x) * m_i(x) mod (x^n - 1), with m_i the cofactor and s_i its
-    Bezout inverse; the complete set is all subset sums.
+
+def _split_piece(e: list[int], c: list[int], mul, p: int) -> list[list[int]]:
+    """The Lagrange idempotents of the minimal polynomial of c in e*B.
+
+    The powers e, c, c^2, ... are reduced against each other until the
+    first one is a combination of those before it; that relation is the
+    minimal polynomial mu of c, whose roots r_j are distinct and lie in
+    F_p.  Each idempotent prod_{l != j} (c - r_l) / (r_j - r_l) is then a
+    combination of the stored powers.
     """
-    if n < 1:
-        raise ValueError(f"cycle length must be >= 1, got {n}")
+    powers = [e]
+    echelon = []  # (pivot, vector, combination of powers) per stored power
+    while True:
+        vec = list(powers[-1])
+        comb = [int(t == len(powers) - 1) for t in range(len(e) + 1)]
+        for piv, row, rcomb in echelon:
+            f = vec[piv]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+                comb = [(a - f * b) % p for a, b in zip(comb, rcomb)]
+        piv = next((i for i, a in enumerate(vec) if a), None)
+        if piv is None:
+            break
+        inv = modular_inverse(vec[piv], p)
+        echelon.append((piv, [a * inv % p for a in vec], [a * inv % p for a in comb]))
+        powers.append(mul(powers[-1], c))
+    mu = Polynomial(tuple(comb), p)
+    if mu.degree == 1:
+        return [e]
+    out = []
+    for root in _split_by(mu, Polynomial.x(p)):
+        lag = mu // root
+        lag = lag * modular_inverse(lag(-root.coeffs[0]), p)
+        out.append(
+            [sum(a * v[i] for a, v in zip(lag.coeffs, powers)) % p for i in range(len(e))]
+        )
+    return out
+
+
+def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
+    """E(KG) for K = F_p or F_p[x]/(q) with q irreducible, any G and any p.
+
+    Frobenius a -> a^p is F_p-linear on the commutative algebra A = KG, and
+    its fixed space B is the F_p-span of A's primitive idempotents, whether
+    or not A is semisimple (Berlekamp's Q-matrix lifted to algebras; Friedl
+    & Ronyai 1985).  B is the null space of Frob - I; it is split by the
+    minimal polynomial of e*h for each piece e and basis element h.  The
+    family is certified against the orbit count of g -> g^(p^d) on the
+    p'-part of G, which does not look at B.
+    """
+    p = ring.coefficient_modulus
     if not is_prime(p):
-        raise ValueError(f"cyclic_base_idempotents requires a prime, got {p}")
-    group = AbelianGroup((n,)) if n > 1 else TRIVIAL_GROUP
-    ring = GroupRing(ResidueRing(p), group)
-    if gcd(n, p) != 1:
-        raise UnsupportedError(
-            f"F_{p}C_{n} is not semisimple: {p} divides {n}"
+        raise ValueError(f"frobenius_idempotents requires a prime modulus, got {p}")
+    n = ring.dimension
+    if n > FROBENIUS_DIMENSION_CAP:
+        raise SizeLimitError(
+            f"Frobenius splitting capped at dimension {FROBENIUS_DIMENSION_CAP}, got {n}"
         )
-    if n == 1:
-        return _trivial_pair_family(ring, "factorization")
-    xn1 = Polynomial((p - 1,) + (0,) * (n - 1) + (1,), p)
-    fact = berlekamp_factor(xn1)
-    if any(f.multiplicity != 1 for f in fact.factors):
-        raise ArithmeticError("x^n - 1 must be squarefree when gcd(n, p) = 1")
-    primitive = []
-    for fac, cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
-        e_poly = (inv * cof) % xn1
-        coeffs = e_poly.coeffs + (0,) * (n - len(e_poly.coeffs))
-        primitive.append(ring.from_coeffs(coeffs))
-    components = len(fact.factors)
-    if components != frobenius_orbit_count(group, p):
-        raise ArithmeticError(
-            "factor count disagrees with the Frobenius orbit count"
-        )
-    count = 2**components
-    if count <= list_cap:
-        members = _subset_sums(primitive, ring)
-        return _build_family(
-            ring,
-            members=members,
-            primitive=primitive,
-            count=count,
-            complete=True,
-            provenance="factorization",
-            expected_components=components,
-        )
+    base, group = ring.base, ring.group
+    d = base.dimension
+    # Frob sends x^k g to (x^k)^p g^p: column (g, k) holds (x^k)^p in block g^p
+    xps = [base.from_coeffs([int(j == k) for j in range(d)]) ** p for k in range(d)]
+    rows = [[-int(r == c) % p for c in range(n)] for r in range(n)]
+    for g in range(group.order):
+        gp = group.power(g, p)
+        for k, xk in enumerate(xps):
+            for j, v in enumerate(xk.coeffs):
+                rows[gp * d + j][g * d + k] += v
+    basis, frees = _null_space(rows, p)
+    k = len(basis)
+    elems = [ring.from_coeffs(v) for v in basis]
+    table = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            prod_ij = (elems[i] * elems[j]).coeffs
+            table[i][j] = table[j][i] = [prod_ij[col] for col in frees]
+
+    def mul(u, v):
+        acc = [0] * k
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        for t, s in enumerate(table[i][j]):
+                            acc[t] += a * b * s
+        return [a % p for a in acc]
+
+    pieces = [[ring.one.coeffs[col] for col in frees]]
+    for h in range(k):
+        if len(pieces) == k:
+            break
+        unit = [int(t == h) for t in range(k)]
+        pieces = [part for e in pieces for part in _split_piece(e, mul(e, unit), mul, p)]
+    if len(pieces) != k:
+        raise ArithmeticError(f"the basis of B split 1 into {len(pieces)}, not {k}, pieces")
+    primitive = [
+        ring.from_coeffs([sum(a * v[col] for a, v in zip(e, basis)) for col in range(n)])
+        for e in pieces
+    ]
+    # the p'-part of G: each cyclic factor without its p-part
+    coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
+    expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
+    count = 2**k
+    complete = count <= list_cap
     return _build_family(
         ring,
+        members=_subset_sums(primitive, ring) if complete else (),
         primitive=primitive,
         count=count,
-        complete=False,
+        complete=complete,
         provenance="factorization",
-        expected_components=components,
+        expected_components=expected,
     )
 
 
@@ -241,7 +313,7 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
     ring = GroupRing(ResidueRing(p), group)
-    whole = subgroup_generated(group, range(group.order))
+    whole = Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order)))
     g_hat = ring.hat(whole)
     if group.rank == 1:
         candidate = [g_hat, ring.one - g_hat]
@@ -283,15 +355,12 @@ def _trivial_pair_family(ring: Ring, provenance: str) -> IdempotentFamily:
     )
 
 
-def base_field_idempotents(
-    ring: Ring,
-    list_cap: int = DEFAULT_LIST_CAP,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
-) -> IdempotentFamily:
+def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
     """E(ring) for a carrier whose coefficient modulus is prime.
 
-    Dispatch: hat family, then cyclic factorization, then brute force;
-    the first provider that certifies wins.
+    Dispatch: Z_p has {0, 1}; a quotient base goes to ``poly_crt_combine``;
+    a group ring over F_p takes the hat family when it certifies and
+    ``frobenius_idempotents`` otherwise.
     """
     p = ring.coefficient_modulus
     if not is_prime(p):
@@ -301,24 +370,13 @@ def base_field_idempotents(
     if isinstance(ring, QuotientRing):
         return poly_crt_combine(p, ring.q, TRIVIAL_GROUP, list_cap=list_cap)
     if isinstance(ring, GroupRing):
-        group = ring.group
-        if group.is_trivial:
-            return _trivial_pair_family(ring, "factorization")
         if isinstance(ring.base, QuotientRing):
-            return poly_crt_combine(p, ring.base.q, group, list_cap=list_cap)
+            return poly_crt_combine(p, ring.base.q, ring.group, list_cap=list_cap)
         if isinstance(ring.base, ResidueRing):
             try:
-                return hat_family(group, p, list_cap)
+                return hat_family(ring.group, p, list_cap)
             except UnsupportedError:
-                pass
-            if group.rank == 1 and gcd(group.order, p) == 1:
-                return cyclic_base_idempotents(group.factors[0], p, list_cap)
-            if ring.cardinality <= brute_cap:
-                return brute_force_idempotents(ring, brute_cap)
-            raise UnsupportedError(
-                f"no certified provider for {ring.expression()} and the ring is "
-                f"too large to scan ({ring.cardinality} elements)"
-            )
+                return frobenius_idempotents(ring, list_cap)
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
@@ -332,10 +390,9 @@ def poly_crt_combine(
     """E((F_p[x]/(m(x))) G) from the factorization m(x) = prod q_i^{r_i}.
 
     The combination rule is e = sum_i s_i(x) m_i(x) f_i^{p^{r_i - 1}} over
-    choices of f_i from E((F_p[x]/(q_i)) G).  Factors of degree > 1 are
-    supported only for the trivial group (their base rings are fields, so
-    E = {0, 1}); extension-field coefficients under a nontrivial group are
-    out of scope and rejected.
+    choices of f_i from E((F_p[x]/(q_i)) G).  Without a group each factor
+    ring is a field, E = {0, 1}; a linear factor gives F_p G, and a factor
+    of degree > 1 gives F_{p^d} G, split by ``frobenius_idempotents``.
     """
     if not is_prime(p):
         raise ValueError(f"poly_crt_combine requires a prime modulus, got {p}")
@@ -367,10 +424,7 @@ def poly_crt_combine(
                 base_field_idempotents(GroupRing(ResidueRing(p), group), list_cap)
             )
         else:
-            raise UnsupportedError(
-                f"factor {fac.poly.to_text()} has degree {fac.poly.degree} > 1: "
-                "extension-field coefficients with a nontrivial group are unsupported"
-            )
+            families.append(frobenius_idempotents(GroupRing(factor_ring, group), list_cap))
 
     if len(fact.factors) > 1:
         provenance = "crt-combined"
@@ -458,7 +512,6 @@ def crt_combine(
     group: AbelianGroup,
     base_families: list[IdempotentFamily] | None = None,
     list_cap: int = DEFAULT_LIST_CAP,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> IdempotentFamily:
     """E(Z_m G) as e = sum_i s_i m_i f_i^{p_i^{r_i - 1}} over base choices.
 
@@ -467,14 +520,13 @@ def crt_combine(
     primitives form the (additive) primitive family.
     """
     ring = GroupRing(ResidueRing(m), group)
-    return _crt_enumerate(ring, base_families, list_cap, brute_cap)
+    return _crt_enumerate(ring, base_families, list_cap)
 
 
 def _crt_enumerate(
     ring: Ring,
     base_families,
     list_cap: int,
-    brute_cap: int,
 ) -> IdempotentFamily:
     m = ring.coefficient_modulus
     if m == 1:
@@ -500,9 +552,7 @@ def _crt_enumerate(
                     f"{fam.ring.coefficient_modulus}, expected {pp.prime}"
                 )
         else:
-            fam = base_field_idempotents(
-                ring.reduce_to(pp.prime), list_cap, brute_cap
-            )
+            fam = base_field_idempotents(ring.reduce_to(pp.prime), list_cap)
         families.append(fam)
     weights = [ring.from_int(w) for w in fact.crt_weights]
     alphas = [pp.prime ** (pp.exponent - 1) for pp in fact.factors]
@@ -520,7 +570,6 @@ def _crt_enumerate(
 def enumerate_idempotents(
     ring: Ring,
     list_cap: int = DEFAULT_LIST_CAP,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> IdempotentFamily:
     """E(ring) for any supported carrier, by base providers + lifting + CRT.
 
@@ -529,8 +578,8 @@ def enumerate_idempotents(
     the construction verifies that with exact arithmetic.
     """
     if is_prime(ring.coefficient_modulus):
-        return base_field_idempotents(ring, list_cap, brute_cap)
-    return _crt_enumerate(ring, None, list_cap, brute_cap)
+        return base_field_idempotents(ring, list_cap)
+    return _crt_enumerate(ring, None, list_cap)
 
 
 def crt_combine_powerform(
@@ -538,7 +587,6 @@ def crt_combine_powerform(
     group: AbelianGroup,
     base_families: list[IdempotentFamily] | None = None,
     list_cap: int = DEFAULT_LIST_CAP,
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> IdempotentFamily:
     """E(Z_m G) in single-power form: e = (sum_i t_i c_i f_i)^{rad(m)^{k-1}}.
 
@@ -550,11 +598,11 @@ def crt_combine_powerform(
 
     ring = GroupRing(ResidueRing(m), group)
     if m == 1:
-        return _crt_enumerate(ring, None, list_cap, brute_cap)
+        return _crt_enumerate(ring, None, list_cap)
     fact = factorize(m)
     if base_families is None:
         base_families = [
-            base_field_idempotents(ring.reduce_to(pp.prime), list_cap, brute_cap)
+            base_field_idempotents(ring.reduce_to(pp.prime), list_cap)
             for pp in fact.factors
         ]
     radical = fact.radical

@@ -64,12 +64,12 @@ def _emit_error(exc: IdemliftError, json_mode: bool) -> int:
     return code
 
 
-def _caps(args) -> tuple[int, int]:
+def _cap(args, default: int) -> int:
     if args.cap is not None:
         if args.cap < 1:
             raise ParseError(f"--cap must be >= 1, got {args.cap}")
-        return args.cap, args.cap
-    return DEFAULT_LIST_CAP, DEFAULT_BRUTE_CAP
+        return args.cap
+    return default
 
 
 def _check_golden(fam: IdempotentFamily, path: str) -> int:
@@ -108,8 +108,8 @@ def _emit_family(fam: IdempotentFamily, ring: Ring, args, label: str) -> int:
 
 def _cmd_list(args) -> int:
     ring = build_ring(args.ring)
-    list_cap, brute_cap = _caps(args)
-    fam = enumerate_idempotents(ring, list_cap, brute_cap)
+    list_cap = _cap(args, DEFAULT_LIST_CAP)
+    fam = enumerate_idempotents(ring, list_cap)
     if not fam.complete:
         raise SizeLimitError(
             f"|E| = {fam.count} exceeds the listing cap {list_cap}; "
@@ -120,8 +120,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_count(args) -> int:
     ring = build_ring(args.ring)
-    _, brute_cap = _caps(args)
-    fam = enumerate_idempotents(ring, list_cap=0, brute_cap=brute_cap)
+    _cap(args, DEFAULT_LIST_CAP)  # validated like every --cap; count lists nothing
+    fam = enumerate_idempotents(ring, list_cap=0)
     log2 = fam.count.bit_length() - 1
     primitive_count = log2 if fam.count == 1 << log2 else None
     if args.json:
@@ -143,8 +143,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_primitive(args) -> int:
     ring = build_ring(args.ring)
-    list_cap, brute_cap = _caps(args)
-    fam = enumerate_idempotents(ring, list_cap, brute_cap)
+    fam = enumerate_idempotents(ring, _cap(args, DEFAULT_LIST_CAP))
     if not fam.orthogonal_primitive:
         raise UnsupportedError(
             f"no certified primitive family available for {ring.expression()}"
@@ -233,8 +232,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ring = build_ring(args.ring)
-    _, brute_cap = _caps(args)
-    fam = brute_force_idempotents(ring, brute_cap)
+    fam = brute_force_idempotents(ring, _cap(args, DEFAULT_BRUTE_CAP))
     return _emit_family(fam, ring, args, "E")
 
 

@@ -23,9 +23,9 @@ class SizeLimitError(IdemliftError):
 class UnsupportedError(IdemliftError):
     """Structurally valid input outside the supported constructions (exit code 4).
 
-    Raised for non-semisimple base group algebras, non-invertible scalars,
-    extension-field coefficient rings with a nontrivial group, and base
-    families whose certification fails.
+    Raised for non-invertible scalars, for providers asked about carriers
+    outside their construction (such as a hat family when p divides |G|),
+    and for the uncertified families the CLI refuses.
     """
 
 

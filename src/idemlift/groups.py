@@ -218,11 +218,11 @@ def minimal_nontrivial_subgroups(group: AbelianGroup) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: (s.order, s.members))
 
 
-def frobenius_orbit_count(group: AbelianGroup, p: int) -> int:
-    """Number of orbits of g -> g^p on the group.
+def frobenius_orbit_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
+    """Number of orbits of g -> g^(p^degree) on the group.
 
     Defined for gcd(|G|, p) = 1, where it equals the number of simple
-    components of F_p G, so |E(F_p G)| = 2**count.
+    components of F_q G for q = p^degree, so |E(F_q G)| = 2**count.
     """
     if not is_prime(p):
         raise ValueError(f"frobenius_orbit_count requires a prime, got {p}")
@@ -230,6 +230,7 @@ def frobenius_orbit_count(group: AbelianGroup, p: int) -> int:
         raise UnsupportedError(
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
+    step = pow(p, degree, group.order)
     visited = [False] * group.order
     count = 0
     for start in range(group.order):
@@ -239,5 +240,5 @@ def frobenius_orbit_count(group: AbelianGroup, p: int) -> int:
         x = start
         while not visited[x]:
             visited[x] = True
-            x = group.power(x, p)
+            x = group.power(x, step)
     return count

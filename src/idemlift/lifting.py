@@ -16,9 +16,9 @@ tests hold them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import UnsupportedError, VerificationError
 from .rings import Ring, factorize, pow_mults
@@ -53,12 +53,13 @@ class CncChain:
     """Descriptor for a chain of nilpotent ideals R > N_1 > ... > N_k = 0.
 
     ``ss[i]``/``ts[i]`` describe step i.  When the chain is principal and
-    scalar-generated, ``base_ring`` is R/N_1 and ``reduce``/``include``
-    move elements across; otherwise both are None and congruence checks
-    are skipped.  ``provenance`` records how the data was justified:
-    prime-power and principal-nilpotent chains were validated against a
-    concrete generator, validated-numerically means arbitrary data that
-    passed the numeric checks, trusted means caller-supplied.
+    scalar-generated, ``base_ring`` is R/N_1 (R with a smaller coefficient
+    modulus) and ``reduce`` maps R onto it; otherwise it is None and
+    congruence checks are skipped.  ``provenance`` records how the data
+    was justified: prime-power and principal-nilpotent chains were
+    validated against a concrete generator, validated-numerically means
+    arbitrary data that passed the numeric checks, trusted means
+    caller-supplied.
     """
 
     ring: Ring
@@ -66,8 +67,6 @@ class CncChain:
     ts: tuple[int, ...]
     provenance: str
     base_ring: Ring | None = None
-    reduce_map: Callable | None = field(default=None, compare=False)
-    include_map: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.ss) != len(self.ts):
@@ -105,14 +104,9 @@ class CncChain:
         return tuple(self.ss)
 
     def reduce(self, x):
-        if self.reduce_map is None:
-            raise UnsupportedError("this chain carries no reduction map")
-        return self.reduce_map(x)
-
-    def include(self, y):
-        if self.include_map is None:
-            raise UnsupportedError("this chain carries no inclusion map")
-        return self.include_map(y)
+        if self.base_ring is None:
+            raise UnsupportedError("this chain carries no base ring")
+        return self.ring.reduce(x, self.base_ring)
 
 
 @dataclass
@@ -216,7 +210,7 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
     # the two idempotency checks and the products of each step's power
     mults = 2 + sum(pow_mults(s) for s in chain.ss)
     ok_congruent: bool | None = None
-    if chain.reduce_map is not None:
+    if chain.base_ring is not None:
         ok_congruent = chain.reduce(e) == chain.reduce(f)
     report = LiftReport(
         input=f,
@@ -266,8 +260,8 @@ def chain_for_nilpotent_ideal(
     The generator's nilpotency index k is computed (or checked, when
     supplied), and every step gets t_i = 2 and s_i = char, the
     characteristic of R/N.  For a scalar generator a = c*1 the quotient
-    ring and the reduction/inclusion maps are constructed; otherwise char
-    must be supplied and the chain carries no maps.
+    ring R/N is constructed; otherwise char must be supplied and the chain
+    carries no quotient.
     """
     k = nilpotency_index(a, cap)
     if k is None:
@@ -285,24 +279,10 @@ def chain_for_nilpotent_ideal(
                 f"claimed quotient characteristic {char}, but R/(a) has characteristic {d}"
             )
         char = d
-        reduce_map = lambda x: ring.reduce(x, quotient)
-        include_map = ring.include
         provenance = "prime-power" if len(factorize(char).factors) == 1 else "principal-nilpotent"
-        if k == 1:
-            return CncChain(ring, (), (), provenance, quotient, reduce_map, include_map)
-        return CncChain(
-            ring,
-            (char,) * (k - 1),
-            (2,) * (k - 1),
-            provenance,
-            quotient,
-            reduce_map,
-            include_map,
-        )
+        return CncChain(ring, (char,) * (k - 1), (2,) * (k - 1), provenance, quotient)
     if char is None:
         raise ValueError("non-scalar chain generators need an explicit characteristic")
-    if k == 1:
-        return CncChain(ring, (), (), "validated-numerically")
     return CncChain(ring, (char,) * (k - 1), (2,) * (k - 1), "validated-numerically")
 
 
@@ -325,17 +305,7 @@ def chain_for_group_ring(chain: CncChain, group_ring) -> CncChain:
     from .group_rings import GroupRing
 
     quotient = GroupRing(base_q, group_ring.group)
-    reduce_map = lambda x: group_ring.reduce(x, quotient)
-    include_map = group_ring.include
-    return CncChain(
-        group_ring,
-        chain.ss,
-        chain.ts,
-        chain.provenance,
-        quotient,
-        reduce_map,
-        include_map,
-    )
+    return CncChain(group_ring, chain.ss, chain.ts, chain.provenance, quotient)
 
 
 def standard_chain(ring: Ring) -> CncChain:
@@ -346,7 +316,7 @@ def standard_chain(ring: Ring) -> CncChain:
     """
     m = ring.coefficient_modulus
     if m == 1:
-        return CncChain(ring, (), (), "prime-power", ring, lambda x: x, lambda x: x)
+        return CncChain(ring, (), (), "prime-power", ring)
     fact = factorize(m)
     a = ring.from_int(fact.radical)
     return chain_for_nilpotent_ideal(ring, a)

@@ -38,13 +38,12 @@ def brute_force_scan(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:
 
     Raises SizeLimitError when the ring has more than ``cap`` elements.
     """
-    total = ring.cardinality
-    if total > cap:
-        raise SizeLimitError(
-            f"ring has {total} elements, above the scan cap {cap}"
-        )
     m = ring.coefficient_modulus
     n = ring.dimension
+    total = ring.cardinality
+    if total > cap:
+        # m^n, not its value: that can have too many digits to print
+        raise SizeLimitError(f"ring has {m}^{n} elements, above the scan cap {cap}")
     if m == 1:
         return [ring.zero]
     tensor = _structure_tensor(ring)
@@ -83,9 +82,9 @@ def brute_force_scan(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:
 
 def brute_force_scan_slow(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:
     """Reference element-by-element scan (kept as the oracle's own check)."""
-    total = ring.cardinality
-    if total > cap:
+    if ring.cardinality > cap:
         raise SizeLimitError(
-            f"ring has {total} elements, above the scan cap {cap}"
+            f"ring has {ring.coefficient_modulus}^{ring.dimension} elements, "
+            f"above the scan cap {cap}"
         )
     return [x for x in ring.elements() if x * x == x]

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .groups import AbelianGroup
+from .groups import group_from_factors
 from .group_rings import GroupRing
 from .polynomials import Polynomial
 from .quotients import QuotientRing
 from .rings import ResidueRing, Ring
 
 MAX_INPUT_BYTES = 1024
+MAX_EXPONENT = 1024  # x^k in a literal expands to k + 1 coefficients
 
 
 class _Cursor:
@@ -97,7 +98,7 @@ class RingExpression:
                 self.modulus, Polynomial(self.poly_coeffs, self.modulus)
             )
         if self.group_factors is not None:
-            return GroupRing(base, AbelianGroup(self.group_factors))
+            return GroupRing(base, group_from_factors(self.group_factors))
         return base
 
 
@@ -121,6 +122,8 @@ def _parse_monomial(cur: _Cursor, var: str) -> tuple[int, int]:
         cur.take("*")
     if cur.take(var):
         power = cur.read_int() if cur.take("^") else 1
+        if power > MAX_EXPONENT:
+            raise cur.error(f"exponent {power} is above {MAX_EXPONENT}")
         return (1 if coeff is None else coeff), power
     if coeff is None:
         raise cur.error(f"expected a coefficient or {var!r}")

@@ -232,8 +232,10 @@ def poly_powmod(f: Polynomial, e: int, mod: Polynomial) -> Polynomial:
     return result
 
 
-def _null_space(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the null space of a square matrix over F_p (row vectors)."""
+def _null_space(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Basis of the null space of a square matrix over F_p (row vectors),
+    and the free columns: each basis vector is 1 at its own free column and
+    0 at the others, so a null vector's coordinates are its free entries."""
     n = len(rows)
     m = [row[:] for row in rows]
     pivot_col_of_row: list[int] = []
@@ -256,16 +258,15 @@ def _null_space(rows: list[list[int]], p: int) -> list[list[int]]:
         pivot_col_of_row.append(col)
         rank += 1
     pivots = set(pivot_col_of_row)
+    frees = [col for col in range(n) if col not in pivots]
     basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
+    for free in frees:
         vec = [0] * n
         vec[free] = 1
         for row_idx, col in enumerate(pivot_col_of_row):
             vec[col] = (-m[row_idx][free]) % p
         basis.append(vec)
-    return basis
+    return basis, frees
 
 
 def _frobenius_nullity_basis(f: Polynomial) -> list[Polynomial]:
@@ -282,7 +283,7 @@ def _frobenius_nullity_basis(f: Polynomial) -> list[Polynomial]:
         current = (current * xp) % f
     # h = sum a_i x^i is fixed by Frobenius iff a * (Q - I) == 0
     mt = [[(q_rows[i][j] - (1 if i == j else 0)) % p for i in range(n)] for j in range(n)]
-    basis = _null_space(mt, p)
+    basis, _ = _null_space(mt, p)
     return [Polynomial(tuple(vec), p) for vec in basis]
 
 

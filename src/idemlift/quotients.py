@@ -7,8 +7,6 @@ with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
 
 from __future__ import annotations
 
-import math
-
 from .errors import UnsupportedError
 from .polynomials import Polynomial
 from .rings import Element, Ring, is_prime, modular_inverse
@@ -133,9 +131,10 @@ def gaussian_ring(m: int) -> QuotientRing:
 def gaussian_idempotents(p: int) -> list[PolyQuotientElement]:
     """The four idempotents of Z_p[i] for primes p == 1 (mod 4).
 
-    The nontrivial pair is (p+1)/2 +- w*i with w = ((p-1)/2)! / 2 taken
-    mod p; for p == 3 (mod 4) the ring Z_p[i] is a field and only 0 and 1
-    remain, which is reported as the unsupported case.
+    The nontrivial pair is (p+1)/2 +- w*i with w = s/2 mod p for a square
+    root s of -1, found as a^((p-1)/4) for the first non-residue a; for
+    p == 3 (mod 4) the ring Z_p[i] is a field and only 0 and 1 remain,
+    which is reported as the unsupported case.
     """
     if not is_prime(p):
         raise ValueError(f"gaussian_idempotents requires a prime, got {p}")
@@ -144,8 +143,11 @@ def gaussian_idempotents(p: int) -> list[PolyQuotientElement]:
             f"Z_{p}[i] has only the trivial idempotents unless p == 1 (mod 4)"
         )
     ring = gaussian_ring(p)
-    half_fact = math.factorial((p - 1) // 2) % p
-    w = half_fact * modular_inverse(2, p) % p
+    # s = a^((p-1)/4) squares to a^((p-1)/2), which is -1 for a non-residue a
+    nonresidue = 2
+    while pow(nonresidue, (p - 1) // 2, p) != p - 1:
+        nonresidue += 1
+    w = pow(nonresidue, (p - 1) // 4, p) * modular_inverse(2, p) % p
     a = (p + 1) // 2
     e_plus = ring.from_coeffs((a, w))
     e_minus = ring.from_coeffs((a, (-w) % p))

@@ -355,10 +355,6 @@ class Ring:
         ):
             yield self.element(self, coeffs)
 
-    def include(self, x):
-        """Canonical-representative lift from a reduced twin of this ring."""
-        return self.from_coeffs(x.coeff_vector())
-
     def reduce(self, x, target: "Ring"):
         """Push x from this ring onto a reduced twin (coefficients mod c)."""
         return target.from_coeffs(x.coeff_vector())

@@ -15,6 +15,7 @@ from idemlift.catalog import (
     crt_combine_powerform,
     cyclic_base_idempotents,
     enumerate_idempotents,
+    frobenius_idempotents,
     hat_family,
     poly_crt_combine,
 )
@@ -22,6 +23,7 @@ from idemlift.errors import SizeLimitError, UnsupportedError, VerificationError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
+from idemlift.parsing import build_ring
 from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
@@ -82,15 +84,81 @@ class TestCyclicBase:
         assert fam.orthogonal_primitive
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
-    def test_non_semisimple_rejected(self):
-        with pytest.raises(UnsupportedError):
-            cyclic_base_idempotents(3, 3)
-        with pytest.raises(UnsupportedError):
-            cyclic_base_idempotents(10, 5)
+    def test_non_semisimple_matches_oracle(self):
+        for n, p in ((3, 3), (6, 3), (4, 2)):
+            fam = cyclic_base_idempotents(n, p)
+            assert fam.provenance == "factorization"
+            assert fam.orthogonal_primitive
+            assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             cyclic_base_idempotents(3, 4)
+
+
+def _over(p, q, *factors):
+    """(F_p[x]/(q)) G, or F_p G when q is None."""
+    base = ResidueRing(p) if q is None else QuotientRing(p, Polynomial(q, p))
+    return GroupRing(base, AbelianGroup(factors))
+
+
+class TestFrobeniusIdempotents:
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            _over(2, None, 7),
+            _over(5, None, 6),
+            _over(2, None, 4),
+            _over(3, None, 9),
+            _over(3, None, 6),
+            _over(2, None, 2, 2),
+            _over(2, None, 4, 2),
+            _over(3, None, 3, 2),
+            _over(2, None, 3, 3),
+            _over(2, None, 2, 2, 2),
+            _over(3, None, 2, 2, 2),
+            _over(2, None, 3, 2, 2),
+            _over(2, (1, 1, 1), 3),
+            _over(2, (1, 1, 1), 2),
+            _over(2, (1, 1, 1), 5),
+            _over(2, (1, 1, 1), 6),
+            _over(2, (1, 1, 0, 1), 3),
+            _over(3, (1, 0, 1), 4),
+            _over(3, (1, 0, 1), 2, 2),
+            _over(3, (1, 0, 1), 3),
+        ],
+        ids=lambda r: r.expression(),
+    )
+    def test_matches_oracle(self, ring):
+        fam = frobenius_idempotents(ring)
+        assert fam.provenance == "factorization"
+        assert fam.complete and fam.orthogonal_primitive
+        assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**16))
+
+    @pytest.mark.parametrize(
+        "factors, p",
+        [((3,), 2), ((5,), 2), ((7,), 3), ((2, 2), 3), ((3, 3), 2), ((3, 3), 5), ((5, 5), 2)],
+    )
+    def test_agrees_with_hat_family(self, factors, p):
+        hat = hat_family(AbelianGroup(factors), p)
+        frob = frobenius_idempotents(hat.ring)
+        assert _vectors(frob.primitive) == _vectors(hat.primitive)
+        assert _vectors(frob.members) == _vectors(hat.members)
+
+    def test_count_only(self):
+        fam = frobenius_idempotents(_over(1009, None, 16), list_cap=0)
+        assert fam.count == 2**16 and not fam.complete and len(fam.primitive) == 16
+
+    def test_dimension_cap(self):
+        assert frobenius_idempotents(_over(2, None, 64)).count == 2
+        with pytest.raises(SizeLimitError):
+            frobenius_idempotents(_over(2, None, 65))
+        with pytest.raises(SizeLimitError):
+            frobenius_idempotents(_over(2, (1, 1, 1), 33))
+
+    def test_nonprime_rejected(self):
+        with pytest.raises(ValueError):
+            frobenius_idempotents(_over(4, None, 3))
 
 
 class TestHatFamily:
@@ -181,10 +249,10 @@ class TestBaseFieldDispatch:
         assert fam.provenance == "factorization"
         assert fam.count == 8
 
-    def test_brute_fallback_non_semisimple(self):
+    def test_frobenius_fallback_non_semisimple(self):
         ring = GroupRing(ResidueRing(2), AbelianGroup((2,)))
         fam = base_field_idempotents(ring)
-        assert fam.provenance == "brute-force"
+        assert fam.provenance == "factorization"
         assert _vectors(fam.members) == [(0, 0), (1, 0)]
 
     def test_composite_modulus_rejected(self):
@@ -211,9 +279,12 @@ class TestPolyCrtCombine:
         assert fam.provenance == "lifted"
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
-    def test_extension_field_with_group_rejected(self):
-        with pytest.raises(UnsupportedError):
-            poly_crt_combine(2, Polynomial((1, 1, 1), 2), AbelianGroup((3,)))
+    def test_extension_field_with_group(self):
+        # F_4 C_3: 4 = 1 mod 3, so three components and 8 idempotents
+        fam = poly_crt_combine(2, Polynomial((1, 1, 1), 2), AbelianGroup((3,)))
+        assert fam.count == 8
+        assert fam.orthogonal_primitive
+        assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_extension_field_trivial_group_fine(self):
         fam = poly_crt_combine(2, Polynomial((1, 1, 1), 2), TRIVIAL_GROUP)
@@ -342,3 +413,55 @@ class TestEnumerate:
         assert payload["complete"] is True
         assert payload["members"] == [[0], [1], [4], [9]]
         assert sorted(payload["primitive"]) == [[4], [9]]
+
+
+class TestPipelineWithoutOracle:
+    """Enumeration answers on every carrier the suite uses without the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def no_oracle(self, monkeypatch):
+        import idemlift.catalog as catalog
+        import idemlift.oracle as oracle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the enumeration pipeline called the brute-force oracle")
+
+        monkeypatch.setattr(catalog, "brute_force_scan", forbidden)
+        monkeypatch.setattr(oracle, "brute_force_scan", forbidden)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "Z(12)", "Z(27)", "Z(36)", "Z(200)", "Z(1)", "Z(2){C3}", "Z(5){C7}",
+            "Z(5){C6}", "Z(3){C3}", "Z(3){C6}", "Z(2){C4}", "Z(5){C10}", "Z(3){C4}",
+            "Z(2){C2}", "Z(3){C2xC2}", "Z(11){C5xC5}", "Z(2){C7}", "Z(200){C3}",
+            "Z(8){C3}", "Z(12){C2}", "Z(10){C2xC2}", "Z(936){C5xC5}", "Z(25)[i]",
+            "Z(13)[i]", "Z(5)[i]", "Z(3)[i]", "Z(10)[x]/(1 + x + x^2)",
+            "Z(5)[x]/(x + x^3)", "Z(2)[i]{C3}", "Z(2)[x]/(1 + x + x^2){C3}",
+            "Z(25)[i]{C3}",
+        ],
+    )
+    def test_catalog_carriers(self, expr):
+        fam = enumerate_idempotents(build_ring(expr), list_cap=0)
+        assert fam.count >= 1
+
+    def test_criterion_7_carriers(self, monkeypatch):
+        # criterion 7 falls back to the oracle where enumeration is
+        # unsupported; record every such fallback while it runs.  The
+        # criterion's own checks keep the real oracle.
+        import test_acceptance
+
+        monkeypatch.setattr(test_acceptance, "brute_force_scan", brute_force_scan)
+        unanswered = []
+        real = test_acceptance.enumerate_idempotents
+
+        def recording(ring, *args, **kwargs):
+            try:
+                return real(ring, *args, **kwargs)
+            except UnsupportedError:
+                unanswered.append(ring.expression())
+                raise
+
+        monkeypatch.setattr(test_acceptance, "enumerate_idempotents", recording)
+        test_acceptance.test_criterion_7_property_suite()
+        assert unanswered == []

@@ -107,6 +107,21 @@ class TestList:
         assert code == 2
         assert "--cap must be >= 1" in err
 
+    def test_extension_field_group_ring(self, capsys):
+        # F_4 C_3 has three components: the listing is the oracle's 8 members
+        code, out, err = run(capsys, "list", "Z(2)[x]/(1 + x + x^2){C3}")
+        assert code == 0 and err == ""
+        _, oracle_out, _ = run(capsys, "oracle", "Z(2)[x]/(1 + x + x^2){C3}")
+        lines = out.splitlines()
+        assert lines[0] == "E(Z(2)[x]/(1 + x + x^2){C3}): 8 elements [factorization]"
+        assert lines[1:] == oracle_out.splitlines()[1:]
+
+    def test_non_semisimple_prime_field(self, capsys):
+        # formerly the oracle's job: the header names the provider that answered
+        code, out, _ = run(capsys, "list", "Z(2){C2xC2}")
+        assert code == 0
+        assert out.splitlines()[0] == "E(Z(2){C2xC2}): 2 elements [factorization]"
+
 
 class TestCount:
     def test_large_family_text(self, capsys):
@@ -153,6 +168,34 @@ class TestCount:
             f"|E(Z({p}){{C7}})| = {2**log2} = 2^{log2}\nprimitive count: {log2}\n"
         )
         assert elapsed < 5.0
+
+    def test_rank2_without_hat_family(self, capsys):
+        # F_2(C7xC7) has 1 + 48/3 = 17 components, F_5(C7xC7) 1 + 48/6 = 9
+        code, out, _ = run(capsys, "count", "Z(1000){C7xC7}")
+        assert code == 0
+        assert out == "|E(Z(1000){C7xC7})| = 67108864 = 2^26\nprimitive count: 26\n"
+
+    def test_extension_field_group_ring(self, capsys):
+        # F_8 C_3: 8 = 2 mod 3, so the orbits {e} and {g, g^2}
+        code, out, _ = run(capsys, "count", "Z(8)[x]/(1 + x + x^3){C3}")
+        assert code == 0
+        assert "= 4 = 2^2" in out
+
+    def test_dimension_cap(self, capsys):
+        code, out, _ = run(capsys, "count", "Z(2){C64}")
+        assert code == 0
+        assert "= 2 = 2^1" in out
+        code, _, err = run(capsys, "count", "Z(2){C65}")
+        assert code == 3
+        assert "capped at dimension 64" in err
+
+    @pytest.mark.parametrize("ring", ["Z(2){C1009}", "Z(2){C100003}"])
+    def test_over_cap_exits_fast(self, capsys, ring):
+        # C1009 is over the dimension cap, C100003 over the group-order cap
+        start = time.perf_counter()
+        code, _, err = run(capsys, "count", ring)
+        assert code == 3 and err.startswith("error: ")
+        assert time.perf_counter() - start < 2.0
 
     def test_square_of_31_bit_prime_within_budget(self, capsys):
         # (2^31 - 1)^2: a prime power, so only the one orbit of the trivial group
@@ -209,8 +252,8 @@ class TestPrimitive:
         import idemlift.cli as cli
         from idemlift.catalog import enumerate_idempotents as real
 
-        def uncertified(ring, list_cap, brute_cap):
-            fam = real(ring, list_cap, brute_cap)
+        def uncertified(ring, list_cap):
+            fam = real(ring, list_cap)
             return dataclasses.replace(fam, primitive=(), orthogonal_primitive=False)
 
         monkeypatch.setattr(cli, "enumerate_idempotents", uncertified)
@@ -314,6 +357,11 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "Z(8){C3}", "--cap", "100")
         assert code == 3
 
+    def test_huge_ring_exits_3(self, capsys):
+        code, _, err = run(capsys, "oracle", "Z(2){C20000}")
+        assert code == 3
+        assert err == "error: ring has 2^20000 elements, above the scan cap 1048576\n"
+
 
 class TestErrors:
     def test_parse_error_text(self, capsys):
@@ -327,11 +375,6 @@ class TestErrors:
         payload = json.loads(out)
         assert payload["error"]["code"] == 2
         assert payload["error"]["type"] == "ParseError"
-
-    def test_unsupported(self, capsys):
-        code, _, err = run(capsys, "list", "Z(2)[x]/(1 + x + x^2){C3}")
-        assert code == 4
-        assert "error: " in err
 
     def test_element_parse_error(self, capsys):
         code, _, _ = run(capsys, "verify", "Z(12)", "x + 1")

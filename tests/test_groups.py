@@ -131,6 +131,18 @@ class TestFrobeniusOrbits:
         assert frobenius_orbit_count(AbelianGroup((4,)), 3) == 3
         assert frobenius_orbit_count(AbelianGroup((2, 2)), 3) == 4
 
+    def test_degree_counts_orbits_of_g_to_the_q(self):
+        # q = p^d: 4 = 1 mod 3, 8 = 1 mod 7, 4 has order 3 mod 7, 4 = -1 mod 5
+        assert frobenius_orbit_count(AbelianGroup((3,)), 2, degree=2) == 3
+        assert frobenius_orbit_count(AbelianGroup((7,)), 2, degree=3) == 7
+        assert frobenius_orbit_count(AbelianGroup((7,)), 2, degree=2) == 3
+        assert frobenius_orbit_count(AbelianGroup((5, 5)), 2, degree=2) == 13
+        assert frobenius_orbit_count(AbelianGroup((4,)), 3, degree=2) == 4
+        assert frobenius_orbit_count(AbelianGroup((7, 7)), 2, degree=1) == 17
+        assert frobenius_orbit_count(TRIVIAL_GROUP, 2, degree=3) == 1
+        with pytest.raises(UnsupportedError):
+            frobenius_orbit_count(AbelianGroup((6,)), 3, degree=2)
+
     def test_trivial_group_single_orbit(self):
         assert frobenius_orbit_count(TRIVIAL_GROUP, 5) == 1
 

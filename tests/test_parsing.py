@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from idemlift.errors import ParseError
+from idemlift.errors import ParseError, SizeLimitError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup
 from idemlift.parsing import RingExpression, build_ring, parse_element, parse_ring
@@ -103,6 +103,15 @@ class TestParseRing:
         with pytest.raises(ParseError):
             parse_ring("Z(" + "9" * 2000 + ")")
 
+    def test_group_order_cap(self):
+        # the parse succeeds; building the group enforces the 2^16 order cap
+        assert parse_ring("Z(2){C100003}").group_factors == (100003,)
+        with pytest.raises(SizeLimitError):
+            build_ring("Z(2){C100003}")
+        with pytest.raises(SizeLimitError):
+            build_ring("Z(2){C256xC257}")
+        assert build_ring("Z(2){C256xC256}").group.order == 2**16
+
     def test_expression_value_semantics(self):
         assert RingExpression(12, None, None) == parse_ring("Z(12)")
 
@@ -157,6 +166,17 @@ class TestParseElement:
     def test_size_limit(self):
         with pytest.raises(ParseError):
             parse_element("1" * 2000, ResidueRing(7))
+
+    def test_polynomial_exponent_cap(self):
+        # x^k expands to k + 1 coefficients, so k is capped; group exponents
+        # reduce modulo the factor order and need no cap
+        ring = build_ring("Z(5)[i]")
+        assert parse_element("i^1024", ring) == ring.one
+        with pytest.raises(ParseError, match="exponent 99999999999 is above 1024"):
+            parse_element("i^99999999999", ring)
+        with pytest.raises(ParseError):
+            parse_ring("Z(5)[x]/(1 + x^99999999999)")
+        assert parse_element("g^99999999998", build_ring("Z(5){C3}")).coeffs == (0, 0, 1)
 
 
 ROUND_TRIP_RINGS = [

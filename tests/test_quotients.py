@@ -1,6 +1,7 @@
 """Polynomial quotient rings, Gaussian-integer rings, and their idempotents."""
 
 import random
+import time
 
 import pytest
 
@@ -95,6 +96,17 @@ class TestGaussianIdempotents:
             brute = sorted(x.coeff_vector() for x in brute_force_scan(ring))
             got = sorted(x.coeff_vector() for x in gaussian_idempotents(p))
             assert got == brute
+
+    @pytest.mark.parametrize("p", [1000033, 2305843009213693973])
+    def test_large_primes_fast(self, p):
+        # the square root of -1 costs O(log p) products, not ((p-1)/2)!
+        t0 = time.perf_counter()
+        family = gaussian_idempotents(p)
+        assert time.perf_counter() - t0 < 1.0
+        assert all(e * e == e for e in family)
+        assert len({e.coeff_vector() for e in family}) == 4
+        _, _, e, f = family
+        assert (e * f).is_zero() and e + f == gaussian_ring(p).one
 
     def test_three_mod_four_rejected(self):
         with pytest.raises(UnsupportedError):
