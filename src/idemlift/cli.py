@@ -143,14 +143,15 @@ def _cmd_count(args) -> int:
 
 def _cmd_primitive(args) -> int:
     ring = build_ring(args.ring)
-    fam = enumerate_idempotents(ring, _cap(args, DEFAULT_LIST_CAP))
+    cap = _cap(args, DEFAULT_LIST_CAP)
+    fam = enumerate_idempotents(ring, list_cap=0)  # the primitives only, no listing
     if not fam.orthogonal_primitive:
         raise UnsupportedError(
             f"no certified primitive family available for {ring.expression()}"
         )
     if args.json:
         payload = fam.to_json_dict()
-        payload.pop("members", None)
+        payload["complete"] = fam.count <= cap  # whether `list --cap` would list E
         _print_json(payload)
     else:
         print(
@@ -241,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--cap", type=int, default=None, metavar="N",
                         help="override the enumeration and scan caps")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="seed for randomized property checks (reserved)")
     common.add_argument("--golden", default=None, metavar="PATH",
                         help="compare the output against a stored table; exit 1 on mismatch")
     parser = argparse.ArgumentParser(

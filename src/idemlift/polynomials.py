@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import SizeLimitError, UnsupportedError
 from .rings import is_prime, modular_inverse
@@ -40,10 +39,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def make(coeffs: Sequence[int], modulus: int) -> "Polynomial":
-        return Polynomial(tuple(coeffs), modulus)
 
     @staticmethod
     def constant(c: int, modulus: int) -> "Polynomial":
@@ -158,9 +153,6 @@ class Polynomial:
         if self.is_zero() or self.leading == 1:
             return self
         return self * modular_inverse(self.leading, self.modulus)
-
-    def reduce_coeffs(self, c: int) -> "Polynomial":
-        return Polynomial(self.coeffs, c)
 
     def to_text(self, var: str = "x") -> str:
         """Canonical text form ``c0 + c1*x + c2*x^2`` (zero terms dropped)."""

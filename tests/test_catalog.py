@@ -8,7 +8,6 @@ against each other (summed vs power form) and against frozen values.
 import pytest
 
 from idemlift.catalog import (
-    IdempotentFamily,
     base_field_idempotents,
     brute_force_idempotents,
     crt_combine,
@@ -314,40 +313,25 @@ class TestCrtCombine:
         powered = crt_combine_powerform(200, group)
         assert _vectors(summed.members) == _vectors(powered.members)
 
-    def test_explicit_base_families(self):
-        group = AbelianGroup((3,))
-        bases = [
-            base_field_idempotents(GroupRing(ResidueRing(2), group)),
-            base_field_idempotents(GroupRing(ResidueRing(5), group)),
-        ]
-        fam = crt_combine(200, group, base_families=bases)
-        assert fam.count == 16
+    def test_tampered_base_family_caught(self, monkeypatch):
+        # the glue lifts what the base provider hands on; a forged base
+        # primitive must fail the glued family's certification
+        import dataclasses
 
-    def test_base_family_modulus_checked(self):
-        group = AbelianGroup((3,))
-        bases = [
-            base_field_idempotents(GroupRing(ResidueRing(5), group)),
-            base_field_idempotents(GroupRing(ResidueRing(2), group)),
-        ]
-        with pytest.raises(ValueError):
-            crt_combine(200, group, base_families=bases)
+        import idemlift.catalog as catalog
 
-    def test_tampered_base_family_caught(self):
-        group = AbelianGroup((3,))
-        good = base_field_idempotents(GroupRing(ResidueRing(2), group))
-        bad_ring = good.ring
-        bogus = IdempotentFamily(
-            ring=bad_ring,
-            members=(bad_ring.from_coeffs((1, 1, 0)),),
-            primitive=(),
-            count=1,
-            complete=True,
-            orthogonal_primitive=False,
-            provenance="brute-force",
-        )
-        five = base_field_idempotents(GroupRing(ResidueRing(5), group))
-        with pytest.raises(VerificationError):
-            crt_combine(200, group, base_families=[bogus, five])
+        real = catalog.base_field_idempotents
+
+        def tampered(ring, list_cap):
+            fam = real(ring, list_cap)
+            if ring.coefficient_modulus != 2:
+                return fam
+            bogus = ring.from_coeffs((1, 1, 0))
+            return dataclasses.replace(fam, primitive=(bogus,) + fam.primitive[1:])
+
+        monkeypatch.setattr(catalog, "base_field_idempotents", tampered)
+        with pytest.raises(VerificationError, match="failed certification"):
+            crt_combine(200, AbelianGroup((3,)))
 
     def test_powerform_cap(self):
         with pytest.raises(SizeLimitError):

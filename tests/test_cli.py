@@ -98,6 +98,14 @@ class TestList:
         )
         assert len(pow_calls) == 18
 
+    @pytest.mark.parametrize("ring, lifts", [("Z(200){C3}", 4), ("Z(2520){C11}", 10)])
+    def test_lifts_one_element_per_primitive(self, capsys, pow_calls, ring, lifts):
+        # the listing is the subset sums of the lifted primitives: no member is lifted
+        code, out, _ = run(capsys, "list", ring)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2**lifts
+        assert len(pow_calls) == lifts
+
     def test_cap_override_small(self, capsys):
         code, _, _ = run(capsys, "list", "Z(12)", "--cap", "2")
         assert code == 3
@@ -232,6 +240,18 @@ class TestPrimitive:
         )
         assert lines[1:] == [ring.element_text(x) for x in expected]
         assert len(pow_calls) == 18
+
+    @pytest.mark.parametrize("cap, complete", [("16", True), ("15", False)])
+    def test_json_complete_at_the_cap_boundary(self, capsys, pow_calls, cap, complete):
+        # |E| = 16: "complete" says whether `list --cap` would list E,
+        # and the four primitives are all that is lifted either way
+        code, out, _ = run(capsys, "primitive", "Z(200){C3}", "--json", "--cap", cap)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 16
+        assert payload["complete"] is complete
+        assert "members" not in payload
+        assert len(pow_calls) == 4
 
     def test_json_has_no_members(self, capsys):
         code, out, _ = run(capsys, "primitive", "--json", "Z(200){C3}")
@@ -379,6 +399,12 @@ class TestErrors:
     def test_element_parse_error(self, capsys):
         code, _, _ = run(capsys, "verify", "Z(12)", "x + 1")
         assert code == 2
+
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "Z(12)", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_declared_entry_point(tmp_path):
