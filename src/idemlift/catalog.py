@@ -559,26 +559,23 @@ def crt_combine_powerform(
         return _crt_enumerate(ring, list_cap)
     fact = factorize(m)
     base_families = [
-        base_field_idempotents(ring.reduce_to(pp.prime), list_cap)
+        base_field_idempotents(ring.reduce_to(pp.prime), list_cap=0)
         for pp in fact.factors
     ]
-    radical = fact.radical
-    k = fact.max_exponent
-    coeffs = []
-    for pp in fact.factors:
-        c_i = radical // pp.prime
-        t_i = modular_inverse(c_i, pp.prime)
-        coeffs.append(t_i * c_i)
     count = prod(f.count for f in base_families)
     if count > list_cap:
         raise SizeLimitError(
             f"power-form enumeration materializes all {count} members; "
             f"that exceeds the cap {list_cap}"
         )
-    # count <= list_cap, so every base family is complete
+    radical = fact.radical
+    k = fact.max_exponent
+    # t_i c_i for c_i = rad(m)/p_i and t_i its inverse mod p_i
+    coeffs = [modular_inverse(radical // pp.prime, pp.prime) * (radical // pp.prime)
+              for pp in fact.factors]
     choices = [ring.zero]
-    for coeff, fam in zip(coeffs, base_families):
-        embedded = [coeff * ring.from_coeffs(f.coeff_vector()) for f in fam.members]
+    for c, f in zip(coeffs, base_families):
+        embedded = [c * ring.from_coeffs(e.coeffs) for e in _subset_sums(f.primitive, f.ring)]
         choices = [x + y for x in choices for y in embedded]
     members = [pow_tower(u, radical, k - 1) for u in choices]
     primitive = [

@@ -2,11 +2,16 @@
 
 An element is the flat coefficient vector of ``rings.Element``: one block
 of ``base.dimension`` coefficients per group element, in the group's
-canonical index order.  The product is a single block convolution over
-the mixed-radix index; the base ring reduces each output block.
+canonical index order.  The product is one exact integer product by
+Kronecker substitution (Schoenhage 1982; Harvey 2009), folded back onto
+the group; the base ring reduces each output block.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import repeat
+from math import prod
 
 from .groups import AbelianGroup, Subgroup
 from .rings import Element, Ring, modular_inverse
@@ -30,29 +35,25 @@ class GroupRing(Ring):
         self.group = group
         self.coefficient_modulus = base.coefficient_modulus
         self.dimension = group.order * base.dimension
+        self._layout = None
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Coefficient d of block g times coefficient e of block h adds to
-        coefficient d + e of block g*h of an unreduced product whose blocks
-        are 2*bd - 1 wide; the base then reduces each block (by q)."""
-        bd = self.base.dimension
-        width = 2 * bd - 1
-        order = self.group.order
-        acc = [0] * (order * width)
-        right = [(k // bd, k % bd, v) for k, v in enumerate(b) if v]
-        for g in range(order):
-            block = a[g * bd : (g + 1) * bd]
-            if not any(block):
-                continue
-            row = self.group.row(g)
-            for d, u in enumerate(block):
-                if u:
-                    for h, e, v in right:
-                        acc[row[h] * width + d + e] += u * v
+        """Pack each operand into one int, multiply once, fold, unpack."""
+        if self._layout is None:
+            shape = (self.group.factors, self.base.dimension, self.coefficient_modulus)
+            self._layout = _layout(*shape)
+        pack, bits, wrap, folds, slices, width = self._layout
+        x = pack(a)
+        z = x * (x if a is b else pack(b))
+        z = (z & wrap) + (z >> bits)
+        if z >= wrap:
+            z -= wrap
+        for shift, mask in folds:
+            z += (z >> shift) & mask
+        data = z.to_bytes(bits // 8, "little")
+        acc = list(map(int.from_bytes, map(data.__getitem__, slices), repeat("little")))
         reduce = self.base.reduce_product
-        return tuple(
-            c for k in range(0, len(acc), width) for c in reduce(acc[k : k + width])
-        )
+        return tuple(c for k in range(0, len(acc), width) for c in reduce(acc[k : k + width]))
 
     def hat(self, sub: Subgroup) -> GroupRingElement:
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
@@ -123,6 +124,39 @@ class GroupRing(Ring):
 
     def __repr__(self):
         return f"GroupRing({self.base!r}, {self.group!r})"
+
+
+@lru_cache(maxsize=256)
+def _layout(factors: tuple[int, ...], bd: int, m: int):
+    """Where ``GroupRing.mul`` puts each coefficient, for one ring shape.
+
+    Coefficient d of the element with exponents (e_1, ..., e_r) takes slot
+    d + sum e_i * Q_i, with Q_r = w = 2 bd - 1 and Q_i = (2 n_{i+1} - 1) *
+    Q_{i+1}: no exponent sum of a product overlaps the next.  A slot sums at
+    most order * bd products below m^2.  Modulo 2^bits - 1 the first factor
+    wraps in the product itself; each other one folds by a (shift, mask).
+    Offsets below are in bytes.
+    """
+    factors, width = factors or (1,), 2 * bd - 1
+    slot = ((prod(factors) * bd * m * m).bit_length() + 7) // 8
+    blocks, strides, q = [0], [], width * slot
+    for n in reversed(factors):
+        blocks = [p + e * q for e in range(n) for p in blocks]
+        strides.insert(0, q)
+        q *= 2 * n - 1
+    total = factors[0] * strides[0]
+    starts = [p + d * slot for p in blocks for d in range(bd)] + [total]
+    widths = [nxt - cur for cur, nxt in zip(starts, starts[1:])]
+    masks = [(b"\xff" * (span - n * q) + bytes(n * q)) * (total // span)
+             for n, q, span in zip(factors[1:], strides[1:], strides)]
+    folds = [(n * q * 8, int.from_bytes(mask, "little"))
+             for n, q, mask in zip(factors[1:], strides[1:], masks)]
+    slices = [slice(p + d * slot, p + d * slot + slot) for p in blocks for d in range(width)]
+
+    def pack(c: tuple[int, ...]) -> int:
+        return int.from_bytes(b"".join(map(int.to_bytes, c, widths, repeat("little"))), "little")
+
+    return pack, total * 8, (1 << total * 8) - 1, folds, slices, width
 
 
 def pow_tower(x, s: int, count: int):

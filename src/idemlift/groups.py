@@ -16,7 +16,6 @@ from .rings import is_prime
 
 DEFAULT_GROUP_ORDER_CAP = 2**16
 DEFAULT_SUBGROUP_ORDER_CAP = 4096
-_MUL_TABLE_CAP = 1024
 
 
 class AbelianGroup:
@@ -33,7 +32,6 @@ class AbelianGroup:
             strides.append(acc)
             acc *= n
         self._strides = tuple(reversed(strides))
-        self._mul_table: list[list[int]] | None = None
 
     @property
     def rank(self) -> int:
@@ -69,29 +67,6 @@ class AbelianGroup:
         for a, n in zip(self.exponents(i), self.factors):
             result = result * (n // gcd(a, n)) // gcd(result, n // gcd(a, n))
         return result
-
-    def mul_table(self) -> list[list[int]]:
-        if self._mul_table is None:
-            if self.order > _MUL_TABLE_CAP:
-                raise SizeLimitError(
-                    f"multiplication table capped at order {_MUL_TABLE_CAP}"
-                )
-            self._mul_table = [self._row(i) for i in range(self.order)]
-        return self._mul_table
-
-    def row(self, i: int) -> list[int]:
-        """Indices of i*j for every j: the cached table's row up to
-        _MUL_TABLE_CAP, computed afresh above it."""
-        if self.order <= _MUL_TABLE_CAP:
-            return self.mul_table()[i]
-        return self._row(i)
-
-    def _row(self, i: int) -> list[int]:
-        # j runs over the mixed-radix digits x, most significant first
-        row = [0]
-        for n, a, s in zip(self.factors, self.exponents(i), self._strides):
-            row = [r + (a + x) % n * s for r in row for x in range(n)]
-        return row
 
     def expression(self) -> str:
         return "{" + "x".join(f"C{n}" for n in self.factors) + "}"

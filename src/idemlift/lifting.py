@@ -90,11 +90,6 @@ class CncChain:
                             f"prime factor {pp.prime} of s = {s} is below t = {t}"
                         )
 
-    @property
-    def length(self) -> int:
-        """Number of ideals in the chain (steps + 1)."""
-        return len(self.ss) + 1
-
     def exponent_tower(self) -> tuple[int, int] | tuple[int, ...]:
         """(s, count) when the s_i coincide, else the explicit step list."""
         if not self.ss:

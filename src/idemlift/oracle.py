@@ -7,9 +7,8 @@ route is the ring's basis-product table; results are exact because every
 intermediate stays far below 2**63 (guarded below, with a per-term
 reduction fallback for large moduli).
 
-For rings too irregular for the vectorized path a plain element loop is
-kept as a fallback; both paths are tested against each other and against
-the naive convolution.
+``brute_force_scan_slow`` is a plain element loop through the ring's own
+product.  Only the tests call it, to check the scan against it.
 """
 
 from __future__ import annotations

@@ -80,17 +80,6 @@ class RingExpression:
     poly_coeffs: tuple[int, ...] | None
     group_factors: tuple[int, ...] | None
 
-    def text(self) -> str:
-        out = f"Z({self.modulus})"
-        if self.poly_coeffs is not None:
-            if self.poly_coeffs == (1, 0, 1):
-                out += "[i]"
-            else:
-                out += f"[x]/({Polynomial(self.poly_coeffs, self.modulus).to_text()})"
-        if self.group_factors is not None:
-            out += "{" + "x".join(f"C{n}" for n in self.group_factors) + "}"
-        return out
-
     def build(self) -> Ring:
         base: Ring = ResidueRing(self.modulus)
         if self.poly_coeffs is not None:

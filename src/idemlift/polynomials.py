@@ -185,10 +185,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     _require_prime(f.modulus, "poly_gcd")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _gcd(f, g)
 
 
 def poly_ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -197,6 +194,18 @@ def poly_ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, 
     _require_prime(f.modulus, "poly_ext_gcd")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
+    return _ext_gcd(f, g)
+
+
+# The two Euclid loops skip those checks: their callers know the modulus is
+# prime and pass no (0, 0).
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     m = f.modulus
     old_r, r = f, g
     old_u, u = Polynomial.constant(1, m), Polynomial((), m)
@@ -300,10 +309,10 @@ def _split_by(u: Polynomial, h: Polynomial) -> list[Polynomial]:
                 done.append(w)
                 continue
             if p == 2:
-                g = poly_gcd(w, r)
+                g = _gcd(w, r)
             else:
                 shifted = r + Polynomial.constant(a, p)
-                g = poly_gcd(w, poly_powmod(shifted, (p - 1) // 2, w) - one)
+                g = _gcd(w, poly_powmod(shifted, (p - 1) // 2, w) - one)
             if 0 < g.degree < w.degree:
                 pending += [g, w // g]
             else:
@@ -351,7 +360,7 @@ def _distinct_irreducible_factors(f: Polynomial) -> list[Polynomial]:
         if gp.is_zero():
             stack.append(_pth_root(g))
             continue
-        d = poly_gcd(g, gp)
+        d = _gcd(g, gp)
         w = g // d
         for q in _split_squarefree(w.monic()):
             result[q.coeffs] = q
@@ -418,7 +427,7 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
         raise ArithmeticError("factor product does not reproduce the input")
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            if poly_gcd(factors[i].poly, factors[j].poly).degree != 0:
+            if _gcd(factors[i].poly, factors[j].poly).degree != 0:
                 raise ArithmeticError("factors are not pairwise coprime")
     cofactors = []
     inverses = []
@@ -429,7 +438,7 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
         if cof.degree == 0 and cof.coeffs == (1,):
             inverses.append(Polynomial.constant(1, p))
             continue
-        d, u, _ = poly_ext_gcd(cof, qe)
+        d, u, _ = _ext_gcd(cof, qe)
         if d.degree != 0:
             raise ArithmeticError("cofactor is not invertible modulo its factor")
         inv_const = modular_inverse(d.coeffs[0], p)

@@ -337,6 +337,20 @@ class TestCrtCombine:
         with pytest.raises(SizeLimitError):
             crt_combine_powerform(200, AbelianGroup((3,)), list_cap=8)
 
+    def test_powerform_cap_checked_before_listing(self, monkeypatch):
+        # F_2 C31 has 2^7 members and F_5^3 C31 2^11: 2^18 > 1024, known
+        # from the primitive families alone
+        import idemlift.catalog as catalog
+
+        calls = []
+        real = catalog._subset_sums
+        monkeypatch.setattr(
+            catalog, "_subset_sums", lambda *args: calls.append(args) or real(*args)
+        )
+        with pytest.raises(SizeLimitError, match="262144"):
+            crt_combine_powerform(1000, AbelianGroup((31,)), list_cap=1024)
+        assert calls == []
+
 
 class TestEnumerate:
     def test_z12(self):

@@ -161,6 +161,16 @@ class TestCount:
         assert "|E(Z(2){C13xC13})| = 32768 = 2^15" in out
         assert elapsed < 5.0
 
+    def test_c29xc29_within_budget(self, capsys):
+        # F_2(C29xC29): 1 + 840/28 = 31 components, certified by dense
+        # products of order 841
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "Z(2){C29xC29}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == "|E(Z(2){C29xC29})| = 2147483648 = 2^31\nprimitive count: 31\n"
+        assert elapsed < 10.0
+
     @pytest.mark.parametrize(
         "p", [100003, 1000000007, 4611686018427388039]  # the last is 2^62 + 135
     )

@@ -19,6 +19,8 @@ def naive_convolution(ring: GroupRing, x, y):
     residue base), so nothing here goes through a ring's multiply kernel.
     """
     group, m, d = ring.group, ring.coefficient_modulus, ring.base.dimension
+    if m == 1:
+        return ring.zero  # every element of a ring over Z_1 is 0
     q = ring.base.q if isinstance(ring.base, QuotientRing) else Polynomial((0, 1), m)
     a, b = x.coeff_vector(), y.coeff_vector()
     blocks_a = [Polynomial(a[i * d : (i + 1) * d], m) for i in range(group.order)]
@@ -69,7 +71,6 @@ class TestConvolution:
                 assert x * y == naive_convolution(ring, x, y)
 
     def test_no_table_path_agrees_with_naive_loop(self):
-        # groups above the cached multiplication table's cap
         rng = random.Random(112)
         rings = [
             GroupRing(ResidueRing(6), AbelianGroup((1031,))),
@@ -81,6 +82,37 @@ class TestConvolution:
                 x = _sparse_element(rng, ring, 6)
                 y = _sparse_element(rng, ring, 6)
                 assert x * y == naive_convolution(ring, x, y)
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 5**27, 2**63 - 25])
+    @pytest.mark.parametrize("factors", [(), (5,), (3, 4), (2, 3, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("poly", [None, (1, 0, 1), (3, 1, 0, 1)])
+    def test_kernel_agrees_with_naive_loop(self, m, factors, poly):
+        # ranks 0-4 over residue and quotient bases; 2^63 - 25 and the
+        # all-(m - 1) operand give the widest slots
+        base = ResidueRing(m) if poly is None else QuotientRing(m, Polynomial(poly, m))
+        ring = GroupRing(base, AbelianGroup(factors))
+        rng = random.Random(f"{m}:{factors}:{poly}")
+        top = ring.from_coeffs((m - 1,) * ring.dimension)
+        operands = [_random_element(rng, ring) for _ in range(3)]
+        operands += [ring.zero, ring.one, top]
+        for x in operands:
+            for y in operands:
+                assert x * y == naive_convolution(ring, x, y)
+
+    def test_two_rings_of_one_shape(self):
+        # two equal ring objects share the kernel's layout; a ring of the same
+        # group over another modulus gets its own, and the two alternate here
+        rng = random.Random(113)
+        group = AbelianGroup((3, 4))
+        first, second = GroupRing(ResidueRing(6), group), GroupRing(ResidueRing(6), group)
+        wide = GroupRing(ResidueRing(2**63 - 25), AbelianGroup((3, 4)))
+        for _ in range(5):
+            x, y = _random_element(rng, first), _random_element(rng, second)
+            assert x * y == y * x == naive_convolution(first, x, y)
+            assert (x * y).ring is first and (y * x).ring is second
+            u, v = _random_element(rng, wide), _random_element(rng, wide)
+            assert u * v == naive_convolution(wide, u, v)
+        assert first._layout is second._layout
 
     def test_identity_and_zero(self):
         ring = GroupRing(ResidueRing(12), AbelianGroup((4,)))

@@ -140,6 +140,8 @@ class TestGcd:
         f = Polynomial((1, 1), 6)
         with pytest.raises(ValueError):
             poly_gcd(f, f)
+        with pytest.raises(ValueError):
+            poly_ext_gcd(f, f)
 
 
 class TestBerlekamp:
@@ -207,6 +209,18 @@ class TestBerlekamp:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             berlekamp_factor(Polynomial((1, 0, 1), 6))
+
+    def test_prime_checked_once(self, monkeypatch):
+        # the splitting, coprimality and Bezout gcds trust the entry check
+        import idemlift.polynomials as polynomials
+
+        calls = []
+        real = polynomials.is_prime
+        monkeypatch.setattr(polynomials, "is_prime", lambda n: calls.append(n) or real(n))
+        p = 2**61 - 1  # = 1 mod 7, so x^7 - 1 splits into seven linear factors
+        fact = berlekamp_factor(Polynomial((p - 1,) + (0,) * 6 + (1,), p))
+        assert [fac.poly.degree for fac in fact.factors] == [1] * 7
+        assert calls == [p]
 
 
 def _sympy_factorization(f: Polynomial):
