@@ -10,14 +10,18 @@ Subcommands::
     oracle RING       brute-force scan, bypassing every certified provider
 
 Exit codes: 0 success, 1 golden-table mismatch, 2 parse error, 3 size cap,
-4 unsupported ring, 5 verification failure.
+4 unsupported ring, 5 verification failure, 141 (128 + SIGPIPE) when the
+reader of stdout went away, as in ``idemlift list RING | head -1``; the
+rest of the output is then discarded without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 from .catalog import (
     DEFAULT_LIST_CAP,
@@ -237,7 +241,11 @@ def _cmd_oracle(args) -> int:
     return _emit_family(fam, ring, args, "E")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh Namespace, and the _cmd_* functions read their module
+    # globals when they run
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--cap", type=int, default=None, metavar="N",
@@ -281,9 +289,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except IdemliftError as exc:
-        return _emit_error(exc, args.json)
+        try:
+            return args.run(args)
+        except IdemliftError as exc:
+            return _emit_error(exc, args.json)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: send the rest, and the flush at
+        # interpreter exit, to devnull (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

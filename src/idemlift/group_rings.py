@@ -36,6 +36,7 @@ class GroupRing(Ring):
         self.coefficient_modulus = base.coefficient_modulus
         self.dimension = group.order * base.dimension
         self._layout = None
+        self._names = None
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """Pack each operand into one int, multiply once, fold, unpack."""
@@ -79,6 +80,8 @@ class GroupRing(Ring):
         listings line up column-wise; higher ranks print only nonzero
         terms since those carriers have |G| >= 4 basis elements.
         """
+        if self._names is None:
+            self._names = tuple(map(self.group.element_name, range(self.group.order)))
         dense = self.group.rank <= 1
         bd = self.base.dimension
         terms = []
@@ -89,7 +92,7 @@ class GroupRing(Ring):
             cname = self.base.element_text(self.base.element(self.base, block))
             if bd > 1 and any(block):
                 cname = f"({cname})"
-            terms.append(f"{cname}*{self.group.element_name(idx)}")
+            terms.append(f"{cname}*{self._names[idx]}")
         return " + ".join(terms) if terms else "0"
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:

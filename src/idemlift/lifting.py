@@ -17,6 +17,7 @@ tests hold them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, gcd
 from typing import Sequence
 
@@ -78,7 +79,7 @@ class CncChain:
             "trusted",
         ):
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        for s, t in zip(self.ss, self.ts):
+        for s, t in dict.fromkeys(zip(self.ss, self.ts)):
             if t < 2:
                 raise ValueError(f"nilpotency exponent t must be >= 2, got {t}")
             if s < 1:
@@ -243,6 +244,15 @@ def _scalar_of(ring: Ring, x) -> int | None:
     return c
 
 
+def _scalar_nilpotency_index(c: int, m: int, cap: int = NILPOTENCY_CAP) -> int | None:
+    """``nilpotency_index(c*1)`` without ring products.
+
+    (c*1)^k = c^k * 1, and 1 carries coefficient 1, so the power vanishes
+    exactly when c^k = 0 mod m.
+    """
+    return next((k for k in range(1, cap + 1) if pow(c, k, m) == 0), None)
+
+
 def chain_for_nilpotent_ideal(
     ring: Ring,
     a,
@@ -258,14 +268,17 @@ def chain_for_nilpotent_ideal(
     ring R/N is constructed; otherwise char must be supplied and the chain
     carries no quotient.
     """
-    k = nilpotency_index(a, cap)
+    scalar = _scalar_of(ring, a)
+    if scalar is not None:
+        k = _scalar_nilpotency_index(scalar, ring.coefficient_modulus, cap)
+    else:
+        k = nilpotency_index(a, cap)
     if k is None:
         raise VerificationError(f"chain generator is not nilpotent within cap {cap}")
     if index is not None and index != k:
         raise VerificationError(
             f"claimed nilpotency index {index} but the exact index is {k}"
         )
-    scalar = _scalar_of(ring, a)
     if scalar is not None:
         d = gcd(scalar, ring.coefficient_modulus)
         quotient = ring.reduce_to(d)
@@ -349,27 +362,30 @@ class FamilyCheck:
 
 
 def verify_family(members: Sequence, ring: Ring, expected_components: int | None = None) -> FamilyCheck:
-    """Check idempotency, orthogonality and the sum of a candidate family."""
+    """Check idempotency, orthogonality and the sum of a candidate family.
+
+    For idempotents e_1, ..., e_k the family is pairwise orthogonal exactly
+    when e_i * (e_1 + ... + e_{i-1}) = 0 for every i, so a family of
+    idempotents costs k squarings and k - 1 products against the running
+    sum, which is also the total compared with 1.  When some member is not
+    idempotent the lemma does not apply and every pair is multiplied.
+    """
     members = list(members)
     all_idem = all(verify_idempotent(x) for x in members)
     all_nonzero = all(not x.is_zero() for x in members)
     orthogonal = True
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not verify_orthogonal(members[i], members[j]):
-                orthogonal = False
-                break
-        if not orthogonal:
-            break
     total = ring.zero
-    for x in members:
+    for i, x in enumerate(members):
+        if all_idem and orthogonal and i:
+            orthogonal = verify_orthogonal(x, total)
         total = total + x
-    sums_to_one = total == ring.one
+    if not all_idem:
+        orthogonal = all(verify_orthogonal(x, y) for x, y in combinations(members, 2))
     return FamilyCheck(
         size=len(members),
         all_idempotent=all_idem,
         all_nonzero=all_nonzero,
         orthogonal=orthogonal,
-        sums_to_one=sums_to_one,
+        sums_to_one=total == ring.one,
         expected_components=expected_components,
     )

@@ -5,15 +5,14 @@ those with e*e == e.  Arithmetic runs through the ring's structure
 constants on int64 numpy blocks, so the only shared code with the lifting
 route is the ring's basis-product table; results are exact because every
 intermediate stays far below 2**63 (guarded below, with a per-term
-reduction fallback for large moduli).
+reduction fallback for large moduli).  numpy is imported here only, on
+the first scan, so nothing else in the package loads it.
 
 ``brute_force_scan_slow`` is a plain element loop through the ring's own
 product.  Only the tests call it, to check the scan against it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import SizeLimitError
 from .rings import Ring
@@ -22,7 +21,9 @@ DEFAULT_BRUTE_CAP = 2**20
 _CHUNK = 1 << 20
 
 
-def _structure_tensor(ring: Ring) -> np.ndarray:
+def _structure_tensor(ring: Ring):
+    import numpy as np
+
     n = ring.dimension
     table = ring.structure_constants()
     tensor = np.zeros((n, n, n), dtype=np.int64)
@@ -45,6 +46,8 @@ def brute_force_scan(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:
         raise SizeLimitError(f"ring has {m}^{n} elements, above the scan cap {cap}")
     if m == 1:
         return [ring.zero]
+    import numpy as np
+
     tensor = _structure_tensor(ring)
     # guard exact int64 accumulation: n*n terms of size (m-1)^2 * (m-1)
     free_accumulate = n * n * (m - 1) * (m - 1) * (m - 1) < 2**62

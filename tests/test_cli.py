@@ -171,6 +171,16 @@ class TestCount:
         assert out == "|E(Z(2){C29xC29})| = 2147483648 = 2^31\nprimitive count: 31\n"
         assert elapsed < 10.0
 
+    def test_c53xc53_within_budget(self, capsys):
+        # F_2(C53xC53): 1 + 2808/52 = 55 hat members of order 2809, certified
+        # in 2 * 55 - 1 products
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "Z(2){C53xC53}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == "|E(Z(2){C53xC53})| = 36028797018963968 = 2^55\nprimitive count: 55\n"
+        assert elapsed < 4.0
+
     @pytest.mark.parametrize(
         "p", [100003, 1000000007, 4611686018427388039]  # the last is 2^62 + 135
     )
@@ -417,23 +427,104 @@ class TestErrors:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
-def test_declared_entry_point(tmp_path):
-    tomllib = pytest.importorskip("tomllib")
-    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
-    module, func = scripts["idemlift"].split(":")
+class TestProcess:
+    """One parser per process, and what a process sees of the package."""
+
+    ARGVS = [
+        ["count", "Z(200){C3}"],
+        ["list", "--json", "Z(12){C2}"],
+        ["lift", "Z(8){C3}", "3*e + 2*g", "--tower", "2", "3"],
+        ["count", "Z(12)", "--seed", "1"],  # argparse error, exit 2
+        ["--help"],
+        ["verify", "Z(12)", "4", "9"],
+        ["primitive", "--json", "Z(2){C3xC3}"],
+    ]
+
+    @staticmethod
+    def _call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_main_matches_fresh_parser(self, capsys):
+        from idemlift import cli
+
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(self._call(capsys, argv))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0]
+        parser = cli._build_parser()
+        for _ in range(2):
+            for argv, want in zip(self.ARGVS, fresh):
+                assert self._call(capsys, argv) == want, argv
+            for argv, want in zip(reversed(self.ARGVS), reversed(fresh)):
+                assert self._call(capsys, argv) == want, argv
+        assert cli._build_parser() is parser
+
+    def test_numpy_loaded_only_by_the_oracle(self):
+        code = (
+            "import sys\n"
+            "import idemlift.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert idemlift.cli.main(['count', 'Z(200){C3}']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'count'\n"
+            "assert idemlift.cli.main(['oracle', 'Z(2){C2}']) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = _child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert "|E(Z(200){C3})| = 16 = 2^4" in proc.stdout
+        assert "E(Z(2){C2}): 2 elements" in proc.stdout
+
+    def test_closed_pipe_exits_quietly(self):
+        # 16,384 members, far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ENTRY, "list", "Z(4095){C4}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"E(Z(4095){C4}): 16384 elements [crt-combined]\n"
+        assert err == b""  # no traceback, no "Exception ignored" line
+
+
+ENTRY = "import sys; from idemlift.cli import main; sys.exit(main())"
+
+
+def _child_env() -> dict:
     # the child must import the same idemlift as this suite, wherever it runs
     env = dict(os.environ)
     src = str(Path(idemlift.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys; from {module} import {func}; sys.exit({func}())"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "count", "Z(200){C3}"],
+    return env
+
+
+def _child(args, **kwargs):
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=60,
-        cwd=tmp_path,
-        env=env,
+        env=_child_env(),
+        **kwargs,
     )
+
+
+def test_declared_entry_point(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, func = scripts["idemlift"].split(":")
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    proc = _child(["-c", code, "count", "Z(200){C3}"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "= 2^4" in proc.stdout
 

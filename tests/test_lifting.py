@@ -1,9 +1,12 @@
 """Binomial, power, and chain lifts, plus chain construction and verification."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+import idemlift.lifting as lifting
+from idemlift.catalog import enumerate_idempotents, hat_family
 from idemlift.errors import UnsupportedError, VerificationError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup
@@ -21,7 +24,9 @@ from idemlift.lifting import (
     verify_idempotent,
     verify_orthogonal,
 )
-from idemlift.quotients import gaussian_ring
+from idemlift.oracle import brute_force_scan
+from idemlift.polynomials import Polynomial
+from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
 
 
@@ -132,6 +137,21 @@ class TestChainValidation:
         chain = CncChain(ResidueRing(36), (2, 3), (2, 2), "trusted")
         assert chain.exponent_tower() == (2, 3)
 
+    def test_each_distinct_step_factorized_once(self, monkeypatch):
+        calls = []
+        real = lifting.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(lifting, "factorize", counting)
+        CncChain(ResidueRing(3**41), (3,) * 40, (2,) * 40, "trusted")
+        assert calls == [3]
+        calls.clear()
+        CncChain(ResidueRing(36), (6, 6, 3, 6), (2, 2, 2, 2), "trusted")
+        assert calls == [6, 3]
+
 
 class TestChainForNilpotentIdeal:
     def test_z12_generator_6(self):
@@ -158,6 +178,43 @@ class TestChainForNilpotentIdeal:
         ring = ResidueRing(12)
         with pytest.raises(VerificationError):
             chain_for_nilpotent_ideal(ring, ring.from_int(4))
+
+    @pytest.mark.parametrize("m", [1, 2, 12, 36, 200, 3**5, 2**70, 2**63 - 25])
+    def test_integer_index_matches_ring_powers(self, m):
+        for ring in (ResidueRing(m), gaussian_ring(m), GroupRing(ResidueRing(m), AbelianGroup((3,)))):
+            cs = set(range(min(m, 100))) | {m - 1, m // 2, m // 3, 2, 4, 8, 6**5, 2**35}
+            for c in sorted(c % m for c in cs):
+                want = nilpotency_index(ring.from_int(c))
+                assert lifting._scalar_nilpotency_index(c, m) == want, (ring, c)
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            ResidueRing(2),
+            ResidueRing(12),
+            ResidueRing(36),
+            ResidueRing(200),
+            ResidueRing(3**5),
+            ResidueRing(2**62),
+            gaussian_ring(25),
+            GroupRing(ResidueRing(8), AbelianGroup((3,))),
+        ],
+        ids=lambda r: r.expression(),
+    )
+    def test_scalar_index_matches_ring_powers(self, ring):
+        # scalar generators take their index from integer powers mod m; the
+        # ring's own powers must give the same index, or the same refusal
+        m = ring.coefficient_modulus
+        cs = set(range(min(m, 250))) | {m - 1, m // 2, m // 3, 2, 4, 8, 6**5, 2**35}
+        for c in sorted(c % m for c in cs):
+            a = ring.from_int(c)
+            k = nilpotency_index(a)
+            if k is None:
+                with pytest.raises(VerificationError, match="not nilpotent"):
+                    chain_for_nilpotent_ideal(ring, a)
+            else:
+                chain = chain_for_nilpotent_ideal(ring, a)
+                assert len(chain.ss) == k - 1, (m, c)
 
     def test_non_scalar_needs_char(self):
         ring = GroupRing(ResidueRing(4), AbelianGroup((2,)))
@@ -291,6 +348,75 @@ class TestVerifyFamily:
         ring = ResidueRing(12)
         check = verify_family([ring.one, ring.one], ring)
         assert not check.orthogonal
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            ResidueRing(36),
+            ResidueRing(200),
+            GroupRing(ResidueRing(8), AbelianGroup((3,))),
+            GroupRing(ResidueRing(12), AbelianGroup((2,))),
+            GroupRing(ResidueRing(10), AbelianGroup((2, 2))),
+            gaussian_ring(25),
+            gaussian_ring(13),
+            QuotientRing(10, Polynomial((1, 1, 1), 10)),
+            GroupRing(QuotientRing(2, Polynomial((1, 0, 1), 2)), AbelianGroup((3,))),
+        ],
+        ids=lambda r: r.expression(),
+    )
+    def test_prefix_check_agrees_with_pairwise(self, ring):
+        # families drawn from the oracle's idempotents, and from them plus
+        # non-idempotents (where every pair is multiplied)
+        idems = brute_force_scan(ring)
+        others = [x for x in ring.elements() if not verify_idempotent(x)][:8]
+        rng = random.Random(ring.expression())
+        for trial in range(300):
+            pool = idems if trial % 3 else idems + others
+            family = rng.choices(pool, k=rng.randint(0, 6))
+            pairwise = all(verify_orthogonal(x, y) for x, y in combinations(family, 2))
+            assert verify_family(family, ring).orthogonal == pairwise
+
+    def test_forged_families_rejected(self):
+        ring = GroupRing(ResidueRing(10), AbelianGroup((2, 2)))
+        fam = enumerate_idempotents(ring, list_cap=0)
+        primitive = list(fam.primitive)
+        k = len(primitive)
+        check = verify_family(primitive, ring, k)
+        assert check.primitive_certified
+        a, b = primitive[0], primitive[1]
+        forged = {
+            "overlapping": primitive + [a + b],
+            "merged": [a + b] + primitive[1:],
+            "repeated": primitive[:1] + primitive,
+            "repeated last": primitive + primitive[-1:],
+            "missing": primitive[1:],
+            "zero": primitive[:-1] + [ring.zero, primitive[-1]],
+        }
+        for name, family in forged.items():
+            check = verify_family(family, ring, k)
+            assert not check.primitive_certified, name
+        assert not verify_family(forged["overlapping"], ring).orthogonal
+        assert not verify_family(forged["repeated"], ring).orthogonal
+        assert not verify_family(forged["repeated last"], ring).orthogonal
+        missing = verify_family(forged["missing"], ring)
+        assert missing.orthogonal and not missing.sums_to_one
+        zero = verify_family(forged["zero"], ring, k + 1)
+        assert zero.complete_orthogonal and not zero.all_nonzero
+
+    @pytest.mark.parametrize("factors, p", [((5, 5), 2), ((13, 13), 2), ((3, 3), 2)])
+    def test_certified_family_costs_2k_minus_1_products(self, monkeypatch, factors, p):
+        fam = hat_family(AbelianGroup(factors), p)
+        ring, k = fam.ring, len(fam.primitive)
+        calls = []
+        real = GroupRing.mul
+
+        def counting(self, a, b):
+            calls.append(1)
+            return real(self, a, b)
+
+        monkeypatch.setattr(GroupRing, "mul", counting)
+        assert verify_family(fam.primitive, ring, k).primitive_certified
+        assert len(calls) == 2 * k - 1
 
     def test_orthogonal_helpers(self):
         z12 = ResidueRing(12)
