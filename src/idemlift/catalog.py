@@ -228,9 +228,9 @@ def _split_piece(e: list[int], c: list[int], mul, p: int) -> list[list[int]]:
     if mu.degree == 1:
         return [e]
     out = []
-    for root in _split_by(mu, Polynomial.x(p)):
-        lag = mu // root
-        lag = lag * modular_inverse(lag(-root.coeffs[0]), p)
+    for root in _split_by(list(mu.coeffs), [0, 1], p):
+        lag = mu // Polynomial(tuple(root), p)
+        lag = lag * modular_inverse(lag(-root[0]), p)
         out.append(
             [sum(a * v[i] for a, v in zip(lag.coeffs, powers)) % p for i in range(len(e))]
         )
@@ -415,7 +415,7 @@ def poly_crt_combine(
     families = []
     for fac, cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         # the weight s_i(x) m_i(x) sits at the group identity, block 0
-        w = quotient.from_polynomial((inv * cof) % mpoly).coeffs
+        w = quotient.from_polynomial(inv * cof).coeffs
         weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
         alphas.append(p ** (fac.multiplicity - 1))
         factor_ring = QuotientRing(p, fac.poly)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimitError
 from .groups import group_from_factors
 from .group_rings import GroupRing
 from .polynomials import Polynomial
@@ -27,6 +27,7 @@ from .rings import ResidueRing, Ring
 
 MAX_INPUT_BYTES = 1024
 MAX_EXPONENT = 1024  # x^k in a literal expands to k + 1 coefficients
+MAX_RING_DIMENSION = 2**20  # |G| * deg q coefficients per element
 
 
 class _Cursor:
@@ -86,9 +87,14 @@ class RingExpression:
             base = QuotientRing(
                 self.modulus, Polynomial(self.poly_coeffs, self.modulus)
             )
-        if self.group_factors is not None:
-            return GroupRing(base, group_from_factors(self.group_factors))
-        return base
+        if self.group_factors is None:
+            return base
+        ring = GroupRing(base, group_from_factors(self.group_factors))
+        if ring.dimension > MAX_RING_DIMENSION:
+            raise SizeLimitError(
+                f"ring dimension {ring.dimension} exceeds cap {MAX_RING_DIMENSION}"
+            )
+        return ring
 
 
 def _parse_poly_body(cur: _Cursor, modulus: int, var: str) -> tuple[int, ...]:
@@ -250,14 +256,7 @@ def parse_element(text: str, ring: Ring):
         out = _parse_group_element(cur, ring)
     elif isinstance(ring, QuotientRing):
         coeffs = _parse_poly_body(cur, ring.coefficient_modulus, ring._var_name)
-        if len(coeffs) > ring.dimension:
-            out = ring.from_polynomial(
-                Polynomial(coeffs, ring.coefficient_modulus)
-            )
-        else:
-            out = ring.from_coeffs(
-                tuple(coeffs) + (0,) * (ring.dimension - len(coeffs))
-            )
+        out = ring.from_polynomial(Polynomial(coeffs, ring.coefficient_modulus))
     elif isinstance(ring, ResidueRing):
         out = ring.from_int(cur.read_int())
     else:

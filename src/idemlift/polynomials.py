@@ -5,6 +5,10 @@ the zero polynomial is the empty tuple and ``degree`` is -1 for it.  Ring
 operations work over any modulus; gcd, extended gcd and Berlekamp
 factorization require a prime modulus and say so.
 
+``Polynomial`` is the API type; the factorizer runs on coefficient lists.
+Its products in F_p[x]/(u) go through ``poly_mulmod`` (schoolbook product,
+reduced by the monic u, then mod p), the kernel ``QuotientRing`` shares.
+
 The factorizer is Berlekamp's method: squarefree reduction through gcd
 with the derivative (p-th powers handled by coefficient-wise p-th roots,
 which are trivial over F_p), null space of the Frobenius matrix by
@@ -18,10 +22,10 @@ identical input gives identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import combinations, zip_longest
 
-from .errors import SizeLimitError, UnsupportedError
+from .errors import SizeLimitError
 from .rings import is_prime, modular_inverse
 
 BERLEKAMP_DEGREE_CAP = 64
@@ -35,18 +39,12 @@ class Polynomial:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        cs = [c % self.modulus for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _trim([c % self.modulus for c in self.coeffs])
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
     def constant(c: int, modulus: int) -> "Polynomial":
         return Polynomial((c,), modulus)
-
-    @staticmethod
-    def x(modulus: int) -> "Polynomial":
-        return Polynomial((0, 1), modulus)
 
     @property
     def degree(self) -> int:
@@ -73,10 +71,8 @@ class Polynomial:
 
     def __add__(self, other):
         self._match(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)), self.modulus)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(tuple(x + y for x, y in pairs), self.modulus)
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs), self.modulus)
@@ -88,15 +84,7 @@ class Polynomial:
         if isinstance(other, int):
             return Polynomial(tuple(c * other for c in self.coeffs), self.modulus)
         self._match(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial((), self.modulus)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out), self.modulus)
+        return Polynomial(tuple(_product(self.coeffs, other.coeffs)), self.modulus)
 
     def __rmul__(self, scalar: int):
         return self * scalar
@@ -112,19 +100,8 @@ class Polynomial:
         self._match(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.leading
-        inv_lead = 1 if lead == 1 else modular_inverse(lead, self.modulus)
-        rem = list(self.coeffs)
-        dn = divisor.degree
-        q = [0] * max(len(rem) - dn, 0)
-        for k in range(len(rem) - dn - 1, -1, -1):
-            c = (rem[k + dn] * inv_lead) % self.modulus
-            if c == 0:
-                continue
-            q[k] = c
-            for i, d in enumerate(divisor.coeffs):
-                rem[k + i] = (rem[k + i] - c * d) % self.modulus
-        return Polynomial(tuple(q), self.modulus), Polynomial(tuple(rem), self.modulus)
+        q, r = _divmod(self.coeffs, divisor.coeffs, self.modulus)
+        return Polynomial(tuple(q), self.modulus), Polynomial(tuple(r), self.modulus)
 
     def __floordiv__(self, other):
         return self.divmod_by(other)[0]
@@ -143,11 +120,6 @@ class Polynomial:
             base = base * base
             e >>= 1
         return result
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(
-            tuple(i * c for i, c in enumerate(self.coeffs))[1:], self.modulus
-        )
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.leading == 1:
@@ -174,6 +146,50 @@ class Polynomial:
         return self.to_text()
 
 
+# The list kernel.  A coefficient list is lowest degree first; a monic
+# modulus u = x^n + tail(x) is passed as its n low coefficients ``tail``.
+def _product(a, b) -> list[int]:
+    """The raw product of two coefficient sequences, nothing reduced."""
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+    return acc
+
+
+def reduce_mod(acc: list[int], tail, m: int) -> list[int]:
+    """acc (overwritten) reduced by the monic x^n + tail, n = len(tail), and
+    mod m: min(len(acc), n) coefficients, not trimmed."""
+    n = len(tail)
+    for top in range(len(acc) - 1, n - 1, -1):
+        c = acc[top] % m
+        if c:
+            for k, t in enumerate(tail):
+                acc[top - n + k] -= c * t
+    return [c % m for c in acc[:n]]
+
+
+def poly_mulmod(a, b, tail, m: int) -> list[int]:
+    """The product a * b in Z_m[x]/(x^n + tail): the one product kernel."""
+    return reduce_mod(_product(a, b), tail, m)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divmod(a, b, m: int) -> tuple[list[int], list[int]]:
+    """Quotient and untrimmed remainder of a by b, b's leading coefficient a
+    unit; ``reduce_mod`` leaves the quotient by b / lead in acc[n:]."""
+    inv = modular_inverse(b[-1], m)
+    acc = list(a)
+    rem = reduce_mod(acc, [c * inv for c in b[:-1]], m)
+    return [c * inv % m for c in acc[len(b) - 1 :]], rem
+
+
 def _require_prime(m: int, what: str):
     if not is_prime(m):
         raise ValueError(f"{what} requires a prime modulus, got {m}")
@@ -185,7 +201,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     _require_prime(f.modulus, "poly_gcd")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    return _gcd(f, g)
+    return Polynomial(tuple(_gcd(f.coeffs, g.coeffs, f.modulus)), f.modulus)
 
 
 def poly_ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -194,42 +210,51 @@ def poly_ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, 
     _require_prime(f.modulus, "poly_ext_gcd")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    return _ext_gcd(f, g)
+    p = f.modulus
+    d, u = (Polynomial(tuple(c), p) for c in _ext_gcd(f.coeffs, g.coeffs, p))
+    return d, u, (d - u * f) // g if g.coeffs else g
 
 
-# The two Euclid loops skip those checks: their callers know the modulus is
-# prime and pass no (0, 0).
-def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+# The Euclid loops take trimmed lists and skip those checks: their callers
+# know the modulus is prime and pass no (0, 0).
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _trim(_divmod(a, b, p)[1])
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    m = f.modulus
+def _ext_gcd(f, g, p: int) -> tuple[list[int], list[int]]:
+    """(d, u): d the monic gcd, u * f == d (mod g) with deg u minimal."""
     old_r, r = f, g
-    old_u, u = Polynomial.constant(1, m), Polynomial((), m)
-    old_v, v = Polynomial((), m), Polynomial.constant(1, m)
-    while not r.is_zero():
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    inv = modular_inverse(old_r.leading, m)
-    return old_r * inv, old_u * inv, old_v * inv
+    old_u, u = [1], []
+    while r:
+        q, rem = _divmod(old_r, r, p)
+        diff = zip_longest(old_u, _product(q, u), fillvalue=0)
+        old_r, r, old_u, u = r, _trim(rem), u, _trim([(a - b) % p for a, b in diff])
+    inv = pow(old_r[-1], -1, p)
+    return [c * inv % p for c in old_r], [c * inv % p for c in old_u]
 
 
 def poly_powmod(f: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """f**e modulo ``mod`` by binary exponentiation."""
+    """f**e modulo ``mod``, whose leading coefficient must be a unit."""
     if e < 0:
         raise ValueError("negative exponents are not defined here")
-    result = Polynomial.constant(1, f.modulus)
-    base = f % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
+    f._match(mod)
+    if mod.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    tail = mod.monic().coeffs[:-1]
+    return Polynomial(tuple(_powmod(list(f.coeffs), e, tail, f.modulus)), f.modulus)
+
+
+def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
+    """base**e in Z_m[x]/(x^n + tail), left to right over the bits of e."""
+    base = reduce_mod(base, tail, m)
+    result = reduce_mod([1], tail, m)
+    for bit in bin(e)[2:]:
+        result = poly_mulmod(result, result, tail, m)
+        if bit == "1":
+            result = poly_mulmod(result, base, tail, m)
     return result
 
 
@@ -242,11 +267,7 @@ def _null_space(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     pivot_col_of_row: list[int] = []
     rank = 0
     for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if m[r][col] % p != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n) if m[r][col] % p), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
@@ -270,25 +291,23 @@ def _null_space(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     return basis, frees
 
 
-def _frobenius_nullity_basis(f: Polynomial) -> list[Polynomial]:
-    """Basis of {h : h^p == h mod f} as polynomials, f monic squarefree."""
-    p = f.modulus
-    n = f.degree
-    xp = poly_powmod(Polynomial.x(p), p, f)
+def _frobenius_nullity_basis(f: list[int], p: int) -> list[list[int]]:
+    """Basis of {h : h^p == h mod f}, f monic squarefree, as trimmed lists."""
+    tail = f[:-1]
+    n = len(tail)
+    xp = _powmod([0, 1], p, tail, p)
     # Q[i] = coefficient vector of x^{i*p} mod f
     q_rows = []
-    current = Polynomial.constant(1, p)
+    current = [1]
     for i in range(n):
-        row = list(current.coeffs) + [0] * (n - len(current.coeffs))
-        q_rows.append(row)
-        current = (current * xp) % f
+        q_rows.append(current + [0] * (n - len(current)))
+        current = poly_mulmod(current, xp, tail, p)
     # h = sum a_i x^i is fixed by Frobenius iff a * (Q - I) == 0
-    mt = [[(q_rows[i][j] - (1 if i == j else 0)) % p for i in range(n)] for j in range(n)]
-    basis, _ = _null_space(mt, p)
-    return [Polynomial(tuple(vec), p) for vec in basis]
+    mt = [[(q_rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
+    return [_trim(vec) for vec in _null_space(mt, p)[0]]
 
 
-def _split_by(u: Polynomial, h: Polynomial) -> list[Polynomial]:
+def _split_by(u: list[int], h: list[int], p: int) -> list[list[int]]:
     """Split a monic squarefree u into pieces modulo which h is constant.
 
     h is constant modulo each irreducible factor of u (h is in the
@@ -297,24 +316,25 @@ def _split_by(u: Polynomial, h: Polynomial) -> list[Polynomial]:
     distinct values differ in that for at least (p - 1)/2 of the p
     shifts, so trying a = 0 .. p-1 in order always separates them.
     """
-    p = u.modulus
-    one = Polynomial.constant(1, p)
     done = []
     todo = [u]
     for a in range(p):
         pending = []
         for w in todo:
-            r = h % w
-            if r.degree < 1:
+            tail = w[:-1]
+            r = _trim(reduce_mod(h[:], tail, p))
+            if len(r) < 2:
                 done.append(w)
                 continue
             if p == 2:
-                g = _gcd(w, r)
+                g = _gcd(w, r, p)
             else:
-                shifted = r + Polynomial.constant(a, p)
-                g = _gcd(w, poly_powmod(shifted, (p - 1) // 2, w) - one)
-            if 0 < g.degree < w.degree:
-                pending += [g, w // g]
+                r[0] = (r[0] + a) % p
+                s = _powmod(r, (p - 1) // 2, tail, p) or [0]
+                s[0] = (s[0] - 1) % p
+                g = _gcd(w, _trim(s), p)
+            if 1 < len(g) < len(w):
+                pending += [g, _divmod(w, g, p)[0]]
             else:
                 pending.append(w)
         todo = pending
@@ -323,19 +343,19 @@ def _split_by(u: Polynomial, h: Polynomial) -> list[Polynomial]:
     raise ArithmeticError(f"no shift below {p} splits {u} by {h}")
 
 
-def _split_squarefree(f: Polynomial) -> list[Polynomial]:
+def _split_squarefree(f: list[int], p: int) -> list[list[int]]:
     """All monic irreducible factors of a monic squarefree f over F_p."""
-    if f.degree <= 1:
-        return [f] if f.degree == 1 else []
-    basis = _frobenius_nullity_basis(f)
+    if len(f) <= 2:
+        return [f] if len(f) == 2 else []
+    basis = _frobenius_nullity_basis(f, p)
     want = len(basis)
     factors = [f]
     for h in basis:
         if len(factors) == want:
             break
-        if h.degree < 1:
+        if len(h) < 2:
             continue
-        factors = [piece for u in factors for piece in _split_by(u, h)]
+        factors = [piece for u in factors for piece in _split_by(u, h, p)]
     if len(factors) != want:
         raise ArithmeticError(
             f"Berlekamp basis of size {want} split {f} into {len(factors)} factors"
@@ -343,30 +363,25 @@ def _split_squarefree(f: Polynomial) -> list[Polynomial]:
     return factors
 
 
-def _pth_root(f: Polynomial) -> Polynomial:
-    """Inverse of h -> h^p for f with zero derivative over F_p."""
-    p = f.modulus
-    return Polynomial(tuple(f.coeffs[::p]), p)
-
-
-def _distinct_irreducible_factors(f: Polynomial) -> list[Polynomial]:
-    result: dict[tuple[int, ...], Polynomial] = {}
-    stack = [f.monic()]
+def _distinct_irreducible_factors(f: list[int], p: int) -> list[tuple[int, ...]]:
+    """The monic irreducible factors of a monic f, sorted by (degree, coeffs)."""
+    result = set()
+    stack = [f]
     while stack:
         g = stack.pop()
-        if g.degree < 1:
+        if len(g) < 2:
             continue
-        gp = g.derivative()
-        if gp.is_zero():
-            stack.append(_pth_root(g))
+        gp = _trim([i * c % p for i, c in enumerate(g)][1:])
+        if not gp:
+            # a p-th power: its p-th root takes every p-th coefficient
+            stack.append(g[::p])
             continue
-        d = _gcd(g, gp)
-        w = g // d
-        for q in _split_squarefree(w.monic()):
-            result[q.coeffs] = q
-        if d.degree > 0:
+        d = _gcd(g, gp, p)
+        for q in _split_squarefree(_divmod(g, d, p)[0], p):
+            result.add(tuple(q))
+        if len(d) > 1:
             stack.append(d)
-    return sorted(result.values(), key=lambda q: (q.degree, q.coeffs))
+    return sorted(result, key=lambda q: (len(q), q))
 
 
 @dataclass(frozen=True)
@@ -403,46 +418,41 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
         raise SizeLimitError(f"degree {f.degree} exceeds cap {degree_cap}")
     p = f.modulus
     unit = f.leading
-    monic = f.monic()
-    distinct = _distinct_irreducible_factors(monic)
+    monic = list(f.monic().coeffs)
+    distinct = _distinct_irreducible_factors(monic, p)
     factors = []
+    powers = []
     rest = monic
     for q in distinct:
-        e = 0
+        e, qe = 0, [1]
         while True:
-            quo, rem = rest.divmod_by(q)
-            if not rem.is_zero():
+            quo, rem = _divmod(rest, q, p)
+            if _trim(rem):
                 break
-            rest = quo
-            e += 1
-        factors.append(PolyFactor(q, e))
-    if rest.degree != 0:
+            rest, e, qe = quo, e + 1, [c % p for c in _product(qe, q)]
+        factors.append(PolyFactor(Polynomial(q, p), e))
+        powers.append(qe)
+    if rest != [1]:
         raise ArithmeticError("factorization did not exhaust the input")
-    check = Polynomial.constant(unit, p)
-    for fac in factors:
-        check = check * fac.poly**fac.multiplicity
-        if fac.poly.degree > 1 and len(_split_squarefree(fac.poly)) != 1:
-            raise ArithmeticError(f"factor {fac.poly} failed irreducibility re-check")
-    if check != f:
+    check = [unit]
+    for q, qe in zip(distinct, powers):
+        check = [c % p for c in _product(check, qe)]
+        if len(q) > 2 and len(_split_squarefree(q, p)) != 1:
+            raise ArithmeticError(f"factor {q} failed irreducibility re-check")
+    if tuple(check) != f.coeffs:
         raise ArithmeticError("factor product does not reproduce the input")
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if _gcd(factors[i].poly, factors[j].poly).degree != 0:
-                raise ArithmeticError("factors are not pairwise coprime")
+    for a, b in combinations(distinct, 2):
+        if len(_gcd(a, b, p)) != 1:
+            raise ArithmeticError("factors are not pairwise coprime")
     cofactors = []
     inverses = []
-    for fac in factors:
-        qe = fac.poly**fac.multiplicity
-        cof = monic // qe
-        cofactors.append(cof)
-        if cof.degree == 0 and cof.coeffs == (1,):
-            inverses.append(Polynomial.constant(1, p))
-            continue
-        d, u, _ = _ext_gcd(cof, qe)
-        if d.degree != 0:
+    for qe in powers:
+        cof = _divmod(monic, qe, p)[0]
+        d, u = _ext_gcd(cof, qe, p)
+        if len(d) != 1:
             raise ArithmeticError("cofactor is not invertible modulo its factor")
-        inv_const = modular_inverse(d.coeffs[0], p)
-        inverses.append((u * inv_const) % qe)
+        cofactors.append(Polynomial(tuple(cof), p))
+        inverses.append(Polynomial(tuple(reduce_mod(u, qe[:-1], p)), p))
     return PolyFactorization(
         f, unit, tuple(factors), tuple(cofactors), tuple(inverses)
     )

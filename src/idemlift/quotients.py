@@ -8,7 +8,7 @@ with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
 from __future__ import annotations
 
 from .errors import UnsupportedError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, poly_mulmod, reduce_mod
 from .rings import Element, Ring, is_prime, modular_inverse
 
 
@@ -28,19 +28,15 @@ class QuotientRing(Ring):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         q = Polynomial(q.coeffs, modulus)
-        if modulus == 1:
-            # zero ring; the polynomial layer collapses
-            self.coefficient_modulus = 1
-            self.q = q
-            self.dimension = 1
-            return
-        if q.is_zero() or not q.is_monic():
+        # the zero ring (m = 1) keeps one coefficient, as if q were x
+        self._tail = q.coeffs[:-1] if modulus > 1 else (0,)
+        if modulus > 1 and not q.is_monic():
             raise ValueError(f"quotient modulus must be monic, got {q}")
-        if q.degree < 1:
+        if not self._tail:
             raise ValueError("quotient modulus must have degree >= 1")
         self.coefficient_modulus = modulus
         self.q = q
-        self.dimension = q.degree
+        self.dimension = len(self._tail)
 
     @property
     def variable(self) -> PolyQuotientElement:
@@ -49,31 +45,16 @@ class QuotientRing(Ring):
         return self.from_coeffs((0, 1) + (0,) * (self.dimension - 2))
 
     def from_polynomial(self, poly: Polynomial) -> PolyQuotientElement:
-        rem = Polynomial(poly.coeffs, self.coefficient_modulus)
-        if self.coefficient_modulus > 1:
-            rem = rem % self.q
-        cs = rem.coeffs + (0,) * (self.dimension - len(rem.coeffs))
-        return self.element(self, cs[: self.dimension])
+        cs = reduce_mod(list(poly.coeffs), self._tail, self.coefficient_modulus)
+        return self.element(self, tuple(cs) + (0,) * (self.dimension - len(cs)))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        acc = [0] * (2 * self.dimension - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    acc[i + j] += u * v
-        return self.reduce_product(acc)
+        return tuple(poly_mulmod(a, b, self._tail, self.coefficient_modulus))
 
     def reduce_product(self, acc: list[int]) -> tuple[int, ...]:
         """The unreduced product of two elements (2n - 1 raw coefficients,
         overwritten here) reduced by the monic q and mod m."""
-        n, m = self.dimension, self.coefficient_modulus
-        tail = self.q.coeffs[:-1]
-        for top in range(len(acc) - 1, n - 1, -1):
-            c = acc[top] % m
-            if c:
-                for k, t in enumerate(tail):
-                    acc[top - n + k] -= c * t
-        return tuple(c % m for c in acc[:n])
+        return tuple(reduce_mod(acc, self._tail, self.coefficient_modulus))
 
     def reduce_to(self, c: int) -> "QuotientRing":
         return QuotientRing(c, Polynomial(self.q.coeffs, c))
@@ -97,17 +78,13 @@ class QuotientRing(Ring):
         return Polynomial(x.coeffs, self.coefficient_modulus).to_text(self._var_name)
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        n = self.dimension
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod = self.from_polynomial(
-                    Polynomial((0,) * (i + j) + (1,), self.coefficient_modulus)
-                )
-                row.append(prod.coeffs)
-            table.append(row)
-        return table
+        # x^k mod q by shift and subtract, apart from the product kernel
+        n, m, q = self.dimension, self.coefficient_modulus, self.q.coeffs
+        xs = [tuple(int(i == k) % m for i in range(n)) for k in range(n)]
+        for _ in range(n - 1):
+            s = (0,) + xs[-1]
+            xs.append(tuple((a - s[n] * c) % m for a, c in zip(s[:n], q)))
+        return [[xs[i + j] for j in range(n)] for i in range(n)]
 
     def __eq__(self, other):
         return (

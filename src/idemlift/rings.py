@@ -26,36 +26,14 @@ from .errors import SizeLimitError, UnsupportedError
 FACTORIZATION_BOUND = 2**63
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with a*x + b*y == g == gcd(a, b) > 0.
-
-    gcd(0, 0) is undefined and raises ValueError.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def modular_inverse(a: int, m: int) -> int:
     """Least non-negative x with a*x == 1 (mod m); m == 1 returns 0."""
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return 0
-    g, x, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise UnsupportedError(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise UnsupportedError(f"{a} is not invertible modulo {m}") from None
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -217,13 +217,25 @@ class TestCount:
         assert code == 3
         assert "capped at dimension 64" in err
 
-    @pytest.mark.parametrize("ring", ["Z(2){C1009}", "Z(2){C100003}"])
+    @pytest.mark.parametrize(
+        "ring", ["Z(2){C1009}", "Z(2){C100003}", "Z(2)[x]/(1 + x^1024){C256xC256}"]
+    )
     def test_over_cap_exits_fast(self, capsys, ring):
-        # C1009 is over the dimension cap, C100003 over the group-order cap
+        # C1009 is over the Frobenius dimension cap, C100003 over the
+        # group-order cap, and the last ring (dimension 2^26) over the ring
+        # dimension cap
         start = time.perf_counter()
         code, _, err = run(capsys, "count", ring)
         assert code == 3 and err.startswith("error: ")
         assert time.perf_counter() - start < 2.0
+
+    def test_ring_dimension_cap(self, capsys):
+        # 16 * 2^16 = 2^20 is at the cap: the ring builds, so the literal fails (exit 2)
+        code, _, _ = run(capsys, "verify", "Z(2)[x]/(1 + x^16){C256xC256}", "y")
+        assert code == 2
+        code, _, err = run(capsys, "verify", "Z(2)[x]/(1 + x^17){C256xC256}", "y")
+        assert code == 3
+        assert err == "error: ring dimension 1114112 exceeds cap 1048576\n"
 
     def test_square_of_31_bit_prime_within_budget(self, capsys):
         # (2^31 - 1)^2: a prime power, so only the one orbit of the trivial group

@@ -15,6 +15,7 @@ import pytest
 from idemlift.errors import SizeLimitError, UnsupportedError
 from idemlift.polynomials import (
     Polynomial,
+    _split_by,
     berlekamp_factor,
     poly_ext_gcd,
     poly_gcd,
@@ -93,12 +94,20 @@ class TestArithmetic:
             f.divmod_by(g)
 
     def test_pow_and_powmod_agree(self):
+        # moduli of degree 0..12; every third one has a leading unit other than 1
         rng = random.Random(33)
-        for _ in range(50):
-            p = rng.choice([2, 3, 5])
-            f = Polynomial(tuple(rng.randrange(p) for _ in range(3)), p)
-            mod = Polynomial((rng.randrange(p), rng.randrange(p), 1), p)
-            e = rng.randrange(1, 40)
+        for p in (2, 3, 1093, 2**61 - 1):
+            for deg in range(13):
+                lead = rng.randrange(1, p) if deg % 3 == 0 else 1
+                mod = Polynomial(tuple(rng.randrange(p) for _ in range(deg)) + (lead,), p)
+                f = Polynomial(tuple(rng.randrange(p) for _ in range(rng.randrange(1, 8))), p)
+                for e in (0, 1, rng.randrange(2, 40)):
+                    assert poly_powmod(f, e, mod) == (f**e) % mod, (p, deg, e)
+
+    def test_powmod_non_prime_modulus(self):
+        # Z_12: the leading 5 of the modulus is a unit, so the remainder exists
+        f, mod = Polynomial((7, 3, 11), 12), Polynomial((1, 4, 5), 12)
+        for e in range(6):
             assert poly_powmod(f, e, mod) == (f**e) % mod
 
     def test_evaluation(self):
@@ -142,6 +151,34 @@ class TestGcd:
             poly_gcd(f, f)
         with pytest.raises(ValueError):
             poly_ext_gcd(f, f)
+
+
+class TestSplitBy:
+    @pytest.mark.parametrize(
+        "p, roots",
+        [
+            (2, [0, 1]),  # the gcd branch: no quadratic character over F_2
+            (3, [0, 1, 2]),
+            (1009, [0, 5, 17, 1000]),
+            (2**61 - 1, [1, 2, 3, 2**60]),
+        ],
+    )
+    def test_linear_factors_split_by_x(self, p, roots):
+        u = Polynomial.constant(1, p)
+        for r in roots:
+            u = u * Polynomial((-r, 1), p)
+        pieces = _split_by(list(u.coeffs), [0, 1], p)
+        assert sorted(map(tuple, pieces)) == sorted(((-r) % p, 1) for r in roots)
+
+    def test_x7_minus_1_needs_a_later_shift(self):
+        # 1093 = 1 mod 7, and every 7th root of unity is a square mod 1093,
+        # so the shift a = 0 puts all seven roots into one gcd
+        p = 1093
+        roots = [r for r in range(1, p) if pow(r, 7, p) == 1]
+        assert len(roots) == 7
+        assert all(pow(r, (p - 1) // 2, p) == 1 for r in roots)
+        pieces = _split_by([p - 1, 0, 0, 0, 0, 0, 0, 1], [0, 1], p)
+        assert sorted(map(tuple, pieces)) == sorted(((-r) % p, 1) for r in roots)
 
 
 class TestBerlekamp:
