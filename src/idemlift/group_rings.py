@@ -4,7 +4,8 @@ An element is the flat coefficient vector of ``rings.Element``: one block
 of ``base.dimension`` coefficients per group element, in the group's
 canonical index order.  The product is one exact integer product by
 Kronecker substitution (Schoenhage 1982; Harvey 2009), folded back onto
-the group; the base ring reduces each output block.
+the group; the base ring reduces the whole output in one call, and renders
+all blocks in one call for the text.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ class GroupRing(Ring):
         self._names = None
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Pack each operand into one int, multiply once, fold, unpack."""
+        """Pack each operand into one int, multiply once, fold; the base ring
+        reduces the output."""
         if self._layout is None:
             shape = (self.group.factors, self.base.dimension, self.coefficient_modulus)
             self._layout = _layout(*shape)
-        pack, bits, wrap, folds, slices, width = self._layout
+        pack, bits, wrap, folds, slices = self._layout
         x = pack(a)
         z = x * (x if a is b else pack(b))
         z = (z & wrap) + (z >> bits)
@@ -51,10 +53,7 @@ class GroupRing(Ring):
             z -= wrap
         for shift, mask in folds:
             z += (z >> shift) & mask
-        data = z.to_bytes(bits // 8, "little")
-        acc = list(map(int.from_bytes, map(data.__getitem__, slices), repeat("little")))
-        reduce = self.base.reduce_product
-        return tuple(c for k in range(0, len(acc), width) for c in reduce(acc[k : k + width]))
+        return self.base.reduce_slots(z.to_bytes(bits // 8, "little"), slices)
 
     def hat(self, sub: Subgroup) -> GroupRingElement:
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
@@ -82,36 +81,20 @@ class GroupRing(Ring):
         """
         if self._names is None:
             self._names = tuple(map(self.group.element_name, range(self.group.order)))
-        dense = self.group.rank <= 1
-        bd = self.base.dimension
-        terms = []
-        for idx in range(self.group.order):
-            block = x.coeffs[idx * bd : (idx + 1) * bd]
-            if not any(block) and not dense:
-                continue
-            cname = self.base.element_text(self.base.element(self.base, block))
-            if bd > 1 and any(block):
-                cname = f"({cname})"
-            terms.append(f"{cname}*{self._names[idx]}")
-        return " + ".join(terms) if terms else "0"
+        dense, texts = self.group.rank <= 1, self.base.coefficient_texts(x.coeffs)
+        terms = [f"{t}*{name}" for t, name in zip(texts, self._names) if dense or t != "0"]
+        return " + ".join(terms) or "0"
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        base_sc = self.base.structure_constants()
-        bd = self.base.dimension
-        n = self.dimension
-        order = self.group.order
+        base_sc, bd = self.base.structure_constants(), self.base.dimension
+        zeros, order = (0,) * self.dimension, self.group.order
         table = []
         for gi in range(order):
             for bi in range(bd):
                 row = []
                 for gj in range(order):
-                    gk = self.group.mul(gi, gj)
-                    for bj in range(bd):
-                        vec = [0] * n
-                        prod = base_sc[bi][bj]
-                        for bk, v in enumerate(prod):
-                            vec[gk * bd + bk] = v
-                        row.append(tuple(vec))
+                    k = self.group.mul(gi, gj) * bd
+                    row += [zeros[:k] + v + zeros[k + bd :] for v in base_sc[bi]]
                 table.append(row)
         return table
 
@@ -138,7 +121,7 @@ def _layout(factors: tuple[int, ...], bd: int, m: int):
     Q_{i+1}: no exponent sum of a product overlaps the next.  A slot sums at
     most order * bd products below m^2.  Modulo 2^bits - 1 the first factor
     wraps in the product itself; each other one folds by a (shift, mask).
-    Offsets below are in bytes.
+    Offsets below are in bytes; ``slices`` holds w output slots per element.
     """
     factors, width = factors or (1,), 2 * bd - 1
     slot = ((prod(factors) * bd * m * m).bit_length() + 7) // 8
@@ -159,7 +142,7 @@ def _layout(factors: tuple[int, ...], bd: int, m: int):
     def pack(c: tuple[int, ...]) -> int:
         return int.from_bytes(b"".join(map(int.to_bytes, c, widths, repeat("little"))), "little")
 
-    return pack, total * 8, (1 << total * 8) - 1, folds, slices, width
+    return pack, total * 8, (1 << total * 8) - 1, folds, slices
 
 
 def pow_tower(x, s: int, count: int):

@@ -16,7 +16,9 @@ everywhere.  All failures raise ParseError with the offending position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ParseError, SizeLimitError
 from .groups import group_from_factors
@@ -28,10 +30,19 @@ from .rings import ResidueRing, Ring
 MAX_INPUT_BYTES = 1024
 MAX_EXPONENT = 1024  # x^k in a literal expands to k + 1 coefficients
 MAX_RING_DIMENSION = 2**20  # |G| * deg q coefficients per element
+_SPACE = re.compile(r"\s*")
+_INT = re.compile(r"\s*(\d+)?")
+
+
+@cache
+def _token(literal: str):
+    """Match whitespace, then ``literal`` if it is there."""
+    return re.compile(r"\s*(" + re.escape(literal) + ")?").match
 
 
 class _Cursor:
-    """Character cursor with whitespace skipping and positioned errors."""
+    """Text cursor with positioned errors; each read is one regex match that
+    first skips whitespace."""
 
     def __init__(self, text: str):
         self.text = text
@@ -41,8 +52,7 @@ class _Cursor:
         return ParseError(f"{message} at position {self.pos} in {self.text!r}")
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -50,27 +60,27 @@ class _Cursor:
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
+        found = _token(literal)(self.text, self.pos)
+        self.pos = found.end()
+        return found[1] is not None
 
     def expect(self, literal: str) -> None:
         if not self.take(literal):
             raise self.error(f"expected {literal!r}")
 
+    def int_or_none(self) -> int | None:
+        found = _INT.match(self.text, self.pos)
+        self.pos = found.end()
+        return None if found[1] is None else int(found[1])
+
     def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        value = self.int_or_none()
+        if value is None:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        return value
 
 
 @dataclass(frozen=True)
@@ -84,9 +94,7 @@ class RingExpression:
     def build(self) -> Ring:
         base: Ring = ResidueRing(self.modulus)
         if self.poly_coeffs is not None:
-            base = QuotientRing(
-                self.modulus, Polynomial(self.poly_coeffs, self.modulus)
-            )
+            base = QuotientRing(self.modulus, Polynomial(self.poly_coeffs, self.modulus))
         if self.group_factors is None:
             return base
         ring = GroupRing(base, group_from_factors(self.group_factors))
@@ -110,10 +118,8 @@ def _parse_poly_body(cur: _Cursor, modulus: int, var: str) -> tuple[int, ...]:
 
 
 def _parse_monomial(cur: _Cursor, var: str) -> tuple[int, int]:
-    cur.skip_ws()
-    coeff = None
-    if cur.peek().isdigit():
-        coeff = cur.read_int()
+    coeff = cur.int_or_none()
+    if coeff is not None:
         cur.take("*")
     if cur.take(var):
         power = cur.read_int() if cur.take("^") else 1
@@ -181,35 +187,21 @@ def build_ring(text: str) -> Ring:
     return parse_ring(text).build()
 
 
-def _parse_quotient_coeff(cur: _Cursor, ring: QuotientRing):
-    """A parenthesized polynomial or a bare integer, as a quotient element."""
-    if cur.take("("):
-        coeffs = _parse_poly_body(cur, ring.coefficient_modulus, ring._var_name)
-        cur.expect(")")
-        return ring.from_polynomial(Polynomial(coeffs, ring.coefficient_modulus))
-    return ring.from_int(cur.read_int())
-
-
-def _parse_group_basis(cur: _Cursor, ring: GroupRing) -> int:
+def _parse_group_basis(cur: _Cursor, group, names: tuple[str, ...]) -> int:
     """A basis symbol: ``e``, ``g^k``, or ``(a^i b^j)``; returns the group index."""
-    group = ring.group
-    names = group.generator_names()
     if cur.take("e"):
         return 0
     parenthesized = cur.take("(")
     exponents = [0] * group.rank
     matched = False
     while True:
-        cur.skip_ws()
-        which = None
         for k, name in enumerate(names):
             if cur.take(name):
-                which = k
                 break
-        if which is None:
+        else:
             break
         matched = True
-        exponents[which] += cur.read_int() if cur.take("^") else 1
+        exponents[k] += cur.read_int() if cur.take("^") else 1
     if parenthesized:
         cur.expect(")")
     if not matched:
@@ -218,29 +210,29 @@ def _parse_group_basis(cur: _Cursor, ring: GroupRing) -> int:
 
 
 def _parse_group_element(cur: _Cursor, ring: GroupRing):
-    base = ring.base
-    bd = base.dimension
+    """``[coefficient[*]] basis`` terms joined by "+", summed unreduced."""
+    base, group = ring.base, ring.group
+    bd, m = base.dimension, base.coefficient_modulus
+    names = group.generator_names()
+    starts = {"e", "("} | {name[0] for name in names}
+    quotient = isinstance(base, QuotientRing)
     flat = [0] * ring.dimension
     while True:
-        cur.skip_ws()
-        coeff = None
-        starred = False
-        if isinstance(base, QuotientRing) and cur.peek() == "(":
-            coeff = _parse_quotient_coeff(cur, base)
-            starred = cur.take("*")
-        elif cur.peek().isdigit():
-            coeff = base.from_int(cur.read_int())
-            starred = cur.take("*")
-        starts = {"e", "("} | {name[0] for name in ring.group.generator_names()}
+        if quotient and cur.take("("):
+            poly = Polynomial(_parse_poly_body(cur, m, base._var_name), m)
+            cur.expect(")")
+            coeff = base.from_polynomial(poly).coeffs
+        else:
+            value = cur.int_or_none()
+            coeff = None if value is None else (value,)
+        starred = coeff is not None and cur.take("*")
         if cur.peek() in starts:
-            idx = _parse_group_basis(cur, ring)
+            idx = _parse_group_basis(cur, group, names)
         elif coeff is not None and not starred:
             idx = 0
         else:
             raise cur.error("expected a coefficient or basis symbol")
-        if coeff is None:
-            coeff = base.from_int(1)
-        for k, c in enumerate(coeff.coeffs):
+        for k, c in enumerate(coeff or (1,)):
             flat[idx * bd + k] += c
         if not cur.take("+"):
             break

@@ -127,23 +127,25 @@ class Polynomial:
         return self * modular_inverse(self.leading, self.modulus)
 
     def to_text(self, var: str = "x") -> str:
-        """Canonical text form ``c0 + c1*x + c2*x^2`` (zero terms dropped)."""
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*{var}" if c != 1 else var)
-            else:
-                terms.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
-        return " + ".join(terms)
+        return poly_text(self.coeffs, var)
 
-    def __str__(self):
-        return self.to_text()
+    __str__ = to_text
+
+
+def poly_text(coeffs, var: str = "x") -> str:
+    """Canonical text ``c0 + c1*x + c2*x^2`` of reduced coefficients, lowest
+    first, zero terms dropped; "0" if all are 0."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append(f"{c}*{var}" if c != 1 else var)
+        else:
+            terms.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
+    return " + ".join(terms) or "0"
 
 
 # The list kernel.  A coefficient list is lowest degree first; a monic

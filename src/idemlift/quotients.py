@@ -8,7 +8,7 @@ with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
 from __future__ import annotations
 
 from .errors import UnsupportedError
-from .polynomials import Polynomial, poly_mulmod, reduce_mod
+from .polynomials import Polynomial, poly_mulmod, poly_text, reduce_mod
 from .rings import Element, Ring, is_prime, modular_inverse
 
 
@@ -51,10 +51,15 @@ class QuotientRing(Ring):
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(poly_mulmod(a, b, self._tail, self.coefficient_modulus))
 
-    def reduce_product(self, acc: list[int]) -> tuple[int, ...]:
-        """The unreduced product of two elements (2n - 1 raw coefficients,
-        overwritten here) reduced by the monic q and mod m."""
-        return tuple(reduce_mod(acc, self._tail, self.coefficient_modulus))
+    def reduce_slots(self, data: bytes, slices) -> tuple[int, ...]:
+        """Runs of 2n - 1 little-endian slots of data, each an unreduced
+        product of two elements, reduced by q and mod m."""
+        tail, m, w = self._tail, self.coefficient_modulus, 2 * self.dimension - 1
+        acc = [int.from_bytes(data[s], "little") for s in slices]
+        out = []
+        for k in range(0, len(acc), w):
+            out += reduce_mod(acc[k : k + w], tail, m)
+        return tuple(out)
 
     def reduce_to(self, c: int) -> "QuotientRing":
         return QuotientRing(c, Polynomial(self.q.coeffs, c))
@@ -68,14 +73,21 @@ class QuotientRing(Ring):
         return "i" if self.is_gaussian else "x"
 
     def expression(self) -> str:
+        m = self.coefficient_modulus
         if self.is_gaussian:
-            return f"Z({self.coefficient_modulus})[i]"
-        return f"Z({self.coefficient_modulus})[x]/({self.q.to_text()})"
+            return f"Z({m})[i]"
+        # over Z_1, q is 0: print x, as __init__ reads it
+        return f"Z({m})[x]/({self.q.to_text() if m > 1 else 'x'})"
 
     def element_text(self, x: PolyQuotientElement) -> str:
-        if not any(x.coeffs):
-            return "0"
-        return Polynomial(x.coeffs, self.coefficient_modulus).to_text(self._var_name)
+        return poly_text(x.coeffs, self._var_name)
+
+    def coefficient_texts(self, coeffs):
+        """Each block's text; nonzero blocks of n > 1 in parentheses."""
+        n, var = self.dimension, self._var_name
+        for k in range(0, len(coeffs), n):
+            text = poly_text(coeffs[k : k + n], var)
+            yield text if n == 1 or text == "0" else f"({text})"
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         # x^k mod q by shift and subtract, apart from the product kernel

@@ -273,9 +273,10 @@ class Ring:
     (the coefficient-vector length), may set ``element`` (the Element
     subclass they hand out), and implement the product kernel
     ``mul(a, b)`` on reduced coefficient tuples, ``reduce_to``,
-    ``expression``, ``element_text`` and ``structure_constants``.  A ring
-    that serves as a group ring's base also implements ``reduce_product``.
-    Everything else is generic.
+    ``expression``, ``element_text`` and ``structure_constants``.  A group
+    ring's base also has ``reduce_slots`` (see ``GroupRing.mul``) and
+    ``coefficient_texts`` (each block's text, "0" if zero), one call per
+    group-ring element.  Everything else is generic.
     """
 
     coefficient_modulus: int
@@ -354,9 +355,13 @@ class ResidueRing(Ring):
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return (a[0] * b[0] % self.coefficient_modulus,)
 
-    def reduce_product(self, acc: list[int]) -> tuple[int, ...]:
-        """The unreduced product of two elements (one raw integer), mod m."""
-        return (acc[0] % self.coefficient_modulus,)
+    def reduce_slots(self, data: bytes, slices) -> tuple[int, ...]:
+        """Each slot of data, a little-endian coefficient, mod m."""
+        m = self.coefficient_modulus
+        return tuple([int.from_bytes(data[s], "little") % m for s in slices])
+
+    def coefficient_texts(self, coeffs):
+        return map(str, coeffs)
 
     def reduce_to(self, c: int) -> "ResidueRing":
         return ResidueRing(c)

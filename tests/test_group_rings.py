@@ -50,7 +50,7 @@ def _sparse_element(rng, ring: GroupRing, terms: int):
     m = ring.coefficient_modulus
     vec = [0] * ring.dimension
     for _ in range(terms):
-        vec[rng.randrange(ring.dimension)] = rng.randrange(1, m)
+        vec[rng.randrange(ring.dimension)] = rng.randrange(1, m) if m > 1 else 0
     return ring.from_coeffs(vec)
 
 
@@ -218,3 +218,127 @@ class TestText:
         assert small.group == ring.group
         x = ring.from_coeffs((59, 83, 83))
         assert ring.reduce(x, small).coeff_vector() == (4, 3, 3)
+
+
+def structure_product(ring, a, b):
+    """sum_ij a_i b_j e_i e_j from the ring's structure constants, mod m."""
+    m, table = ring.coefficient_modulus, ring.structure_constants()
+    out = [0] * ring.dimension
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    for k, c in enumerate(table[i][j]):
+                        out[k] += x * y * c
+    return tuple(c % m for c in out)
+
+
+class TestWholeElementHooks:
+    @pytest.mark.parametrize("m", [1, 2, 6, 2**61 - 1, 2**63 - 25])
+    @pytest.mark.parametrize("factors", [(5,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("poly", [None, (1, 0, 1), (3, 1, 0, 1)])
+    def test_product_matches_structure_constants(self, m, factors, poly):
+        base = ResidueRing(m) if poly is None else QuotientRing(m, Polynomial(poly, m))
+        ring = GroupRing(base, AbelianGroup(factors))
+        rng = random.Random(f"sc:{m}:{factors}:{poly}")
+        operands = [_random_element(rng, ring) for _ in range(3)]
+        operands += [_sparse_element(rng, ring, 2), ring.from_coeffs((m - 1,) * ring.dimension)]
+        for x in operands:
+            # a is b takes the squaring branch; an equal copy does not
+            assert (x * x).coeffs == structure_product(ring, x.coeffs, x.coeffs)
+            twin = ring.element(ring, tuple(list(x.coeffs)))
+            assert twin.coeffs is not x.coeffs and x * twin == x * x
+            for y in operands:
+                assert (x * y).coeffs == structure_product(ring, x.coeffs, y.coeffs)
+
+    @pytest.mark.parametrize(
+        "base",
+        [ResidueRing(12), QuotientRing(9, Polynomial((1, 0, 1), 9)),
+         QuotientRing(7, Polynomial((3, 1, 0, 1), 7))],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("factors", [(4,), (2, 3), (2, 2, 3)])
+    def test_one_base_call_per_product_and_text(self, base, factors, monkeypatch):
+        ring = GroupRing(base, AbelianGroup(factors))
+        rng = random.Random(f"calls:{base!r}:{factors}")
+        x, y = _random_element(rng, ring), _random_element(rng, ring)
+        calls = []
+
+        def counted(name):
+            hook = getattr(base, name)
+            return lambda *args: calls.append(name) or hook(*args)
+
+        def forbidden(*args):
+            raise AssertionError("per-block base call")
+
+        for name in ("reduce_slots", "coefficient_texts"):
+            monkeypatch.setattr(base, name, counted(name))
+        for name in ("mul", "element", "element_text", "from_coeffs"):
+            monkeypatch.setattr(base, name, forbidden)
+        x * y
+        assert calls == ["reduce_slots"]
+        x * x
+        x**5  # two squarings and one multiply
+        assert calls == ["reduce_slots"] * 5
+        calls.clear()
+        ring.element_text(x)
+        ring.element_text(ring.zero)
+        assert calls == ["coefficient_texts"] * 2
+
+
+def reference_text(ring, x):
+    """Canonical group-ring text block by block, apart from the base's hooks."""
+    bd, m, group = ring.base.dimension, ring.coefficient_modulus, ring.group
+    var = "i" if isinstance(ring.base, QuotientRing) and ring.base.is_gaussian else "x"
+    terms = []
+    for idx in range(group.order):
+        block = x.coeffs[idx * bd : (idx + 1) * bd]
+        if not any(block) and group.rank > 1:
+            continue
+        monomials = []
+        for power, c in enumerate(block):
+            if c:
+                sym = "" if power == 0 else var if power == 1 else f"{var}^{power}"
+                monomials.append(str(c) if not sym else sym if c == 1 else f"{c}*{sym}")
+        text = " + ".join(monomials) or "0"
+        if bd > 1 and any(block):
+            text = f"({text})"
+        terms.append(f"{text}*{group.element_name(idx)}")
+    return " + ".join(terms) or "0"
+
+
+class TestTextMatchesReference:
+    @pytest.mark.parametrize(
+        "text",
+        ["Z(12){C5}", "Z(12){C2xC3}", "Z(7){C2xC2xC3}", "Z(1){C3}", "Z(1){C2xC2}",
+         "Z(25)[i]{C3}", "Z(9)[i]{C2xC2}", "Z(8)[x]/(1 + x + x^3){C4}",
+         "Z(8)[x]/(1 + x + x^3){C2xC3}", "Z(5)[x]/(2 + x){C3}", "Z(5)[x]/(2 + x){C2xC2xC2}",
+         "Z(2305843009213693951)[x]/(1 + x^2 + x^3){C2xC3}"],
+    )
+    def test_text_matches_block_renderer(self, text):
+        from idemlift.parsing import build_ring
+
+        ring = build_ring(text)
+        rng = random.Random(text)
+        m, bd = ring.coefficient_modulus, ring.base.dimension
+        elements = [ring.zero, ring.one, ring.from_int(3), ring.from_coeffs((m - 1,) * ring.dimension)]
+        elements += [_random_element(rng, ring) for _ in range(4)]
+        elements += [_sparse_element(rng, ring, 3) for _ in range(4)]
+        # zero blocks next to scalar blocks (3) and full blocks
+        blocks = [(0,) * bd, (3 % m,) + (0,) * (bd - 1), tuple(rng.randrange(m) for _ in range(bd))]
+        for _ in range(6):
+            elements.append(ring.from_coeffs(sum((rng.choice(blocks) for _ in range(ring.group.order)), ())))
+        for x in elements:
+            assert ring.element_text(x) == reference_text(ring, x)
+
+    def test_known_texts(self):
+        from idemlift.parsing import build_ring
+
+        ring = build_ring("Z(8)[x]/(1 + x + x^3){C2xC2}")
+        assert ring.element_text(ring.zero) == "0"
+        assert ring.element_text(ring.from_int(3)) == "(3)*e"
+        x = ring.from_coeffs((0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0))
+        assert ring.element_text(x) == "(1 + 2*x^2)*(b)"
+        dense = build_ring("Z(8)[x]/(1 + x + x^3){C3}")
+        assert dense.element_text(dense.zero) == "0*e + 0*g + 0*g^2"
+        assert dense.element_text(dense.from_int(3)) == "(3)*e + 0*g + 0*g^2"

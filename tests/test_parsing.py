@@ -5,7 +5,9 @@ The load-bearing property is the round trip: for every carrier kind,
 and the built ring's ``expression()`` reproduces the canonical text.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +159,12 @@ class TestParseElement:
         x = parse_element("(1 + x)*e + 0*g + (x)*g^2", ring)
         assert x.coeff_vector() == (1, 1, 0, 0, 0, 1)
 
+    def test_unicode_whitespace_anywhere(self):
+        ring = build_ring("Z(5)[i]{C3}")
+        text = "\t(3\u2003+ i)\n*\u00a0g ^\t2 +\r1 \u2003"
+        assert parse_element(text, ring).coeff_vector() == (1, 0, 0, 0, 3, 1)
+        assert parse_element("\u2003 7 \t", ResidueRing(12)) == ResidueRing(12).from_int(7)
+
     def test_group_garbage_rejected(self):
         ring = build_ring("Z(5){C3}")
         for bad in ["", "h", "g^", "3*", "g + ", "(g"]:
@@ -208,3 +216,87 @@ def test_element_text_round_trip(ring):
 def test_ring_expression_matches_built_ring(text):
     ring = build_ring(text)
     assert build_ring(ring.expression()) == ring
+
+
+# Malformed literals over every carrier kind with their exact ParseError text,
+# position included: the cursor may change how it scans, not what it reports.
+ERROR_SNAPSHOT = [
+    ('Z(12)', '', "expected an integer at position 0 in ''"),
+    ('Z(12)', '   ', "expected an integer at position 3 in '   '"),
+    ('Z(12)', 'x', "expected an integer at position 0 in 'x'"),
+    ('Z(12)', '2 3', "unexpected trailing input at position 2 in '2 3'"),
+    ('Z(12)', '-3', "expected an integer at position 0 in '-3'"),
+    ('Z(12)', '3 + 4', "unexpected trailing input at position 2 in '3 + 4'"),
+    ('Z(25)[i]', '3 + ', "expected a coefficient or 'i' at position 4 in '3 + '"),
+    ('Z(25)[i]', '2*j', "unexpected trailing input at position 2 in '2*j'"),
+    ('Z(25)[i]', 'i^', "expected an integer at position 2 in 'i^'"),
+    ('Z(25)[i]', 'i^5000', "exponent 5000 is above 1024 at position 6 in 'i^5000'"),
+    ('Z(25)[i]', '(1 + i)', "expected a coefficient or 'i' at position 0 in '(1 + i)'"),
+    ('Z(8)[x]/(1 + x + x^2)', '*x', "expected a coefficient or 'x' at position 0 in '*x'"),
+    ('Z(8)[x]/(1 + x + x^2)', 'x x', "unexpected trailing input at position 2 in 'x x'"),
+    ('Z(8)[x]/(1 + x + x^2)', 'x^2000 + 1', "exponent 2000 is above 1024 at position 6 in 'x^2000 + 1'"),
+    ('Z(200){C3}', 'e + ', "expected a coefficient or basis symbol at position 4 in 'e + '"),
+    ('Z(200){C3}', '3*g*g', "unexpected trailing input at position 3 in '3*g*g'"),
+    ('Z(200){C3}', 'g^-1', "expected an integer at position 2 in 'g^-1'"),
+    ('Z(200){C3}', '2 3', "unexpected trailing input at position 2 in '2 3'"),
+    ('Z(200){C3}', 'g12', "unexpected trailing input at position 1 in 'g12'"),
+    ('Z(200){C3}', '(e)', "expected ')' at position 1 in '(e)'"),
+    ('Z(200){C3}', 'h', "expected a coefficient or basis symbol at position 0 in 'h'"),
+    ('Z(200){C3}', '3*', "expected a coefficient or basis symbol at position 2 in '3*'"),
+    ('Z(200){C3}', '(g', "expected ')' at position 2 in '(g'"),
+    ('Z(200){C3}', ' 5 * g ^ 2 + + g', "expected a coefficient or basis symbol at position 13 in ' 5 * g ^ 2 + + g'"),
+    ('Z(936){C5xC5}', '(a)(b)', "unexpected trailing input at position 3 in '(a)(b)'"),
+    ('Z(936){C5xC5}', '3*(a b', "expected ')' at position 6 in '3*(a b'"),
+    ('Z(936){C5xC5}', 'c', "expected a coefficient or basis symbol at position 0 in 'c'"),
+    ('Z(936){C5xC5}', '(a b)^2', "unexpected trailing input at position 5 in '(a b)^2'"),
+    ('Z(936){C5xC5}', 'a^ b', "expected an integer at position 3 in 'a^ b'"),
+    ('Z(7){C2xC3xC5}', 'g1 g2 g4', "unexpected trailing input at position 6 in 'g1 g2 g4'"),
+    ('Z(7){C2xC3xC5}', '(a)', "expected ')' at position 1 in '(a)'"),
+    ('Z(2)[i]{C3}', '(x)(x)*g', "expected a coefficient or 'i' at position 1 in '(x)(x)*g'"),
+    ('Z(2)[i]{C3}', '(i^5000)*g', "exponent 5000 is above 1024 at position 7 in '(i^5000)*g'"),
+    ('Z(2)[i]{C3}', '(1 + i)*', "expected a coefficient or basis symbol at position 8 in '(1 + i)*'"),
+    ('Z(8)[x]/(1 + x + x^2){C5xC5}', '(x)(x)*a', "expected ')' at position 4 in '(x)(x)*a'"),
+    ('Z(8)[x]/(1 + x + x^2){C5xC5}', '(x + )*a', "expected a coefficient or 'x' at position 5 in '(x + )*a'"),
+    ('Z(8)[x]/(1 + x + x^2){C5xC5}', '(x)*(a b', "expected ')' at position 8 in '(x)*(a b'"),
+    ('Z(1){C3}', 'g^', "expected an integer at position 2 in 'g^'"),
+    ('Z(200){C3}', '3*g +\t\n', "expected a coefficient or basis symbol at position 7 in '3*g +\\t\\n'"),
+    ('Z(12)', '\u2003', "expected an integer at position 1 in '\\u2003'"),
+    ('Z(936){C5xC5}', '( a  b^2 ) + 2*( b', "expected ')' at position 18 in '( a  b^2 ) + 2*( b'"),
+    ('Z(8)[x]/(1 + x + x^2)', '3 + 2 * x ^', "expected an integer at position 11 in '3 + 2 * x ^'"),
+]
+
+
+@pytest.mark.parametrize("ring_text, literal, message", ERROR_SNAPSHOT)
+def test_parse_error_text_unchanged(ring_text, literal, message):
+    with pytest.raises(ParseError) as caught:
+        parse_element(literal, build_ring(ring_text))
+    assert str(caught.value) == message
+
+
+def test_oversize_literal_text_unchanged():
+    with pytest.raises(ParseError) as caught:
+        parse_element("1" * 1025, ResidueRing(5))
+    assert str(caught.value) == "element literal exceeds 1024 bytes"
+
+
+GOLDEN_RINGS = sorted(
+    {case["argv"][1] for case in json.loads(
+        (Path(__file__).parent / "golden" / "cli_bytes.json").read_text(encoding="utf-8"))}
+)
+ZERO_RINGS = ["Z(1)", "Z(1)[i]", "Z(1)[x]/(x)", "Z(1)[x]/(1 + x^3){C2}", "Z(1){C3}"]
+
+
+@pytest.mark.parametrize("text", sorted(set(RING_EXPRESSIONS + GOLDEN_RINGS + ZERO_RINGS)))
+def test_expression_round_trip(text):
+    # Ring.expression promises text the grammar accepts; over Z(1) every
+    # quotient is the zero ring and prints as Z(1)[x]/(x)
+    ring = build_ring(text)
+    assert build_ring(ring.expression()) == ring
+
+
+@pytest.mark.parametrize("literal", ["²", "1²", "g^²", "(²)*g"])
+@pytest.mark.parametrize("ring_text", ["Z(5)", "Z(5)[i]", "Z(5){C3}", "Z(5)[i]{C3}"])
+def test_non_decimal_digits_are_parse_errors(ring_text, literal):
+    # "²" is a digit to str.isdigit but not to int(); it is malformed input
+    with pytest.raises(ParseError):
+        parse_element(literal, build_ring(ring_text))
