@@ -132,7 +132,7 @@ class Polynomial:
     __str__ = to_text
 
 
-def poly_text(coeffs, var: str = "x") -> str:
+def poly_text(coeffs, var: str) -> str:
     """Canonical text ``c0 + c1*x + c2*x^2`` of reduced coefficients, lowest
     first, zero terms dropped; "0" if all are 0."""
     terms = []

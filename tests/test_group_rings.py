@@ -6,6 +6,7 @@ import pytest
 
 from idemlift.groups import AbelianGroup, all_subgroups, subgroup_generated
 from idemlift.group_rings import GroupRing, pow_tower
+from idemlift.parsing import build_ring
 from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing
 from idemlift.rings import ResidueRing
@@ -316,8 +317,6 @@ class TestTextMatchesReference:
          "Z(2305843009213693951)[x]/(1 + x^2 + x^3){C2xC3}"],
     )
     def test_text_matches_block_renderer(self, text):
-        from idemlift.parsing import build_ring
-
         ring = build_ring(text)
         rng = random.Random(text)
         m, bd = ring.coefficient_modulus, ring.base.dimension
@@ -332,8 +331,6 @@ class TestTextMatchesReference:
             assert ring.element_text(x) == reference_text(ring, x)
 
     def test_known_texts(self):
-        from idemlift.parsing import build_ring
-
         ring = build_ring("Z(8)[x]/(1 + x + x^3){C2xC2}")
         assert ring.element_text(ring.zero) == "0"
         assert ring.element_text(ring.from_int(3)) == "(3)*e"
