@@ -56,10 +56,8 @@ from .lifting import (
 from .oracle import brute_force_scan
 from .parsing import RingExpression, build_ring, parse_element, parse_ring
 from .polynomials import (
-    Polynomial,
     PolyFactorization,
     berlekamp_factor,
-    poly_ext_gcd,
     poly_gcd,
 )
 from .quotients import QuotientRing, gaussian_idempotents, gaussian_ring
@@ -85,7 +83,6 @@ __all__ = [
     "LiftReport",
     "ParseError",
     "PolyFactorization",
-    "Polynomial",
     "PrimePowerFactorization",
     "QuotientRing",
     "ResidueRing",
@@ -123,7 +120,6 @@ __all__ = [
     "parse_element",
     "parse_ring",
     "poly_crt_combine",
-    "poly_ext_gcd",
     "poly_gcd",
     "pow_tower",
     "power_lift",

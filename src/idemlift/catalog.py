@@ -43,7 +43,7 @@ from .groups import (
 )
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import Polynomial, _null_space, _split_by, berlekamp_factor
+from .polynomials import _divmod, _null_space, _product, _split_by, _trim, berlekamp_factor
 from .quotients import QuotientRing
 from .rings import ResidueRing, Ring, factorize, is_prime, modular_inverse
 
@@ -224,15 +224,18 @@ def _split_piece(e: list[int], c: list[int], mul, p: int) -> list[list[int]]:
         inv = modular_inverse(vec[piv], p)
         echelon.append((piv, [a * inv % p for a in vec], [a * inv % p for a in comb]))
         powers.append(mul(powers[-1], c))
-    mu = Polynomial(tuple(comb), p)
-    if mu.degree == 1:
+    mu = _trim(comb)
+    if len(mu) == 2:
         return [e]
     out = []
-    for root in _split_by(list(mu.coeffs), [0, 1], p):
-        lag = mu // Polynomial(tuple(root), p)
-        lag = lag * modular_inverse(lag(-root[0]), p)
+    for root in _split_by(mu, [0, 1], p):
+        lag = _divmod(mu, root, p)[0]
+        value = 0  # lag at the root -root[0], by Horner
+        for a in reversed(lag):
+            value = (value * -root[0] + a) % p
+        inv = modular_inverse(value, p)
         out.append(
-            [sum(a * v[i] for a, v in zip(lag.coeffs, powers)) % p for i in range(len(e))]
+            [sum(a * v[i] for a, v in zip(lag, powers)) * inv % p for i in range(len(e))]
         )
     return out
 
@@ -392,11 +395,12 @@ def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> Idem
 
 def poly_crt_combine(
     p: int,
-    mpoly: Polynomial,
+    mpoly,
     group: AbelianGroup = TRIVIAL_GROUP,
     list_cap: int = DEFAULT_LIST_CAP,
 ) -> IdempotentFamily:
-    """E((F_p[x]/(m(x))) G) from the factorization m(x) = prod q_i^{r_i}.
+    """E((F_p[x]/(m(x))) G) from the factorization m(x) = prod q_i^{r_i},
+    m(x) a coefficient sequence, lowest degree first.
 
     The combination rule is e = sum_i s_i(x) m_i(x) f_i^{p^{r_i - 1}} over
     choices of f_i from E((F_p[x]/(q_i)) G).  Without a group each factor
@@ -406,22 +410,21 @@ def poly_crt_combine(
     """
     if not is_prime(p):
         raise ValueError(f"poly_crt_combine requires a prime modulus, got {p}")
-    mpoly = Polynomial(mpoly.coeffs, p)
     quotient = QuotientRing(p, mpoly)
     carrier: Ring = quotient if group.is_trivial else GroupRing(quotient, group)
-    fact = berlekamp_factor(mpoly)
+    fact = berlekamp_factor(quotient.q, p)
     weights = []
     alphas = []
     families = []
-    for fac, cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
+    for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         # the weight s_i(x) m_i(x) sits at the group identity, block 0
-        w = quotient.from_polynomial(inv * cof).coeffs
+        w = quotient.from_polynomial(_product(inv, cof)).coeffs
         weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
-        alphas.append(p ** (fac.multiplicity - 1))
-        factor_ring = QuotientRing(p, fac.poly)
+        alphas.append(p ** (e - 1))
+        factor_ring = QuotientRing(p, q)
         if group.is_trivial:
             families.append(_trivial_pair_family(factor_ring, list_cap=0))
-        elif fac.poly.degree == 1:
+        elif len(q) == 2:
             # F_p[x]/(x - a) is F_p, so E(F_p G) is the factor's family
             families.append(
                 base_field_idempotents(GroupRing(ResidueRing(p), group), list_cap=0)

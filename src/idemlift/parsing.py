@@ -23,7 +23,6 @@ from functools import cache
 from .errors import ParseError, SizeLimitError
 from .groups import group_from_factors
 from .group_rings import GroupRing
-from .polynomials import Polynomial
 from .quotients import QuotientRing
 from .rings import ResidueRing, Ring
 
@@ -94,7 +93,7 @@ class RingExpression:
     def build(self) -> Ring:
         base: Ring = ResidueRing(self.modulus)
         if self.poly_coeffs is not None:
-            base = QuotientRing(self.modulus, Polynomial(self.poly_coeffs, self.modulus))
+            base = QuotientRing(self.modulus, self.poly_coeffs)
         if self.group_factors is None:
             return base
         ring = GroupRing(base, group_from_factors(self.group_factors))
@@ -219,9 +218,8 @@ def _parse_group_element(cur: _Cursor, ring: GroupRing):
     flat = [0] * ring.dimension
     while True:
         if quotient and cur.take("("):
-            poly = Polynomial(_parse_poly_body(cur, m, base._var_name), m)
+            coeff = base.from_polynomial(_parse_poly_body(cur, m, base._var_name)).coeffs
             cur.expect(")")
-            coeff = base.from_polynomial(poly).coeffs
         else:
             value = cur.int_or_none()
             coeff = None if value is None else (value,)
@@ -247,8 +245,9 @@ def parse_element(text: str, ring: Ring):
     if isinstance(ring, GroupRing):
         out = _parse_group_element(cur, ring)
     elif isinstance(ring, QuotientRing):
-        coeffs = _parse_poly_body(cur, ring.coefficient_modulus, ring._var_name)
-        out = ring.from_polynomial(Polynomial(coeffs, ring.coefficient_modulus))
+        out = ring.from_polynomial(
+            _parse_poly_body(cur, ring.coefficient_modulus, ring._var_name)
+        )
     elif isinstance(ring, ResidueRing):
         out = ring.from_int(cur.read_int())
     else:

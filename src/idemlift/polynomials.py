@@ -1,13 +1,12 @@
 """Dense univariate polynomials over Z_m and factorization over prime fields.
 
-Coefficients are stored lowest degree first with trailing zeros trimmed, so
-the zero polynomial is the empty tuple and ``degree`` is -1 for it.  Ring
-operations work over any modulus; gcd, extended gcd and Berlekamp
-factorization require a prime modulus and say so.
-
-``Polynomial`` is the API type; the factorizer runs on coefficient lists.
-Its products in F_p[x]/(u) go through ``poly_mulmod`` (schoolbook product,
-reduced by the monic u, then mod p), the kernel ``QuotientRing`` shares.
+A polynomial is a sequence of coefficients, lowest degree first; the
+functions below take lists or tuples, and the zero polynomial is empty.
+What leaves the module (gcds, factors, cofactors, inverses) is reduced
+mod m with trailing zeros trimmed.  Products in Z_m[x]/(u) go through
+``poly_mulmod`` (schoolbook product, reduced by the monic u, then mod m),
+the kernel ``QuotientRing`` shares.  Gcds and Berlekamp factorization
+require a prime modulus and say so.
 
 The factorizer is Berlekamp's method: squarefree reduction through gcd
 with the derivative (p-th powers handled by coefficient-wise p-th roots,
@@ -29,107 +28,6 @@ from .errors import SizeLimitError
 from .rings import is_prime, modular_inverse
 
 BERLEKAMP_DEGREE_CAP = 64
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    coeffs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        cs = _trim([c % self.modulus for c in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def constant(c: int, modulus: int) -> "Polynomial":
-        return Polynomial((c,), modulus)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 standing in for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> int:
-        if self.is_zero():
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading == 1
-
-    def _match(self, other: "Polynomial"):
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mismatched moduli: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other):
-        self._match(other)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return Polynomial(tuple(x + y for x, y in pairs), self.modulus)
-
-    def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs), self.modulus)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return Polynomial(tuple(c * other for c in self.coeffs), self.modulus)
-        self._match(other)
-        return Polynomial(tuple(_product(self.coeffs, other.coeffs)), self.modulus)
-
-    def __rmul__(self, scalar: int):
-        return self * scalar
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
-    def divmod_by(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder; the divisor's leading coefficient must be a unit."""
-        self._match(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divmod(self.coeffs, divisor.coeffs, self.modulus)
-        return Polynomial(tuple(q), self.modulus), Polynomial(tuple(r), self.modulus)
-
-    def __floordiv__(self, other):
-        return self.divmod_by(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod_by(other)[1]
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponents are not defined here")
-        result = Polynomial.constant(1, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero() or self.leading == 1:
-            return self
-        return self * modular_inverse(self.leading, self.modulus)
-
-    def to_text(self, var: str = "x") -> str:
-        return poly_text(self.coeffs, var)
-
-    __str__ = to_text
 
 
 def poly_text(coeffs, var: str) -> str:
@@ -197,24 +95,13 @@ def _require_prime(m: int, what: str):
         raise ValueError(f"{what} requires a prime modulus, got {m}")
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over a prime field."""
-    f._match(g)
-    _require_prime(f.modulus, "poly_gcd")
-    if f.is_zero() and g.is_zero():
+def poly_gcd(f, g, p: int) -> tuple[int, ...]:
+    """Monic gcd of two coefficient sequences over a prime field."""
+    _require_prime(p, "poly_gcd")
+    f, g = (_trim([c % p for c in h]) for h in (f, g))
+    if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    return Polynomial(tuple(_gcd(f.coeffs, g.coeffs, f.modulus)), f.modulus)
-
-
-def poly_ext_gcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(d, u, v) with u*f + v*g == d, d the monic gcd, over a prime field."""
-    f._match(g)
-    _require_prime(f.modulus, "poly_ext_gcd")
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    p = f.modulus
-    d, u = (Polynomial(tuple(c), p) for c in _ext_gcd(f.coeffs, g.coeffs, p))
-    return d, u, (d - u * f) // g if g.coeffs else g
+    return tuple(_gcd(f, g, p))
 
 
 # The Euclid loops take trimmed lists and skip those checks: their callers
@@ -236,17 +123,6 @@ def _ext_gcd(f, g, p: int) -> tuple[list[int], list[int]]:
         old_r, r, old_u, u = r, _trim(rem), u, _trim([(a - b) % p for a, b in diff])
     inv = pow(old_r[-1], -1, p)
     return [c * inv % p for c in old_r], [c * inv % p for c in old_u]
-
-
-def poly_powmod(f: Polynomial, e: int, mod: Polynomial) -> Polynomial:
-    """f**e modulo ``mod``, whose leading coefficient must be a unit."""
-    if e < 0:
-        raise ValueError("negative exponents are not defined here")
-    f._match(mod)
-    if mod.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    tail = mod.monic().coeffs[:-1]
-    return Polynomial(tuple(_powmod(list(f.coeffs), e, tail, f.modulus)), f.modulus)
 
 
 def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
@@ -387,40 +263,37 @@ def _distinct_irreducible_factors(f: list[int], p: int) -> list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class PolyFactor:
-    poly: Polynomial
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class PolyFactorization:
     """f = unit * prod q_i^{e_i} over F_p, with Bezout data per factor.
 
-    cofactors[i] is the monic part divided by q_i^{e_i}; inverses[i] is
-    s_i(x) with s_i * cofactor_i == 1 (mod q_i^{e_i}).
+    factors[i] is (q_i, e_i) with q_i monic irreducible; cofactors[i] is
+    the monic part divided by q_i^{e_i}; inverses[i] is s_i(x) with
+    s_i * cofactor_i == 1 (mod q_i^{e_i}).  Every polynomial is a trimmed
+    coefficient tuple, lowest degree first.
     """
 
-    input: Polynomial
     unit: int
-    factors: tuple[PolyFactor, ...]
-    cofactors: tuple[Polynomial, ...]
-    inverses: tuple[Polynomial, ...]
+    factors: tuple[tuple[tuple[int, ...], int], ...]
+    cofactors: tuple[tuple[int, ...], ...]
+    inverses: tuple[tuple[int, ...], ...]
 
 
-def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> PolyFactorization:
-    """Deterministic full factorization of f over F_p.
+def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
+    """Deterministic full factorization over F_p of the coefficient
+    sequence ``coeffs``, lowest degree first.
 
     Verifies its own output: the factors multiply back to the input, are
     pairwise coprime, and each passes an irreducibility re-check.
     """
-    _require_prime(f.modulus, "berlekamp_factor")
-    if f.is_zero():
+    _require_prime(p, "berlekamp_factor")
+    f = _trim([c % p for c in coeffs])
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if f.degree > degree_cap:
-        raise SizeLimitError(f"degree {f.degree} exceeds cap {degree_cap}")
-    p = f.modulus
-    unit = f.leading
-    monic = list(f.monic().coeffs)
+    if len(f) - 1 > BERLEKAMP_DEGREE_CAP:
+        raise SizeLimitError(f"degree {len(f) - 1} exceeds cap {BERLEKAMP_DEGREE_CAP}")
+    unit = f[-1]
+    inv = pow(unit, -1, p)
+    monic = [c * inv % p for c in f]
     distinct = _distinct_irreducible_factors(monic, p)
     factors = []
     powers = []
@@ -432,7 +305,7 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
             if _trim(rem):
                 break
             rest, e, qe = quo, e + 1, [c % p for c in _product(qe, q)]
-        factors.append(PolyFactor(Polynomial(q, p), e))
+        factors.append((q, e))
         powers.append(qe)
     if rest != [1]:
         raise ArithmeticError("factorization did not exhaust the input")
@@ -441,7 +314,7 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
         check = [c % p for c in _product(check, qe)]
         if len(q) > 2 and len(_split_squarefree(q, p)) != 1:
             raise ArithmeticError(f"factor {q} failed irreducibility re-check")
-    if tuple(check) != f.coeffs:
+    if check != f:
         raise ArithmeticError("factor product does not reproduce the input")
     for a, b in combinations(distinct, 2):
         if len(_gcd(a, b, p)) != 1:
@@ -453,8 +326,6 @@ def berlekamp_factor(f: Polynomial, degree_cap: int = BERLEKAMP_DEGREE_CAP) -> P
         d, u = _ext_gcd(cof, qe, p)
         if len(d) != 1:
             raise ArithmeticError("cofactor is not invertible modulo its factor")
-        cofactors.append(Polynomial(tuple(cof), p))
-        inverses.append(Polynomial(tuple(reduce_mod(u, qe[:-1], p)), p))
-    return PolyFactorization(
-        f, unit, tuple(factors), tuple(cofactors), tuple(inverses)
-    )
+        cofactors.append(tuple(cof))
+        inverses.append(tuple(_trim(reduce_mod(u, qe[:-1], p))))
+    return PolyFactorization(unit, tuple(factors), tuple(cofactors), tuple(inverses))

@@ -8,7 +8,7 @@ with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
 from __future__ import annotations
 
 from .errors import UnsupportedError
-from .polynomials import Polynomial, poly_mulmod, poly_text, reduce_mod
+from .polynomials import _trim, poly_mulmod, poly_text, reduce_mod
 from .rings import Element, Ring, is_prime, modular_inverse
 
 
@@ -20,18 +20,22 @@ class PolyQuotientElement(Element):
 
 
 class QuotientRing(Ring):
-    """Z_m[x]/(q) with q monic of degree >= 1."""
+    """Z_m[x]/(q) with q monic of degree >= 1.
+
+    q is a coefficient sequence, lowest degree first; it is stored as the
+    tuple ``self.q``, reduced mod m with trailing zeros trimmed.
+    """
 
     element = PolyQuotientElement
 
-    def __init__(self, modulus: int, q: Polynomial):
+    def __init__(self, modulus: int, q):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        q = Polynomial(q.coeffs, modulus)
+        q = tuple(_trim([c % modulus for c in q]))
         # the zero ring (m = 1) keeps one coefficient, as if q were x
-        self._tail = q.coeffs[:-1] if modulus > 1 else (0,)
-        if modulus > 1 and not q.is_monic():
-            raise ValueError(f"quotient modulus must be monic, got {q}")
+        self._tail = q[:-1] if modulus > 1 else (0,)
+        if modulus > 1 and q[-1:] != (1,):
+            raise ValueError(f"quotient modulus must be monic, got {poly_text(q, 'x')}")
         if not self._tail:
             raise ValueError("quotient modulus must have degree >= 1")
         self.coefficient_modulus = modulus
@@ -44,8 +48,9 @@ class QuotientRing(Ring):
             raise ValueError("quotient of degree 1 has no residual variable")
         return self.from_coeffs((0, 1) + (0,) * (self.dimension - 2))
 
-    def from_polynomial(self, poly: Polynomial) -> PolyQuotientElement:
-        cs = reduce_mod(list(poly.coeffs), self._tail, self.coefficient_modulus)
+    def from_polynomial(self, coeffs) -> PolyQuotientElement:
+        """The residue of a coefficient sequence of any length."""
+        cs = reduce_mod(list(coeffs), self._tail, self.coefficient_modulus)
         return self.element(self, tuple(cs) + (0,) * (self.dimension - len(cs)))
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -62,11 +67,11 @@ class QuotientRing(Ring):
         return tuple(out)
 
     def reduce_to(self, c: int) -> "QuotientRing":
-        return QuotientRing(c, Polynomial(self.q.coeffs, c))
+        return QuotientRing(c, self.q)
 
     @property
     def is_gaussian(self) -> bool:
-        return self.q.coeffs == (1, 0, 1)
+        return self.q == (1, 0, 1)
 
     @property
     def _var_name(self) -> str:
@@ -77,7 +82,7 @@ class QuotientRing(Ring):
         if self.is_gaussian:
             return f"Z({m})[i]"
         # over Z_1, q is 0: print x, as __init__ reads it
-        return f"Z({m})[x]/({self.q.to_text() if m > 1 else 'x'})"
+        return f"Z({m})[x]/({poly_text(self.q, 'x') if m > 1 else 'x'})"
 
     def element_text(self, x: PolyQuotientElement) -> str:
         return poly_text(x.coeffs, self._var_name)
@@ -91,7 +96,7 @@ class QuotientRing(Ring):
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         # x^k mod q by shift and subtract, apart from the product kernel
-        n, m, q = self.dimension, self.coefficient_modulus, self.q.coeffs
+        n, m, q = self.dimension, self.coefficient_modulus, self.q
         xs = [tuple(int(i == k) % m for i in range(n)) for k in range(n)]
         for _ in range(n - 1):
             s = (0,) + xs[-1]
@@ -102,11 +107,11 @@ class QuotientRing(Ring):
         return (
             isinstance(other, QuotientRing)
             and other.coefficient_modulus == self.coefficient_modulus
-            and other.q.coeffs == self.q.coeffs
+            and other.q == self.q
         )
 
     def __hash__(self):
-        return hash(("QuotientRing", self.coefficient_modulus, self.q.coeffs))
+        return hash(("QuotientRing", self.coefficient_modulus, self.q))
 
     def __repr__(self):
         return f"QuotientRing({self.coefficient_modulus}, {self.q!r})"
@@ -114,7 +119,7 @@ class QuotientRing(Ring):
 
 def gaussian_ring(m: int) -> QuotientRing:
     """Z_m[i] as Z_m[x]/(x^2 + 1)."""
-    return QuotientRing(m, Polynomial((1, 0, 1), m))
+    return QuotientRing(m, (1, 0, 1))
 
 
 def gaussian_idempotents(p: int) -> list[PolyQuotientElement]:

@@ -23,7 +23,6 @@ from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
-from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
 
@@ -97,7 +96,7 @@ class TestCyclicBase:
 
 def _over(p, q, *factors):
     """(F_p[x]/(q)) G, or F_p G when q is None."""
-    base = ResidueRing(p) if q is None else QuotientRing(p, Polynomial(q, p))
+    base = ResidueRing(p) if q is None else QuotientRing(p, q)
     return GroupRing(base, AbelianGroup(factors))
 
 
@@ -261,37 +260,37 @@ class TestBaseFieldDispatch:
 
 class TestPolyCrtCombine:
     def test_gaussian_f5_matches_closed_form(self):
-        fam = poly_crt_combine(5, Polynomial((1, 0, 1), 5))
+        fam = poly_crt_combine(5, (1, 0, 1))
         assert _vectors(fam.members) == [(0, 0), (1, 0), (3, 1), (3, 4)]
         assert fam.provenance == "crt-combined"
         assert fam.orthogonal_primitive
 
     def test_irreducible_modulus_gives_field(self):
-        fam = poly_crt_combine(3, Polynomial((1, 0, 1), 3))
+        fam = poly_crt_combine(3, (1, 0, 1))
         assert _vectors(fam.members) == [(0, 0), (1, 0)]
         assert fam.provenance == "factorization"
 
     def test_square_linear_factor_with_group(self):
         # (F2[x]/((x+1)^2)) C3: 64-element carrier, |E| = 4
-        fam = poly_crt_combine(2, Polynomial((1, 0, 1), 2), AbelianGroup((3,)))
+        fam = poly_crt_combine(2, (1, 0, 1), AbelianGroup((3,)))
         assert fam.count == 4
         assert fam.provenance == "lifted"
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_extension_field_with_group(self):
         # F_4 C_3: 4 = 1 mod 3, so three components and 8 idempotents
-        fam = poly_crt_combine(2, Polynomial((1, 1, 1), 2), AbelianGroup((3,)))
+        fam = poly_crt_combine(2, (1, 1, 1), AbelianGroup((3,)))
         assert fam.count == 8
         assert fam.orthogonal_primitive
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_extension_field_trivial_group_fine(self):
-        fam = poly_crt_combine(2, Polynomial((1, 1, 1), 2), TRIVIAL_GROUP)
+        fam = poly_crt_combine(2, (1, 1, 1), TRIVIAL_GROUP)
         assert _vectors(fam.members) == [(0, 0), (1, 0)]
 
     def test_mixed_factors_against_oracle(self):
         # x^3 + x over F5 = x (x+2)(x+3): three linear factors
-        fam = poly_crt_combine(5, Polynomial((0, 1, 0, 1), 5))
+        fam = poly_crt_combine(5, (0, 1, 0, 1))
         assert fam.count == 8
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
@@ -377,8 +376,8 @@ class TestEnumerate:
             GroupRing(ResidueRing(10), AbelianGroup((2, 2))),
             gaussian_ring(25),
             gaussian_ring(13),
-            QuotientRing(10, Polynomial((1, 1, 1), 10)),
-            GroupRing(QuotientRing(2, Polynomial((1, 0, 1), 2)), AbelianGroup((3,))),
+            QuotientRing(10, (1, 1, 1)),
+            GroupRing(QuotientRing(2, (1, 0, 1)), AbelianGroup((3,))),
         ],
         ids=lambda r: r.expression(),
     )
@@ -388,7 +387,7 @@ class TestEnumerate:
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring))
 
     def test_deep_tower_group_ring_over_quotient(self):
-        ring = GroupRing(QuotientRing(25, Polynomial((1, 0, 1), 25)), AbelianGroup((3,)))
+        ring = GroupRing(QuotientRing(25, (1, 0, 1)), AbelianGroup((3,)))
         fam = enumerate_idempotents(ring)
         assert fam.count == 16
         assert fam.complete

@@ -237,6 +237,15 @@ class TestCount:
         assert code == 3
         assert err == "error: ring dimension 1114112 exceeds cap 1048576\n"
 
+    def test_factor_degree_cap(self, capsys):
+        # 1 + x^64 = (1 + x)^64 over F_2: the largest degree Berlekamp takes
+        code, out, err = run(capsys, "count", "Z(2)[x]/(1 + x^64)")
+        assert (code, err) == (0, "")
+        assert out == "|E(Z(2)[x]/(1 + x^64))| = 2 = 2^1\nprimitive count: 1\n"
+        code, out, err = run(capsys, "count", "Z(2)[x]/(1 + x^65)")
+        assert (code, out) == (3, "")
+        assert err == "error: degree 65 exceeds cap 64\n"
+
     def test_square_of_31_bit_prime_within_budget(self, capsys):
         # (2^31 - 1)^2: a prime power, so only the one orbit of the trivial group
         start = time.perf_counter()

@@ -25,7 +25,6 @@ from idemlift.lifting import (
     verify_orthogonal,
 )
 from idemlift.oracle import brute_force_scan
-from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
 
@@ -359,8 +358,8 @@ class TestVerifyFamily:
             GroupRing(ResidueRing(10), AbelianGroup((2, 2))),
             gaussian_ring(25),
             gaussian_ring(13),
-            QuotientRing(10, Polynomial((1, 1, 1), 10)),
-            GroupRing(QuotientRing(2, Polynomial((1, 0, 1), 2)), AbelianGroup((3,))),
+            QuotientRing(10, (1, 1, 1)),
+            GroupRing(QuotientRing(2, (1, 0, 1)), AbelianGroup((3,))),
         ],
         ids=lambda r: r.expression(),
     )

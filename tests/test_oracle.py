@@ -6,7 +6,6 @@ from idemlift.errors import SizeLimitError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup
 from idemlift.oracle import brute_force_scan, brute_force_scan_slow
-from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
 
@@ -19,13 +18,13 @@ SMALL_RINGS = [
     ResidueRing(36),
     gaussian_ring(5),
     gaussian_ring(7),
-    QuotientRing(4, Polynomial((1, 1, 1), 4)),
-    QuotientRing(3, Polynomial((2, 0, 0, 1), 3)),
+    QuotientRing(4, (1, 1, 1)),
+    QuotientRing(3, (2, 0, 0, 1)),
     GroupRing(ResidueRing(2), AbelianGroup((3,))),
     GroupRing(ResidueRing(5), AbelianGroup((3,))),
     GroupRing(ResidueRing(3), AbelianGroup((2, 2))),
     GroupRing(ResidueRing(8), AbelianGroup((3,))),
-    GroupRing(QuotientRing(2, Polynomial((1, 0, 1), 2)), AbelianGroup((3,))),
+    GroupRing(QuotientRing(2, (1, 0, 1)), AbelianGroup((3,))),
 ]
 
 

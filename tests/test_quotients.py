@@ -7,14 +7,13 @@ import pytest
 
 from idemlift.errors import UnsupportedError
 from idemlift.oracle import brute_force_scan
-from idemlift.polynomials import Polynomial
 from idemlift.quotients import QuotientRing, gaussian_idempotents, gaussian_ring
 from idemlift.rings import ResidueRing
 
 
 class TestQuotientRing:
     def test_shape_and_cardinality(self):
-        ring = QuotientRing(8, Polynomial((1, 1, 1), 8))
+        ring = QuotientRing(8, (1, 1, 1))
         assert ring.dimension == 2
         assert ring.cardinality == 64
         assert ring.characteristic == 8
@@ -28,11 +27,11 @@ class TestQuotientRing:
 
     def test_requires_monic(self):
         with pytest.raises(ValueError):
-            QuotientRing(4, Polynomial((1, 2), 4))
+            QuotientRing(4, (1, 2))
 
     def test_requires_degree(self):
         with pytest.raises(ValueError):
-            QuotientRing(4, Polynomial((3,), 4))
+            QuotientRing(4, (3,))
 
     def test_variable_squared_reduces(self):
         ring = gaussian_ring(5)
@@ -40,14 +39,49 @@ class TestQuotientRing:
         assert (i * i).coeff_vector() == (4, 0)
 
     def test_from_polynomial_reduces_high_degree(self):
-        ring = QuotientRing(7, Polynomial((1, 0, 0, 1), 7))
-        x5 = ring.from_polynomial(Polynomial((0,) * 5 + (1,), 7))
+        ring = QuotientRing(7, (1, 0, 0, 1))
+        x5 = ring.from_polynomial((0,) * 5 + (1,))
         x = ring.variable
         assert x5 == x * x * x * x * x
+        assert x5.coeff_vector() == (0, 0, 6)  # x^5 = -x^2 mod x^3 + 1
+        assert ring.from_polynomial([8, 0, 0, 0, 0, 1]) == x5 + ring.one
+        assert ring.from_polynomial(()) == ring.zero
+
+
+class TestTupleContract:
+    """q is a coefficient tuple, lowest degree first, reduced and trimmed."""
+
+    def test_q_reduced_mod_m_and_trimmed(self):
+        ring = QuotientRing(5, (6, 0, 1, 0))
+        assert ring == QuotientRing(5, (1, 0, 1))
+        assert hash(ring) == hash(QuotientRing(5, (1, 0, 1)))
+        assert ring.q == (1, 0, 1)
+        assert ring.dimension == 2
+        assert repr(ring) == "QuotientRing(5, (1, 0, 1))"
+        assert QuotientRing(3, [4, 2, 1]).q == (1, 2, 1)
+
+    @pytest.mark.parametrize(
+        "m, q", [(4, (1, 2)), (7, (1, 3, 0)), (6, (0, 1, 5)), (5, ()), (5, (0, 0))]
+    )
+    def test_non_monic_rejected(self, m, q):
+        with pytest.raises(ValueError, match="must be monic"):
+            QuotientRing(m, q)
+
+    @pytest.mark.parametrize("m, q", [(4, (1,)), (5, (1, 5)), (2, (3, 0, 0))])
+    def test_degree_zero_rejected(self, m, q):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            QuotientRing(m, q)
+
+    @pytest.mark.parametrize("q", [(1, 0, 1), (5, 3), (2,), ()])
+    def test_zero_ring_has_dimension_one(self, q):
+        ring = QuotientRing(1, q)
+        assert ring.dimension == 1
+        assert ring.expression() == "Z(1)[x]/(x)"
+        assert ring == QuotientRing(1, (0, 1))
 
     def test_ring_axioms_random(self):
         rng = random.Random(77)
-        ring = QuotientRing(6, Polynomial((2, 5, 1), 6))
+        ring = QuotientRing(6, (2, 5, 1))
         elems = list(ring.elements())
         for _ in range(200):
             a, b, c = (rng.choice(elems) for _ in range(3))
@@ -64,7 +98,7 @@ class TestQuotientRing:
         assert ring.reduce(x, small).coeff_vector() == (3, 1)
 
     def test_elements_iteration_lexicographic(self):
-        ring = QuotientRing(2, Polynomial((1, 1, 1), 2))
+        ring = QuotientRing(2, (1, 1, 1))
         assert [x.coeff_vector() for x in ring.elements()] == [
             (0, 0),
             (0, 1),
@@ -73,7 +107,7 @@ class TestQuotientRing:
         ]
 
     def test_structure_constants_match_products(self):
-        ring = QuotientRing(9, Polynomial((3, 2, 1), 9))
+        ring = QuotientRing(9, (3, 2, 1))
         table = ring.structure_constants()
         basis = [ring.from_coeffs((1, 0)), ring.from_coeffs((0, 1))]
         for i in range(2):
@@ -125,6 +159,6 @@ class TestGaussianIdempotents:
 
 class TestZeroRing:
     def test_modulus_one_collapses(self):
-        ring = QuotientRing(1, Polynomial((1, 0, 1), 1))
+        ring = QuotientRing(1, (1, 0, 1))
         assert ring.cardinality == 1
         assert ring.zero == ring.one
