@@ -30,6 +30,7 @@ certified is an error, never a silent downgrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from math import gcd, prod
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
@@ -132,7 +133,7 @@ def _build_family(
             raise VerificationError(
                 f"claimed member {ring.element_text(x)} is not idempotent"
             )
-    if len(set(m.coeff_vector() for m in members)) != len(members):
+    if any(x == y for x, y in pairwise(members)):
         raise VerificationError("complete family contains duplicates")
     return IdempotentFamily(
         ring=ring,
@@ -163,18 +164,20 @@ def _atoms_of(members, ring: Ring) -> tuple:
 
 
 def _subset_sums(primitive, ring: Ring) -> list:
-    # The listing grows by the 16 subset sums of four primitives at a time,
-    # into a new list each pass.  Doubling one list in place allocates the
-    # same members, yet the benchmark worker's peak RSS on list_render rose
-    # from 37.2 to 39.1 MiB; this order peaks at 37.3 (medians of ten runs,
-    # 2-core Xeon, Python 3.11).
-    out = [ring.zero]
+    # Sums of packed ints: one addition and one guarded subtraction of m per
+    # listed member.  The listing grows by the 16 subset sums of four
+    # primitives at a time, into a new list each pass.  Doubling one list in
+    # place allocates the same members, yet the benchmark worker's peak RSS
+    # on list_render rose from 37.2 to 39.1 MiB; this order peaks at 37.3
+    # (medians of ten runs, 2-core Xeon, Python 3.11).
+    add = ring.add
+    out = [0]
     for i in range(0, len(primitive), 4):
-        batch = [ring.zero]
+        batch = [0]
         for e in primitive[i : i + 4]:
-            batch.extend([x + e for x in batch])
-        out = [x + y for x in out for y in batch]
-    return out
+            batch.extend([add(x, e.value) for x in batch])
+        out = [add(x, y) for x in out for y in batch]
+    return [ring.element(ring, v) for v in out]
 
 
 def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> IdempotentFamily:
@@ -262,12 +265,12 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
     base, group = ring.base, ring.group
     d = base.dimension
     # Frob sends x^k g to (x^k)^p g^p: column (g, k) holds (x^k)^p in block g^p
-    xps = [base.from_coeffs([int(j == k) for j in range(d)]) ** p for k in range(d)]
+    xps = [(base.from_coeffs([int(j == k) for j in range(d)]) ** p).coeffs for k in range(d)]
     rows = [[-int(r == c) % p for c in range(n)] for r in range(n)]
     for g in range(group.order):
         gp = group.power(g, p)
         for k, xk in enumerate(xps):
-            for j, v in enumerate(xk.coeffs):
+            for j, v in enumerate(xk):
                 rows[gp * d + j][g * d + k] += v
     basis, frees = _null_space(rows, p)
     k = len(basis)
@@ -288,7 +291,8 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
                             acc[t] += a * b * s
         return [a % p for a in acc]
 
-    pieces = [[ring.one.coeffs[col] for col in frees]]
+    one = ring.one.coeffs
+    pieces = [[one[col] for col in frees]]
     for h in range(k):
         if len(pieces) == k:
             break
@@ -453,10 +457,11 @@ def _embed(x, carrier: Ring):
     are at least as long, padding each block with zeros (a residue or a
     factor-quotient coefficient read into the full quotient)."""
     order = carrier.group.order if isinstance(carrier, GroupRing) else 1
-    src = len(x.coeffs) // order
+    cs = x.coeffs
+    src = len(cs) // order
     pad = (0,) * (carrier.dimension // order - src)
     return carrier.from_coeffs(
-        tuple(c for g in range(order) for c in x.coeffs[g * src : (g + 1) * src] + pad)
+        tuple(c for g in range(order) for c in cs[g * src : (g + 1) * src] + pad)
     )
 
 

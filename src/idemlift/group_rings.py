@@ -1,21 +1,72 @@
-"""Group rings RG for a finite abelian group G over the rings defined here.
+"""Group rings RG for a finite abelian group G, and the packed layout that
+RG and Z_m[x]/(q) share.
 
-An element is the flat coefficient vector of ``rings.Element``: one block
-of ``base.dimension`` coefficients per group element, in the group's
-canonical index order.  The product is one exact integer product by
-Kronecker substitution (Schoenhage 1982; Harvey 2009), folded back onto
-the group; the base ring reduces the whole output in one call, and renders
-all blocks in one call for the text.
+An element of RG is one block of ``base.dimension`` coefficients per group
+element, in the group's canonical index order, held as one int: Kronecker
+substitution (Schoenhage 1982; Harvey 2009) gives each coefficient a slot
+wide enough that a product carries into no other slot.  A product is one
+integer product, wrapped and folded back onto the group; a SWAR ("SIMD
+within a register") program then takes every slot mod m at once, and a
+quotient base reduces every block by its monic q.  A sum is one addition
+and one guarded subtraction of m.  Z_m[x]/(q) alone is the layout of the
+trivial group.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
 from math import prod
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .groups import AbelianGroup, Subgroup
 from .rings import Element, Ring, modular_inverse
+
+
+class PackedRing(Ring):
+    """A carrier held in the Kronecker layout of its ``_shape`` = (group
+    factors, base tail, m): RG, and Z_m[x]/(q) as the trivial group's.  The
+    layout is built on first use, so a ring refused by a size cap builds
+    none of its masks."""
+
+    _shape: tuple
+
+    @cached_property
+    def _layout(self) -> SimpleNamespace:
+        return _layout(*self._shape)
+
+    def pack(self, coeffs) -> int:
+        lay = self._layout
+        slots = [0] * lay.count
+        for p, c in zip(lay.positions, coeffs):
+            slots[p] = c
+        return _join(slots, lay.slot)
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        lay = self._layout
+        if lay.shifts is None:
+            return lay.pick(_split(v, lay.count, lay.slot))
+        mask = lay.mask
+        return tuple([(v >> shift) & mask for shift in lay.shifts])
+
+    def mul(self, a: int, b: int) -> int:
+        """Multiply once, wrap and fold onto the group, reduce every slot."""
+        lay = self._layout
+        z = a * b
+        z = (z & lay.wrap) + (z >> lay.bits)
+        for shift, mask in lay.folds:
+            z += (z >> shift) & mask
+        if lay.first:
+            z = _sweep(z, lay.first)
+        low = z & lay.low
+        for shift, r in lay.tops:
+            low += ((z >> shift) & lay.slot0) * r
+        return _sweep(low, lay.last)
+
+    def add(self, a: int, b: int) -> int:
+        lay = self._layout
+        z = a + b
+        return z - (((z + lay.add_m) & lay.guard) >> lay.top) * self.coefficient_modulus
 
 
 class GroupRingElement(Element):
@@ -26,8 +77,8 @@ class GroupRingElement(Element):
     __pow__ = Element.__pow__
 
 
-class GroupRing(Ring):
-    """RG for a base coefficient ring R and finite abelian G."""
+class GroupRing(PackedRing):
+    """RG for a base coefficient ring R (Z_m or Z_m[x]/(q)) and finite abelian G."""
 
     element = GroupRingElement
 
@@ -36,24 +87,8 @@ class GroupRing(Ring):
         self.group = group
         self.coefficient_modulus = base.coefficient_modulus
         self.dimension = group.order * base.dimension
-        self._layout = None
+        self._shape = (group.factors, base._tail, base.coefficient_modulus)
         self._names = None
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """Pack each operand into one int, multiply once, fold; the base ring
-        reduces the output."""
-        if self._layout is None:
-            shape = (self.group.factors, self.base.dimension, self.coefficient_modulus)
-            self._layout = _layout(*shape)
-        pack, bits, wrap, folds, slices = self._layout
-        x = pack(a)
-        z = x * (x if a is b else pack(b))
-        z = (z & wrap) + (z >> bits)
-        if z >= wrap:
-            z -= wrap
-        for shift, mask in folds:
-            z += (z >> shift) & mask
-        return self.base.reduce_slots(z.to_bytes(bits // 8, "little"), slices)
 
     def hat(self, sub: Subgroup) -> GroupRingElement:
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
@@ -112,37 +147,152 @@ class GroupRing(Ring):
         return f"GroupRing({self.base!r}, {self.group!r})"
 
 
-@lru_cache(maxsize=256)
-def _layout(factors: tuple[int, ...], bd: int, m: int):
-    """Where ``GroupRing.mul`` puts each coefficient, for one ring shape.
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """pattern at bit offsets 0, period, ..., (count - 1) * period."""
+    out, have = pattern, 1
+    while have < count:
+        out |= out << have * period
+        have *= 2
+    return out & ((1 << count * period) - 1)
 
-    Coefficient d of the element with exponents (e_1, ..., e_r) takes slot
-    d + sum e_i * Q_i, with Q_r = w = 2 bd - 1 and Q_i = (2 n_{i+1} - 1) *
-    Q_{i+1}: no exponent sum of a product overlaps the next.  A slot sums at
-    most order * bd products below m^2.  Modulo 2^bits - 1 the first factor
-    wraps in the product itself; each other one folds by a (shift, mask).
-    Offsets below are in bytes; ``slices`` holds w output slots per element.
+
+def _split(v: int, count: int, width: int) -> list[int]:
+    """The low count width-bit slots of v, lowest first; v is halved until
+    a piece holds at most 32 slots or is zero, so a wide v costs
+    O(bits * log count)."""
+    if count <= 32:
+        mask = (1 << width) - 1
+        return [(v >> k * width) & mask for k in range(count)]
+    if not v:
+        return [0] * count
+    half = count // 2
+    low = _split(v & ((1 << half * width) - 1), half, width)
+    return low + _split(v >> half * width, count - half, width)
+
+
+def _join(slots: list[int], width: int) -> int:
+    """The int whose width-bit slots are ``slots``, lowest first."""
+    if len(slots) <= 32:
+        v = 0
+        for c in reversed(slots):
+            v = (v << width) | c
+        return v
+    if not any(slots):
+        return 0
+    half = len(slots) // 2
+    return _join(slots[:half], width) | (_join(slots[half:], width) << half * width)
+
+
+def _sweep_steps(bound: int, m: int, top: int, ones: int) -> tuple:
+    """The SWAR program that takes every slot <= bound to its residue mod m,
+    in slots of top + 1 bits (``ones`` holds a 1 in each): a fold
+    ``z = ((z >> h) & HI) * (2^h mod m) + (z & LO)`` with the h of least new
+    bound; a Barrett step ``z -= (((z * mu) >> e) & Q) * m``, mu = 2^e // m,
+    e as large as the slot allows, when it shortens the ladder; and a ladder
+    of guarded subtractions ``z -= (((z + ADD) & G) >> top) * K`` for
+    K = m * 2^j, j descending, where ADD holds 2^top - K, so the guard bit
+    G of a slot is set exactly when the slot is at least K.
     """
-    factors, width = factors or (1,), 2 * bd - 1
-    slot = ((prod(factors) * bd * m * m).bit_length() + 7) // 8
-    blocks, strides, q = [0], [], width * slot
+    fold = barrett = None
+    if bound >= m:
+        new, h = min(
+            ((bound >> h) * pow(2, h, m) + min(bound, (1 << h) - 1), h)
+            for h in range(m.bit_length() - 1, bound.bit_length())
+        )
+        if new < bound:
+            c = pow(2, h, m)
+            fold, bound = (h, c and ((1 << top + 1 - h) - 1) * ones, c, ((1 << h) - 1) * ones), new
+    # the largest e <= top with bound * (2^e // m) < 2^(top + 1)
+    e = min(top, top + 1 + m.bit_length() - bound.bit_length())
+    while e > 0 and bound * ((1 << e) // m) >> top + 1:
+        e -= 1
+    after = (bound * pow(2, e, m) >> e) + m
+    if 1 << e >= m and 1 + (after // m).bit_length() < (bound // m).bit_length():
+        barrett, bound = ((1 << e) // m, e, ((1 << top + 1 - e) - 1) * ones), after
+    ladder = [
+        (((1 << top) - (m << j)) * ones, m << j)
+        for j in reversed(range((bound // m).bit_length()))
+    ]
+    return fold, barrett, ladder, ones << top, top, m
+
+
+def _sweep(z: int, steps: tuple) -> int:
+    fold, barrett, ladder, guard, top, m = steps
+    if fold:
+        h, hi, c, lo = fold
+        z = ((z >> h) & hi) * c + (z & lo) if c else z & lo
+    if barrett:
+        mu, e, mask = barrett
+        z -= (((z * mu) >> e) & mask) * m
+    for add, k in ladder:
+        z -= (((z + add) & guard) >> top) * k
+    return z
+
+
+@lru_cache(maxsize=256)
+def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNamespace:
+    """Where a packed ring puts each coefficient, and how it reduces, for one
+    ring shape; every ring of that shape shares it.
+
+    Coefficient k of the block with exponents (e_1, ..., e_r) takes slot
+    k + sum e_i Q_i, with Q_r = w = 2d - 1 and Q_i = (2 n_{i+1} - 1) *
+    Q_{i+1}: no exponent sum of a product overlaps the next.  A product
+    slot sums at most |G| d products below m^2, under 2^L; a slot is L + 1
+    bits, the top one the guard bit.  Modulo 2^bits - 1 the first factor
+    wraps in the product itself; each other one folds by a (shift, mask).
+    ``low`` clears the slots folded from and the top d - 1 of each block,
+    whose slot k, taken mod m, is added in times x^k mod q (``tops``; blocks
+    are 2d - 1 slots apart, so nothing spills).  A lone quotient skips that
+    first pass mod m, in slots wide enough for the unreduced sums.
+    """
+    factors, d = factors or (1,), len(tail)
+    order, width = prod(factors), 2 * d - 1
+    bound = order * d * (m - 1) ** 2
+    lone = order == 1 and d > 1
+    last = bound * (1 + (d - 1) * (m - 1)) if lone else bound
+    top = last.bit_length()
+    slot = top + 1
+    blocks, strides, q = [0], [], width
     for n in reversed(factors):
         blocks = [p + e * q for e in range(n) for p in blocks]
         strides.insert(0, q)
         q *= 2 * n - 1
-    total = factors[0] * strides[0]
-    starts = [p + d * slot for p in blocks for d in range(bd)] + [total]
-    widths = [nxt - cur for cur, nxt in zip(starts, starts[1:])]
-    masks = [(b"\xff" * (span - n * q) + bytes(n * q)) * (total // span)
-             for n, q, span in zip(factors[1:], strides[1:], strides)]
-    folds = [(n * q * 8, int.from_bytes(mask, "little"))
-             for n, q, mask in zip(factors[1:], strides[1:], masks)]
-    slices = [slice(p + d * slot, p + d * slot + slot) for p in blocks for d in range(width)]
-
-    def pack(c: tuple[int, ...]) -> int:
-        return int.from_bytes(b"".join(map(int.to_bytes, c, widths, repeat("little"))), "little")
-
-    return pack, total * 8, (1 << total * 8) - 1, folds, slices
+    count = factors[0] * strides[0]
+    ones, low, slot0 = _repeat(1, slot, count), _repeat(1, slot, d), 1
+    for n, q in zip(reversed(factors), reversed(strides)):
+        low, slot0 = _repeat(low, q * slot, n), _repeat(slot0, q * slot, n)
+    tops, power = [], [-t % m for t in tail]  # x^d mod q
+    for k in range(d, width):
+        tops.append((k * slot, _join(power, slot)))
+        power = [(a - power[-1] * t) % m for a, t in zip([0] + power, tail)]
+    first = None
+    if d > 1 and not lone:
+        first, last = _sweep_steps(bound, m, top, ones), m - 1 + (d - 1) * (m - 1) ** 2
+    positions = [p + k for p in blocks for k in range(d)]
+    contiguous = positions[-1] == len(positions) - 1
+    return SimpleNamespace(
+        slot=slot,
+        top=top,
+        count=positions[-1] + 1,
+        positions=positions,
+        pick=tuple if contiguous else itemgetter(*positions),
+        # a small element is read slot by slot, a large one by halving
+        shifts=[p * slot for p in positions] if positions[-1] < 32 else None,
+        mask=(1 << slot) - 1,
+        bits=count * slot,
+        wrap=(1 << count * slot) - 1,
+        folds=[
+            (n * q * slot, _repeat((1 << (n - 1) * q * slot) - 1, span * slot, count // span))
+            for n, q, span in zip(factors[1:], strides[1:], strides)
+        ],
+        first=first,
+        low=low * ((1 << slot) - 1),
+        slot0=slot0 * ((1 << slot) - 1),
+        tops=tops,
+        last=_sweep_steps(last, m, top, ones),
+        guard=ones << top,
+        add_m=((1 << top) - m) * ones,
+    )
 
 
 def pow_tower(x, s: int, count: int):

@@ -225,23 +225,10 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
 
 
 def _scalar_of(ring: Ring, x) -> int | None:
-    """c when x == c*1 for some integer c, else None."""
-    vec = x.coeff_vector()
-    unit = ring.one.coeff_vector()
-    c = None
-    for xv, uv in zip(vec, unit):
-        if uv == 0:
-            if xv != 0:
-                return None
-        else:
-            # unit vectors here always carry 1 in the scalar slot
-            if uv != 1:
-                return None
-            if c is None:
-                c = xv
-            elif c != xv:
-                return None
-    return c
+    """c when x == c*1 for some integer c, else None (always None over Z_1,
+    where 1 == 0)."""
+    c = x.coeffs[0]
+    return c if ring.coefficient_modulus > 1 and x == ring.from_int(c) else None
 
 
 def _scalar_nilpotency_index(c: int, m: int, cap: int = NILPOTENCY_CAP) -> int | None:

@@ -4,9 +4,10 @@ A polynomial is a sequence of coefficients, lowest degree first; the
 functions below take lists or tuples, and the zero polynomial is empty.
 What leaves the module (gcds, factors, cofactors, inverses) is reduced
 mod m with trailing zeros trimmed.  Products in Z_m[x]/(u) go through
-``poly_mulmod`` (schoolbook product, reduced by the monic u, then mod m),
-the kernel ``QuotientRing`` shares.  Gcds and Berlekamp factorization
-require a prime modulus and say so.
+``poly_mulmod`` (schoolbook product, reduced by the monic u, then mod m);
+``QuotientRing`` elements multiply in the packed kernel of ``group_rings``
+instead.  Gcds and Berlekamp factorization require a prime modulus and
+say so.
 
 The factorizer is Berlekamp's method: squarefree reduction through gcd
 with the derivative (p-th powers handled by coefficient-wise p-th roots,
@@ -71,7 +72,7 @@ def reduce_mod(acc: list[int], tail, m: int) -> list[int]:
 
 
 def poly_mulmod(a, b, tail, m: int) -> list[int]:
-    """The product a * b in Z_m[x]/(x^n + tail): the one product kernel."""
+    """The product a * b in Z_m[x]/(x^n + tail), the factorizer's kernel."""
     return reduce_mod(_product(a, b), tail, m)
 
 

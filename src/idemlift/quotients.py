@@ -1,15 +1,19 @@
 """Quotient rings Z_m[x]/(q) for monic q, including the Gaussian case q = x^2 + 1.
 
-Elements are residue polynomials of degree below deg q, held as their flat
-coefficient tuples, lowest degree first.  When q = x^2 + 1 the ring prints
-with ``i`` instead of ``x`` so Z_p[i] elements read as a + b*i.
+Elements are residue polynomials of degree below deg q, coefficients
+lowest degree first, packed in the layout of ``group_rings`` for the
+trivial group: a product is one integer product, one SWAR pass mod m, one
+reduction by q of every slot at or above deg q, and a second pass.  When
+q = x^2 + 1 the ring prints with ``i`` instead of ``x`` so Z_p[i] elements
+read as a + b*i.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedError
-from .polynomials import _trim, poly_mulmod, poly_text, reduce_mod
-from .rings import Element, Ring, is_prime, modular_inverse
+from .group_rings import PackedRing
+from .polynomials import _trim, poly_text, reduce_mod
+from .rings import Element, is_prime, modular_inverse
 
 
 class PolyQuotientElement(Element):
@@ -19,7 +23,7 @@ class PolyQuotientElement(Element):
     __mul__ = Element.__mul__
 
 
-class QuotientRing(Ring):
+class QuotientRing(PackedRing):
     """Z_m[x]/(q) with q monic of degree >= 1.
 
     q is a coefficient sequence, lowest degree first; it is stored as the
@@ -41,6 +45,7 @@ class QuotientRing(Ring):
         self.coefficient_modulus = modulus
         self.q = q
         self.dimension = len(self._tail)
+        self._shape = ((), self._tail, modulus)
 
     @property
     def variable(self) -> PolyQuotientElement:
@@ -51,20 +56,7 @@ class QuotientRing(Ring):
     def from_polynomial(self, coeffs) -> PolyQuotientElement:
         """The residue of a coefficient sequence of any length."""
         cs = reduce_mod(list(coeffs), self._tail, self.coefficient_modulus)
-        return self.element(self, tuple(cs) + (0,) * (self.dimension - len(cs)))
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(poly_mulmod(a, b, self._tail, self.coefficient_modulus))
-
-    def reduce_slots(self, data: bytes, slices) -> tuple[int, ...]:
-        """Runs of 2n - 1 little-endian slots of data, each an unreduced
-        product of two elements, reduced by q and mod m."""
-        tail, m, w = self._tail, self.coefficient_modulus, 2 * self.dimension - 1
-        acc = [int.from_bytes(data[s], "little") for s in slices]
-        out = []
-        for k in range(0, len(acc), w):
-            out += reduce_mod(acc[k : k + w], tail, m)
-        return tuple(out)
+        return self.element(self, self.pack(cs + [0] * (self.dimension - len(cs))))
 
     def reduce_to(self, c: int) -> "QuotientRing":
         return QuotientRing(c, self.q)

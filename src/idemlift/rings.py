@@ -4,11 +4,13 @@ Every carrier in this package is a finite commutative ring whose elements
 are fixed-length vectors of integers modulo m: the residue ring Z_m itself
 (length 1), polynomial quotients Z_m[x]/(q) (length deg q), and group rings
 over either (length multiplied by the group order, group index major, base
-coefficient minor).  Every element is an ``Element`` holding that flat
-tuple; each carrier contributes a single product kernel on such tuples.
-That shared shape gives uniform arithmetic, enumeration, serialization,
-reduction mod a divisor of m, and the structure constants the brute-force
-scan kernel consumes.
+coefficient minor).  Every element is an ``Element`` holding one int, that
+vector packed in its ring's layout with every coefficient reduced below m:
+Z_m holds the residue itself, the other carriers a Kronecker layout
+(``group_rings``).  Products, sums, negation, scaling, equality and
+hashing are whole-int operations; coefficient tuples appear only at the
+boundary (``from_coeffs``, ``coeffs``, text, JSON, the sort key and the
+brute-force scan, which multiplies through the structure constants).
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -177,50 +179,46 @@ def factorize(m: int) -> PrimePowerFactorization:
 
 
 class Element:
-    """One element of any carrier: its flat coefficient vector, reduced mod m.
+    """One element of any carrier: its coefficient vector packed in one int.
 
-    The vector is group index major, base coefficient minor (see the module
-    docstring).  Sums, integer scaling, equality and the power are the same
-    for every carrier; a product goes through the ring's ``mul`` kernel.
-    Mixing elements of different rings raises ValueError.
+    ``value`` is the ring's packed int; ``coeffs`` unpacks it on each use
+    and keeps nothing, so a listing holds its members' ints and no tuples.
+    Every operation is the ring's whole-int kernel.  Mixing elements of
+    different rings raises ValueError; an operand that is neither an
+    element nor (for scaling) an int gives NotImplemented, so Python
+    raises TypeError.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "value")
 
-    def __init__(self, ring: "Ring", coeffs: tuple[int, ...]):
+    def __init__(self, ring: "Ring", value: int):
         self.ring = ring
-        self.coeffs = coeffs
+        self.value = value
 
-    def _new(self, coeffs: tuple[int, ...]) -> "Element":
-        return type(self)(self.ring, coeffs)
-
-    def _match(self, other: "Element"):
+    def _value_of(self, other: "Element") -> int:
         if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError(f"mismatched rings: {self.ring!r} vs {other.ring!r}")
+        return other.value
 
     def __add__(self, other):
-        self._match(other)
-        m = self.ring.coefficient_modulus
-        return self._new(tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)))
+        if not isinstance(other, Element):
+            return NotImplemented
+        return type(self)(self.ring, self.ring.add(self.value, self._value_of(other)))
 
     def __sub__(self, other):
-        self._match(other)
-        m = self.ring.coefficient_modulus
-        return self._new(tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other if isinstance(other, Element) else NotImplemented
 
     def __neg__(self):
-        m = self.ring.coefficient_modulus
-        return self._new(tuple(-a % m for a in self.coeffs))
+        return type(self)(self.ring, self.ring.neg(self.value))
 
     def __mul__(self, other):
+        if isinstance(other, Element):
+            return type(self)(self.ring, self.ring.mul(self.value, self._value_of(other)))
         if isinstance(other, int):
-            m = self.ring.coefficient_modulus
-            return self._new(tuple(a * other % m for a in self.coeffs))
-        self._match(other)
-        return self._new(self.ring.mul(self.coeffs, other.coeffs))
+            return type(self)(self.ring, self.ring.scale(self.value, other))
+        return NotImplemented
 
-    def __rmul__(self, scalar: int):
-        return self * scalar
+    __rmul__ = __mul__  # only ever reached with a non-element on the left
 
     def __pow__(self, e: int):
         """Square-and-multiply in ``pow_mults(e)`` products of the ring's kernel."""
@@ -228,30 +226,32 @@ class Element:
             raise ValueError("negative exponents are not defined here")
         mul = self.ring.mul
         result = None
-        base = self.coeffs
+        base = self.value
         while e:
             if e & 1:
                 result = base if result is None else mul(result, base)
             e >>= 1
             if e:
                 base = mul(base, base)
-        return self.ring.one if result is None else self._new(result)
+        return self.ring.one if result is None else type(self)(self.ring, result)
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
-            and self.coeffs == other.coeffs
+            and self.value == other.value
             and (self.ring is other.ring or self.ring == other.ring)
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.value)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.value
 
     def coeff_vector(self) -> tuple[int, ...]:
-        return self.coeffs
+        return self.ring.unpack(self.value)
+
+    coeffs = property(coeff_vector)
 
     def __str__(self):
         return self.ring.element_text(self)
@@ -271,12 +271,21 @@ class Ring:
 
     Subclasses set ``coefficient_modulus`` (the m above) and ``dimension``
     (the coefficient-vector length), may set ``element`` (the Element
-    subclass they hand out), and implement the product kernel
-    ``mul(a, b)`` on reduced coefficient tuples, ``reduce_to``,
-    ``expression``, ``element_text`` and ``structure_constants``.  A group
-    ring's base also has ``reduce_slots`` (see ``GroupRing.mul``) and
-    ``coefficient_texts`` (each block's text, "0" if zero), one call per
-    group-ring element.  Everything else is generic.
+    subclass they hand out), and implement:
+
+    - ``pack``/``unpack`` between a tuple of reduced coefficients and the
+      packed int.  Every layout keeps flat index 0 in the low bits, below
+      every other slot, so the scalar v * 1 is the int v mod m;
+    - the whole-int ``mul(a, b)`` and ``add(a, b)`` on packed ints.  Here
+      ``scale(a, c)``, by an integer c, is the product with c * 1, and
+      ``neg`` is scaling by -1;
+    - ``reduce_to``, ``expression``, ``element_text`` and
+      ``structure_constants``.
+
+    A group ring's base also has ``_tail`` (its modulus is the monic
+    x^d + tail; Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's
+    text, "0" if zero), one call per group-ring element.  Everything else
+    is generic.
     """
 
     coefficient_modulus: int
@@ -293,7 +302,7 @@ class Ring:
 
     @property
     def zero(self):
-        return self.element(self, (0,) * self.dimension)
+        return self.element(self, 0)
 
     @property
     def one(self):
@@ -303,14 +312,21 @@ class Ring:
         if len(coeffs) != self.dimension:
             raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
         m = self.coefficient_modulus
-        return self.element(self, tuple(c % m for c in coeffs))
+        return self.element(self, self.pack([c % m for c in coeffs]))
 
     def from_int(self, v: int):
         """The scalar v * 1: v at flat index 0 (identity, constant term)."""
-        return self.from_coeffs((v,) + (0,) * (self.dimension - 1))
+        return self.element(self, v % self.coefficient_modulus)
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
+
+    def scale(self, a: int, c: int) -> int:
+        """a times the integer c: the product with the scalar c * 1."""
+        return self.mul(a, c % self.coefficient_modulus)
+
+    def neg(self, a: int) -> int:
+        return self.scale(a, -1)
 
     def reduce_to(self, c: int) -> "Ring":
         """The structurally identical ring with coefficient modulus c."""
@@ -332,7 +348,7 @@ class Ring:
         for coeffs in itertools.product(
             range(self.coefficient_modulus), repeat=self.dimension
         ):
-            yield self.element(self, coeffs)
+            yield self.from_coeffs(coeffs)
 
     def reduce(self, x, target: "Ring"):
         """Push x from this ring onto a reduced twin (coefficients mod c)."""
@@ -340,7 +356,12 @@ class Ring:
 
 
 class ResidueRing(Ring):
-    """The ring Z_m of integers modulo m >= 1; m = 1 is the zero ring, where 0 == 1."""
+    """The ring Z_m of integers modulo m >= 1; m = 1 is the zero ring, where 0 == 1.
+
+    The packed int is the residue itself.
+    """
+
+    _tail = (0,)  # as a group-ring base, Z_m is Z_m[x]/(x)
 
     def __init__(self, modulus: int):
         if modulus < 1:
@@ -352,13 +373,17 @@ class ResidueRing(Ring):
     def modulus(self) -> int:
         return self.coefficient_modulus
 
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return (a[0] * b[0] % self.coefficient_modulus,)
+    def pack(self, coeffs: Sequence[int]) -> int:
+        return coeffs[0]
 
-    def reduce_slots(self, data: bytes, slices) -> tuple[int, ...]:
-        """Each slot of data, a little-endian coefficient, mod m."""
-        m = self.coefficient_modulus
-        return tuple([int.from_bytes(data[s], "little") % m for s in slices])
+    def unpack(self, v: int) -> tuple[int, ...]:
+        return (v,)
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.coefficient_modulus
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.coefficient_modulus
 
     def coefficient_texts(self, coeffs):
         return map(str, coeffs)
@@ -370,7 +395,7 @@ class ResidueRing(Ring):
         return f"Z({self.modulus})"
 
     def element_text(self, x: Element) -> str:
-        return str(x.coeffs[0])
+        return str(x.value)
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         return [[(1 % self.modulus,)]]

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from idemlift.errors import SizeLimitError, UnsupportedError
+from idemlift.parsing import build_ring
 from idemlift.rings import (
     MILLER_RABIN_BOUND,
     ResidueRing,
@@ -204,3 +205,23 @@ class TestResidueRing:
     def test_structure_constants_shape(self):
         r = ResidueRing(5)
         assert r.structure_constants() == [[(1,)]]
+
+
+class TestNonElementOperands:
+    @pytest.mark.parametrize(
+        "text", ["Z(12)", "Z(25)[i]", "Z(8)[x]/(1 + x + x^3)", "Z(6){C2xC3}", "Z(9)[i]{C4}"]
+    )
+    def test_type_error_not_attribute_error(self, text):
+        # an operand that is neither an element nor (for scaling) an int is
+        # Python's TypeError; ints scale from either side, and no element
+        # equals an int
+        ring = build_ring(text)
+        x = ring.from_coeffs(range(1, ring.dimension + 1))
+        for bad in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+                    lambda: 2.5 * x, lambda: x * 2.5, lambda: x * "a", lambda: "a" * x,
+                    lambda: x + None, lambda: x * [1]):
+            with pytest.raises(TypeError):
+                bad()
+        assert 3 * x == x * 3 == x + x + x
+        assert (x == 1) is False and (x != 1) is True
+        assert x != ring.one.value and ring.one != 1
