@@ -44,10 +44,7 @@ class PackedRing(Ring):
 
     def unpack(self, v: int) -> tuple[int, ...]:
         lay = self._layout
-        if lay.shifts is None:
-            return lay.pick(_split(v, lay.count, lay.slot))
-        mask = lay.mask
-        return tuple([(v >> shift) & mask for shift in lay.shifts])
+        return lay.pick(_split(v, lay.count, lay.slot))
 
     def mul(self, a: int, b: int) -> int:
         """Multiply once, wrap and fold onto the group, reduce every slot."""
@@ -162,7 +159,7 @@ def _split(v: int, count: int, width: int) -> list[int]:
     O(bits * log count)."""
     if count <= 32:
         mask = (1 << width) - 1
-        return [(v >> k * width) & mask for k in range(count)]
+        return [(v >> s) & mask for s in range(0, count * width, width)]
     if not v:
         return [0] * count
     half = count // 2
@@ -185,45 +182,35 @@ def _join(slots: list[int], width: int) -> int:
 
 def _sweep_steps(bound: int, m: int, top: int, ones: int) -> tuple:
     """The SWAR program that takes every slot <= bound to its residue mod m,
-    in slots of top + 1 bits (``ones`` holds a 1 in each): a fold
-    ``z = ((z >> h) & HI) * (2^h mod m) + (z & LO)`` with the h of least new
-    bound; a Barrett step ``z -= (((z * mu) >> e) & Q) * m``, mu = 2^e // m,
-    e as large as the slot allows, when it shortens the ladder; and a ladder
-    of guarded subtractions ``z -= (((z + ADD) & G) >> top) * K`` for
-    K = m * 2^j, j descending, where ADD holds 2^top - K, so the guard bit
-    G of a slot is set exactly when the slot is at least K.
+    in slots of top + 1 bits (``ones`` holds a 1 in each): folds
+    ``z = ((z >> h) & HI) * (2^h mod m) + (z & LO)``, each with the h of
+    least new bound, while a fold halves the bound; then a ladder of guarded
+    subtractions ``z -= (((z + ADD) & G) >> top) * K`` for K = m * 2^j, j
+    descending, where ADD holds 2^top - K, so the guard bit G of a slot is
+    set exactly when the slot is at least K.
     """
-    fold = barrett = None
-    if bound >= m:
+    folds = []
+    while bound >= m:
         new, h = min(
             ((bound >> h) * pow(2, h, m) + min(bound, (1 << h) - 1), h)
             for h in range(m.bit_length() - 1, bound.bit_length())
         )
-        if new < bound:
-            c = pow(2, h, m)
-            fold, bound = (h, c and ((1 << top + 1 - h) - 1) * ones, c, ((1 << h) - 1) * ones), new
-    # the largest e <= top with bound * (2^e // m) < 2^(top + 1)
-    e = min(top, top + 1 + m.bit_length() - bound.bit_length())
-    while e > 0 and bound * ((1 << e) // m) >> top + 1:
-        e -= 1
-    after = (bound * pow(2, e, m) >> e) + m
-    if 1 << e >= m and 1 + (after // m).bit_length() < (bound // m).bit_length():
-        barrett, bound = ((1 << e) // m, e, ((1 << top + 1 - e) - 1) * ones), after
+        if 2 * new > bound:
+            break
+        c = pow(2, h, m)
+        folds.append((h, ((1 << top + 1 - h) - 1) * ones, c, ((1 << h) - 1) * ones))
+        bound = new
     ladder = [
         (((1 << top) - (m << j)) * ones, m << j)
         for j in reversed(range((bound // m).bit_length()))
     ]
-    return fold, barrett, ladder, ones << top, top, m
+    return folds, ladder, ones << top, top
 
 
 def _sweep(z: int, steps: tuple) -> int:
-    fold, barrett, ladder, guard, top, m = steps
-    if fold:
-        h, hi, c, lo = fold
+    folds, ladder, guard, top = steps
+    for h, hi, c, lo in folds:
         z = ((z >> h) & hi) * c + (z & lo) if c else z & lo
-    if barrett:
-        mu, e, mask = barrett
-        z -= (((z * mu) >> e) & mask) * m
     for add, k in ladder:
         z -= (((z + add) & guard) >> top) * k
     return z
@@ -242,15 +229,12 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
     wraps in the product itself; each other one folds by a (shift, mask).
     ``low`` clears the slots folded from and the top d - 1 of each block,
     whose slot k, taken mod m, is added in times x^k mod q (``tops``; blocks
-    are 2d - 1 slots apart, so nothing spills).  A lone quotient skips that
-    first pass mod m, in slots wide enough for the unreduced sums.
+    are 2d - 1 slots apart, so nothing spills).
     """
     factors, d = factors or (1,), len(tail)
     order, width = prod(factors), 2 * d - 1
     bound = order * d * (m - 1) ** 2
-    lone = order == 1 and d > 1
-    last = bound * (1 + (d - 1) * (m - 1)) if lone else bound
-    top = last.bit_length()
+    top = bound.bit_length()
     slot = top + 1
     blocks, strides, q = [0], [], width
     for n in reversed(factors):
@@ -265,8 +249,8 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
     for k in range(d, width):
         tops.append((k * slot, _join(power, slot)))
         power = [(a - power[-1] * t) % m for a, t in zip([0] + power, tail)]
-    first = None
-    if d > 1 and not lone:
+    first, last = None, bound
+    if d > 1:
         first, last = _sweep_steps(bound, m, top, ones), m - 1 + (d - 1) * (m - 1) ** 2
     positions = [p + k for p in blocks for k in range(d)]
     contiguous = positions[-1] == len(positions) - 1
@@ -276,9 +260,6 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
         count=positions[-1] + 1,
         positions=positions,
         pick=tuple if contiguous else itemgetter(*positions),
-        # a small element is read slot by slot, a large one by halving
-        shifts=[p * slot for p in positions] if positions[-1] < 32 else None,
-        mask=(1 << slot) - 1,
         bits=count * slot,
         wrap=(1 << count * slot) - 1,
         folds=[

@@ -227,8 +227,8 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
 def _scalar_of(ring: Ring, x) -> int | None:
     """c when x == c*1 for some integer c, else None (always None over Z_1,
     where 1 == 0)."""
-    c = x.coeffs[0]
-    return c if ring.coefficient_modulus > 1 and x == ring.from_int(c) else None
+    v, m = x.value, ring.coefficient_modulus
+    return v if m > 1 and v < m else None
 
 
 def _scalar_nilpotency_index(c: int, m: int, cap: int = NILPOTENCY_CAP) -> int | None:
