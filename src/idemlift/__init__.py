@@ -42,13 +42,11 @@ from .lifting import (
     FamilyCheck,
     LiftReport,
     binomial_lift,
-    chain_for_group_ring,
     chain_for_nilpotent_ideal,
     chain_lift,
     nilpotency_index,
     power_lift,
     standard_chain,
-    trusted_chain,
     verify_family,
     verify_idempotent,
     verify_orthogonal,
@@ -60,7 +58,7 @@ from .polynomials import (
     berlekamp_factor,
     poly_gcd,
 )
-from .quotients import QuotientRing, gaussian_idempotents, gaussian_ring
+from .quotients import QuotientRing, gaussian_ring
 from .rings import (
     PrimePowerFactorization,
     ResidueRing,
@@ -99,7 +97,6 @@ __all__ = [
     "brute_force_idempotents",
     "brute_force_scan",
     "build_ring",
-    "chain_for_group_ring",
     "chain_for_nilpotent_ideal",
     "chain_lift",
     "crt_combine",
@@ -109,7 +106,6 @@ __all__ = [
     "factorize",
     "frobenius_idempotents",
     "frobenius_orbit_count",
-    "gaussian_idempotents",
     "gaussian_ring",
     "group_from_factors",
     "hat_family",
@@ -125,7 +121,6 @@ __all__ = [
     "power_lift",
     "standard_chain",
     "subgroup_generated",
-    "trusted_chain",
     "verify_family",
     "verify_idempotent",
     "verify_orthogonal",

@@ -37,15 +37,16 @@ from .errors import (
     VerificationError,
 )
 from .lifting import (
+    NILPOTENCY_CAP,
+    CncChain,
     chain_lift,
     standard_chain,
-    trusted_chain,
     verify_family,
     verify_idempotent,
 )
 from .oracle import DEFAULT_BRUTE_CAP
 from .parsing import build_ring, parse_element
-from .rings import Ring
+from .rings import FACTORIZATION_BOUND, Ring
 
 _EXIT_CODES = {
     ParseError: 2,
@@ -181,7 +182,12 @@ def _cmd_lift(args) -> int:
         s, count = args.tower
         if s < 1 or count < 0:
             raise ParseError(f"--tower needs S >= 1 and K >= 0, got {s} {count}")
-        chain = trusted_chain(ring, [s] * count, [2] * count)
+        if s >= FACTORIZATION_BOUND or count > NILPOTENCY_CAP:
+            # no standard chain for m < 2^63 is deeper than 61 steps
+            raise SizeLimitError(
+                f"--tower supports S < 2^63 and K <= {NILPOTENCY_CAP}, got {s} {count}"
+            )
+        chain = CncChain(ring, (s,) * count, (2,) * count)
     else:
         chain = standard_chain(ring)
     report = chain_lift(f, chain, checked=True)

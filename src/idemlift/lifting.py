@@ -56,35 +56,24 @@ class CncChain:
     ``ss[i]``/``ts[i]`` describe step i.  When the chain is principal and
     scalar-generated, ``base_ring`` is R/N_1 (R with a smaller coefficient
     modulus) and ``reduce`` maps R onto it; otherwise it is None and
-    congruence checks are skipped.  ``provenance`` records how the data
-    was justified: prime-power and principal-nilpotent chains were
-    validated against a concrete generator, validated-numerically means
-    arbitrary data that passed the numeric checks, trusted means
-    caller-supplied.
+    congruence checks are skipped.
     """
 
     ring: Ring
     ss: tuple[int, ...]
     ts: tuple[int, ...]
-    provenance: str
     base_ring: Ring | None = None
 
     def __post_init__(self):
         if len(self.ss) != len(self.ts):
             raise ValueError("step lists must have equal length")
-        if self.provenance not in (
-            "prime-power",
-            "principal-nilpotent",
-            "validated-numerically",
-            "trusted",
-        ):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         for s, t in dict.fromkeys(zip(self.ss, self.ts)):
             if t < 2:
                 raise ValueError(f"nilpotency exponent t must be >= 2, got {t}")
             if s < 1:
                 raise ValueError(f"annihilator s must be >= 1, got {s}")
-            if s > 1:
+            # every prime is >= 2, so only t > 2 can fail the prime test
+            if t > 2 and s > 1:
                 for pp in factorize(s).factors:
                     if pp.prime < t:
                         raise ValueError(
@@ -273,34 +262,10 @@ def chain_for_nilpotent_ideal(
             raise VerificationError(
                 f"claimed quotient characteristic {char}, but R/(a) has characteristic {d}"
             )
-        char = d
-        provenance = "prime-power" if len(factorize(char).factors) == 1 else "principal-nilpotent"
-        return CncChain(ring, (char,) * (k - 1), (2,) * (k - 1), provenance, quotient)
+        return CncChain(ring, (d,) * (k - 1), (2,) * (k - 1), quotient)
     if char is None:
         raise ValueError("non-scalar chain generators need an explicit characteristic")
-    return CncChain(ring, (char,) * (k - 1), (2,) * (k - 1), "validated-numerically")
-
-
-def trusted_chain(ring: Ring, ss: Sequence[int], ts: Sequence[int]) -> CncChain:
-    """Caller-supplied chain data, accepted after the arithmetic invariant check."""
-    return CncChain(ring, tuple(ss), tuple(ts), "trusted")
-
-
-def chain_for_group_ring(chain: CncChain, group_ring) -> CncChain:
-    """Transport a coefficient-ring chain to the group ring, coefficient-wise.
-
-    The ideals N_i G inherit both exponents: (N_i G)^{t_i} lies in
-    N_i^{t_i} G and s_i N_i G lies in N_{i+1} G.
-    """
-    if group_ring.base != chain.ring:
-        raise ValueError("chain was built for a different coefficient ring")
-    base_q = chain.base_ring
-    if base_q is None:
-        return CncChain(group_ring, chain.ss, chain.ts, chain.provenance)
-    from .group_rings import GroupRing
-
-    quotient = GroupRing(base_q, group_ring.group)
-    return CncChain(group_ring, chain.ss, chain.ts, chain.provenance, quotient)
+    return CncChain(ring, (char,) * (k - 1), (2,) * (k - 1))
 
 
 def standard_chain(ring: Ring) -> CncChain:
@@ -311,7 +276,7 @@ def standard_chain(ring: Ring) -> CncChain:
     """
     m = ring.coefficient_modulus
     if m == 1:
-        return CncChain(ring, (), (), "prime-power", ring)
+        return CncChain(ring, (), (), ring)
     fact = factorize(m)
     a = ring.from_int(fact.radical)
     return chain_for_nilpotent_ideal(ring, a)

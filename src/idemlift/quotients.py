@@ -10,10 +10,9 @@ read as a + b*i.
 
 from __future__ import annotations
 
-from .errors import UnsupportedError
 from .group_rings import PackedRing
 from .polynomials import _trim, poly_text, reduce_mod
-from .rings import Element, is_prime, modular_inverse
+from .rings import Element
 
 
 class PolyQuotientElement(Element):
@@ -112,32 +111,3 @@ class QuotientRing(PackedRing):
 def gaussian_ring(m: int) -> QuotientRing:
     """Z_m[i] as Z_m[x]/(x^2 + 1)."""
     return QuotientRing(m, (1, 0, 1))
-
-
-def gaussian_idempotents(p: int) -> list[PolyQuotientElement]:
-    """The four idempotents of Z_p[i] for primes p == 1 (mod 4).
-
-    The nontrivial pair is (p+1)/2 +- w*i with w = s/2 mod p for a square
-    root s of -1, found as a^((p-1)/4) for the first non-residue a; for
-    p == 3 (mod 4) the ring Z_p[i] is a field and only 0 and 1 remain,
-    which is reported as the unsupported case.
-    """
-    if not is_prime(p):
-        raise ValueError(f"gaussian_idempotents requires a prime, got {p}")
-    if p % 4 != 1:
-        raise UnsupportedError(
-            f"Z_{p}[i] has only the trivial idempotents unless p == 1 (mod 4)"
-        )
-    ring = gaussian_ring(p)
-    # s = a^((p-1)/4) squares to a^((p-1)/2), which is -1 for a non-residue a
-    nonresidue = 2
-    while pow(nonresidue, (p - 1) // 2, p) != p - 1:
-        nonresidue += 1
-    w = pow(nonresidue, (p - 1) // 4, p) * modular_inverse(2, p) % p
-    a = (p + 1) // 2
-    e_plus = ring.from_coeffs((a, w))
-    e_minus = ring.from_coeffs((a, (-w) % p))
-    for e in (e_plus, e_minus):
-        if e * e != e:
-            raise ArithmeticError(f"constructed element {e} is not idempotent")
-    return [ring.zero, ring.one, e_plus, e_minus]

@@ -361,6 +361,30 @@ class TestLift:
         assert payload["error"]["code"] == 2
         assert payload["error"]["type"] == "ParseError"
 
+    # K is capped at 64 (no standard chain for m < 2^63 has more than 61
+    # steps) and S at 2^63 - 1, before any chain is built
+    @pytest.mark.parametrize("tower", [(str(2**63 - 2), "1"), ("2", "64")])
+    def test_tower_at_bounds_accepted(self, capsys, tower):
+        code, out, _ = run(capsys, "lift", "Z(4)", "3", "--tower", *tower)
+        assert code == 0
+        assert "lifted:   1" in out and "verified: true" in out
+        code, out, _ = run(capsys, "lift", "--json", "Z(4)", "3", "--tower", *tower)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lifted"] == [1] and payload["verified"] is True
+
+    @pytest.mark.parametrize("tower", [(str(2**63), "1"), ("2", "65"), ("2", "3000000")])
+    def test_tower_over_bounds_refused(self, capsys, tower):
+        code, out, err = run(capsys, "lift", "Z(4)", "3", "--tower", *tower)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --tower") and "Traceback" not in err
+        code, out, _ = run(capsys, "lift", "--json", "Z(4)", "3", "--tower", *tower)
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"]["code"] == 3
+        assert payload["error"]["type"] == "SizeLimitError"
+
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "lift", "--json", "Z(25)[i]", "3 + i")
         assert code == 0

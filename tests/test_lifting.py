@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import idemlift.cli as cli
 import idemlift.lifting as lifting
 from idemlift.catalog import enumerate_idempotents, hat_family
 from idemlift.errors import UnsupportedError, VerificationError
@@ -13,13 +14,11 @@ from idemlift.groups import AbelianGroup
 from idemlift.lifting import (
     CncChain,
     binomial_lift,
-    chain_for_group_ring,
     chain_for_nilpotent_ideal,
     chain_lift,
     nilpotency_index,
     power_lift,
     standard_chain,
-    trusted_chain,
     verify_family,
     verify_idempotent,
     verify_orthogonal,
@@ -27,6 +26,20 @@ from idemlift.lifting import (
 from idemlift.oracle import brute_force_scan
 from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The arguments of every ``factorize`` call the lifting module makes."""
+    calls = []
+    real = lifting.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(lifting, "factorize", counting)
+    return calls
 
 
 class TestNilpotencyIndex:
@@ -115,41 +128,34 @@ class TestChainValidation:
     def test_prime_factor_condition(self):
         ring = ResidueRing(8)
         with pytest.raises(ValueError):
-            CncChain(ring, (2,), (3,), "trusted")
-        CncChain(ring, (3,), (3,), "trusted")
-        CncChain(ring, (2,), (2,), "trusted")
+            CncChain(ring, (2,), (3,))
+        CncChain(ring, (3,), (3,))
+        CncChain(ring, (2,), (2,))
 
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError):
-            CncChain(ResidueRing(8), (2,), (1,), "trusted")
-
-    def test_unknown_provenance(self):
-        with pytest.raises(ValueError):
-            CncChain(ResidueRing(8), (2,), (2,), "guessed")
+            CncChain(ResidueRing(8), (2,), (1,))
 
     def test_exponent_tower_forms(self):
         ring = ResidueRing(8)
-        assert CncChain(ring, (2, 2, 2), (2, 2, 2), "trusted").exponent_tower() == (2, 3)
-        assert CncChain(ring, (), (), "trusted").exponent_tower() == (1, 0)
+        assert CncChain(ring, (2, 2, 2), (2, 2, 2)).exponent_tower() == (2, 3)
+        assert CncChain(ring, (), ()).exponent_tower() == (1, 0)
 
     def test_mixed_steps_explicit(self):
-        chain = CncChain(ResidueRing(36), (2, 3), (2, 2), "trusted")
+        chain = CncChain(ResidueRing(36), (2, 3), (2, 2))
         assert chain.exponent_tower() == (2, 3)
 
-    def test_each_distinct_step_factorized_once(self, monkeypatch):
-        calls = []
-        real = lifting.factorize
-
-        def counting(n):
-            calls.append(n)
-            return real(n)
-
-        monkeypatch.setattr(lifting, "factorize", counting)
-        CncChain(ResidueRing(3**41), (3,) * 40, (2,) * 40, "trusted")
+    def test_each_distinct_step_factorized_once(self, factorize_calls):
+        calls = factorize_calls
+        CncChain(ResidueRing(3**41), (3,) * 40, (3,) * 40)
         assert calls == [3]
         calls.clear()
-        CncChain(ResidueRing(36), (6, 6, 3, 6), (2, 2, 2, 2), "trusted")
-        assert calls == [6, 3]
+        CncChain(ResidueRing(5**4 * 7), (35, 35, 5, 35), (3, 3, 3, 3))
+        assert calls == [35, 5]
+        calls.clear()
+        # t = 2 admits every s >= 2, so those steps factorize nothing
+        CncChain(ResidueRing(36), (6, 6, 3, 6), (2, 2, 2, 2))
+        assert calls == []
 
 
 class TestChainForNilpotentIdeal:
@@ -158,7 +164,7 @@ class TestChainForNilpotentIdeal:
         chain = chain_for_nilpotent_ideal(ring, ring.from_int(6))
         assert chain.ss == (6,)
         assert chain.ts == (2,)
-        assert chain.provenance == "principal-nilpotent"
+        assert chain.base_ring.coefficient_modulus == 6
         e = chain_lift(ring.from_int(3), chain).lifted
         assert e.coeff_vector() == (9,)
 
@@ -166,7 +172,7 @@ class TestChainForNilpotentIdeal:
         ring = ResidueRing(27)
         chain = chain_for_nilpotent_ideal(ring, ring.from_int(3))
         assert chain.ss == (3, 3)
-        assert chain.provenance == "prime-power"
+        assert chain.base_ring.coefficient_modulus == 3
 
     def test_wrong_index_claim(self):
         ring = ResidueRing(27)
@@ -222,7 +228,7 @@ class TestChainForNilpotentIdeal:
         with pytest.raises(ValueError):
             chain_for_nilpotent_ideal(ring, n)
         chain = chain_for_nilpotent_ideal(ring, n, char=2)
-        assert chain.provenance == "validated-numerically"
+        assert chain.ss == (2,) and chain.base_ring is None
 
 
 class TestChainLift:
@@ -253,7 +259,7 @@ class TestChainLift:
 
     def test_multiplication_count_multi_step(self):
         ring = ResidueRing(36)
-        report = chain_lift(ring.from_int(15), trusted_chain(ring, (2, 3), (2, 2)))
+        report = chain_lift(ring.from_int(15), CncChain(ring, (2, 3), (2, 2)))
         assert report.lifted.coeff_vector() == (9,)
         assert report.multiplications == 1 + 1 + 2 + 1
         ring = GroupRing(ResidueRing(625), AbelianGroup((3,)))
@@ -265,19 +271,19 @@ class TestChainLift:
     def test_idempotent_short_circuit_on_multi_step_chain(self):
         ring = GroupRing(ResidueRing(36), AbelianGroup((2,)))
         e = ring.from_coeffs((9, 0))
-        report = chain_lift(e, trusted_chain(ring, (2, 3, 3), (2, 2, 2)))
+        report = chain_lift(e, CncChain(ring, (2, 3, 3), (2, 2, 2)))
         assert report.lifted == e
         assert report.multiplications == 1
 
     def test_failure_raises_in_checked_mode(self):
         ring = ResidueRing(8)
-        chain = trusted_chain(ring, (3,), (2,))  # wrong s for the 2-adic chain
+        chain = CncChain(ring, (3,), (2,))  # wrong s for the 2-adic chain
         with pytest.raises(VerificationError):
             chain_lift(ring.from_int(2) + ring.one, chain)
 
     def test_unchecked_reports_failure_without_raising(self):
         ring = ResidueRing(8)
-        chain = trusted_chain(ring, (3,), (2,))
+        chain = CncChain(ring, (3,), (2,))
         report = chain_lift(ring.from_int(3), chain, checked=False)
         assert not report.verified_idempotent
 
@@ -299,21 +305,24 @@ class TestChainLift:
                 via_binomial = binomial_lift(f)
                 assert via_chain == via_binomial
 
-    def test_transported_chain_checks_congruence(self):
-        base = ResidueRing(8)
-        ring = GroupRing(base, AbelianGroup((3,)))
-        chain = chain_for_group_ring(standard_chain(base), ring)
-        f = ring.from_coeffs((0, 1, 1))
-        report = chain_lift(f, chain)
-        assert report.verified_congruent is True
-        assert report.lifted.coeff_vector() == (6, 5, 5)
 
-    def test_transport_rejects_foreign_base(self):
-        with pytest.raises(ValueError):
-            chain_for_group_ring(
-                standard_chain(ResidueRing(9)),
-                GroupRing(ResidueRing(8), AbelianGroup((3,))),
-            )
+class TestFactorizationCount:
+    """How often one CLI ``lift`` factorizes: once for the standard chain's
+    modulus, never for a ``--tower`` chain, whose steps all have t = 2."""
+
+    @pytest.mark.parametrize(
+        "ring, element, m",
+        [("Z(625){C3}", "6*e + 5*g", 625), ("Z(200)", "15", 200), ("Z(25)[i]", "3 + i", 25)],
+    )
+    def test_standard_chain_lift_factorizes_once(self, capsys, factorize_calls, ring, element, m):
+        assert cli.main(["lift", ring, element]) == 0
+        assert "verified: true" in capsys.readouterr().out
+        assert factorize_calls == [m]
+
+    def test_tower_lift_factorizes_nothing(self, capsys, factorize_calls):
+        assert cli.main(["lift", "Z(625){C3}", "6*e + 5*g", "--tower", "5", "3"]) == 0
+        assert "verified: true" in capsys.readouterr().out
+        assert factorize_calls == []
 
 
 class TestStandardChain:

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from idemlift.errors import UnsupportedError
+from idemlift.catalog import enumerate_idempotents
 from idemlift.oracle import brute_force_scan
-from idemlift.quotients import QuotientRing, gaussian_idempotents, gaussian_ring
+from idemlift.quotients import QuotientRing, gaussian_ring
 from idemlift.rings import ResidueRing
 
 
@@ -116,45 +116,41 @@ class TestTupleContract:
 
 
 class TestGaussianIdempotents:
+    """E(Z_p[i]) through the general pipeline: for p == 1 (mod 4) it is
+    0, 1 and the pair (p+1)/2 +- w*i with w^2 = -1/4."""
+
+    @staticmethod
+    def members(p):
+        return sorted(x.coeff_vector() for x in enumerate_idempotents(gaussian_ring(p)).members)
+
     def test_p5(self):
-        got = sorted(x.coeff_vector() for x in gaussian_idempotents(5))
-        assert got == [(0, 0), (1, 0), (3, 1), (3, 4)]
+        assert self.members(5) == [(0, 0), (1, 0), (3, 1), (3, 4)]
 
     def test_p13(self):
-        got = sorted(x.coeff_vector() for x in gaussian_idempotents(13))
-        assert got == [(0, 0), (1, 0), (7, 4), (7, 9)]
+        assert self.members(13) == [(0, 0), (1, 0), (7, 4), (7, 9)]
 
     def test_matches_brute_force(self):
         for p in (5, 13, 17):
-            ring = gaussian_ring(p)
-            brute = sorted(x.coeff_vector() for x in brute_force_scan(ring))
-            got = sorted(x.coeff_vector() for x in gaussian_idempotents(p))
-            assert got == brute
+            brute = sorted(x.coeff_vector() for x in brute_force_scan(gaussian_ring(p)))
+            assert self.members(p) == brute
 
     @pytest.mark.parametrize("p", [1000033, 2305843009213693973])
     def test_large_primes_fast(self, p):
-        # the square root of -1 costs O(log p) products, not ((p-1)/2)!
+        # the split of x^2 + 1 over F_p costs O(log p) products, not O(p)
         t0 = time.perf_counter()
-        family = gaussian_idempotents(p)
+        family = enumerate_idempotents(gaussian_ring(p))
         assert time.perf_counter() - t0 < 1.0
-        assert all(e * e == e for e in family)
-        assert len({e.coeff_vector() for e in family}) == 4
-        _, _, e, f = family
+        assert all(e * e == e for e in family.members)
+        assert len({e.coeff_vector() for e in family.members}) == 4
+        e, f = family.primitive
         assert (e * f).is_zero() and e + f == gaussian_ring(p).one
-
-    def test_three_mod_four_rejected(self):
-        with pytest.raises(UnsupportedError):
-            gaussian_idempotents(7)
 
     def test_three_mod_four_brute_force_only_trivial(self):
         for p in (3, 7, 11):
             ring = gaussian_ring(p)
             got = sorted(x.coeff_vector() for x in brute_force_scan(ring))
             assert got == [(0, 0), (1, 0)]
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_idempotents(25)
+            assert self.members(p) == got
 
 
 class TestZeroRing:
