@@ -10,8 +10,10 @@ component).
 Over a prime there is one route per carrier kind: {0, 1} for Z_p, the
 factorization of the quotient polynomial for a quotient base, and for
 F_p G the paper's hat family where it certifies, else the splitting of
-the Frobenius-fixed subalgebra, which also serves F_{p^d} G.  The
-brute-force scan is the independent check, never a provider.
+the Frobenius-fixed subalgebra B, which also serves F_{p^d} G.  B is
+F_p^k as an algebra, so it is split by idempotents made of ring products
+alone, in the ring's own kernel.  The brute-force scan is the independent
+check, never a provider.
 
 The idempotents form a Boolean algebra whose atoms are the primitive
 idempotents, and the gluing is additive over the prime parts.  So every
@@ -44,7 +46,7 @@ from .groups import (
 )
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import _divmod, _null_space, _product, _split_by, _trim, berlekamp_factor
+from .polynomials import _null_space, _product, berlekamp_factor
 from .quotients import QuotientRing
 from .rings import ResidueRing, Ring, factorize, is_prime, modular_inverse
 
@@ -202,45 +204,32 @@ def cyclic_base_idempotents(n: int, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
     return frobenius_idempotents(GroupRing(ResidueRing(p), group), list_cap)
 
 
-def _split_piece(e: list[int], c: list[int], mul, p: int) -> list[list[int]]:
-    """The Lagrange idempotents of the minimal polynomial of c in e*B.
+def _splitting_families(ring: GroupRing, hs, p: int):
+    """Orthogonal idempotents of B that sum to 1, one family per basis
+    element h of B (over odd p, per shift a and h), each with at least two
+    nonzero members.
 
-    The powers e, c, c^2, ... are reduced against each other until the
-    first one is a combination of those before it; that relation is the
-    minimal polynomial mu of c, whose roots r_j are distinct and lie in
-    F_p.  Each idempotent prod_{l != j} (c - r_l) / (r_j - r_l) is then a
-    combination of the stored powers.
+    B is F_p^k as an algebra.  Over F_2 every h is idempotent and gives
+    {h, 1 - h}.  Over odd p, w = (h + a)^((p - 1)/2) is 0 or +-1 on each
+    component, so u = w^2 and s = (u + w)/2 give {s, u - s, 1 - u}: the
+    components where h + a is a nonzero square, a non-square, and zero
+    (the equal-degree split of Cantor & Zassenhaus 1981).  Two components
+    where h differs fall apart at the shift that zeroes one of them, so the
+    shifts a = 0 .. p - 1 separate every pair.
     """
-    powers = [e]
-    echelon = []  # (pivot, vector, combination of powers) per stored power
-    while True:
-        vec = list(powers[-1])
-        comb = [int(t == len(powers) - 1) for t in range(len(e) + 1)]
-        for piv, row, rcomb in echelon:
-            f = vec[piv]
-            if f:
-                vec = [(a - f * b) % p for a, b in zip(vec, row)]
-                comb = [(a - f * b) % p for a, b in zip(comb, rcomb)]
-        piv = next((i for i, a in enumerate(vec) if a), None)
-        if piv is None:
-            break
-        inv = modular_inverse(vec[piv], p)
-        echelon.append((piv, [a * inv % p for a in vec], [a * inv % p for a in comb]))
-        powers.append(mul(powers[-1], c))
-    mu = _trim(comb)
-    if len(mu) == 2:
-        return [e]
-    out = []
-    for root in _split_by(mu, [0, 1], p):
-        lag = _divmod(mu, root, p)[0]
-        value = 0  # lag at the root -root[0], by Horner
-        for a in reversed(lag):
-            value = (value * -root[0] + a) % p
-        inv = modular_inverse(value, p)
-        out.append(
-            [sum(a * v[i] for a, v in zip(lag, powers)) * inv % p for i in range(len(e))]
-        )
-    return out
+    one = ring.one
+    for a in range(p if p > 2 else 1):  # over F_2 a shift swaps h and 1 - h
+        for h in hs:
+            if p == 2:
+                family = [h, one - h]
+            else:
+                w = (h + ring.from_int(a)) ** ((p - 1) // 2)
+                u = w * w
+                s = (u + w) * ((p + 1) // 2)
+                family = [s, u - s, one - u]
+            family = [f for f in family if not f.is_zero()]
+            if len(family) > 1:
+                yield family
 
 
 def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
@@ -249,10 +238,12 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
     Frobenius a -> a^p is F_p-linear on the commutative algebra A = KG, and
     its fixed space B is the F_p-span of A's primitive idempotents, whether
     or not A is semisimple (Berlekamp's Q-matrix lifted to algebras; Friedl
-    & Ronyai 1985).  B is the null space of Frob - I; it is split by the
-    minimal polynomial of e*h for each piece e and basis element h.  The
-    family is certified against the orbit count of g -> g^(p^d) on the
-    p'-part of G, which does not look at B.
+    & Ronyai 1985).  B is the null space of Frob - I, read as ring
+    elements h.  Starting from the one piece 1, every piece e is refined
+    into the nonzero e*f over the idempotent families f that the h give
+    (``_splitting_families``), all products in A's own kernel, until there
+    are dim B pieces.  The family is certified against the orbit count of
+    g -> g^(p^d) on the p'-part of G, which does not look at B.
     """
     p = ring.coefficient_modulus
     if not is_prime(p):
@@ -272,38 +263,15 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
         for k, xk in enumerate(xps):
             for j, v in enumerate(xk):
                 rows[gp * d + j][g * d + k] += v
-    basis, frees = _null_space(rows, p)
+    basis = _null_space(rows, p)
     k = len(basis)
-    elems = [ring.from_coeffs(v) for v in basis]
-    table = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            prod_ij = (elems[i] * elems[j]).coeffs
-            table[i][j] = table[j][i] = [prod_ij[col] for col in frees]
-
-    def mul(u, v):
-        acc = [0] * k
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        for t, s in enumerate(table[i][j]):
-                            acc[t] += a * b * s
-        return [a % p for a in acc]
-
-    one = ring.one.coeffs
-    pieces = [[one[col] for col in frees]]
-    for h in range(k):
-        if len(pieces) == k:
-            break
-        unit = [int(t == h) for t in range(k)]
-        pieces = [part for e in pieces for part in _split_piece(e, mul(e, unit), mul, p)]
-    if len(pieces) != k:
-        raise ArithmeticError(f"the basis of B split 1 into {len(pieces)}, not {k}, pieces")
-    primitive = [
-        ring.from_coeffs([sum(a * v[col] for a, v in zip(e, basis)) for col in range(n)])
-        for e in pieces
-    ]
+    families = _splitting_families(ring, [ring.from_coeffs(v) for v in basis], p)
+    primitive = [ring.one]
+    while len(primitive) < k:
+        family = next(families, None)
+        if family is None:
+            raise ArithmeticError(f"the basis of B split 1 into {len(primitive)}, not {k}, pieces")
+        primitive = [x for e in primitive for f in family if not (x := e * f).is_zero()]
     # the p'-part of G: each cyclic factor without its p-part
     coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
     expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
@@ -335,23 +303,21 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
     ring = GroupRing(ResidueRing(p), group)
-    whole = Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order)))
-    g_hat = ring.hat(whole)
-    if group.rank == 1:
-        candidate = [g_hat, ring.one - g_hat]
-    else:
-        candidate = [g_hat]
-        for sub in minimal_nontrivial_subgroups(group):
-            candidate.append(ring.hat(sub) - g_hat)
+    subs = minimal_nontrivial_subgroups(group) if group.rank == 2 else []
+    size = 2 if group.rank == 1 else 1 + len(subs)
     expected = frobenius_orbit_count(group, p)
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
-    # count.  _build_family then verifies the family once.
-    if len(candidate) != expected:
+    # count.  That number is compared before any candidate is built (each
+    # difference costs a product); _build_family then verifies the family once.
+    if size != expected:
         raise UnsupportedError(
             "hat family certification failed for "
-            f"{ring.expression()}: size {len(candidate)} vs {expected} components"
+            f"{ring.expression()}: size {size} vs {expected} components"
         )
+    g_hat = ring.hat(Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order))))
+    parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in subs]
+    candidate = [g_hat] + [x - g_hat for x in parts]
     return _build_family(
         ring,
         primitive=candidate,

@@ -137,10 +137,8 @@ def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
     return result
 
 
-def _null_space(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Basis of the null space of a square matrix over F_p (row vectors),
-    and the free columns: each basis vector is 1 at its own free column and
-    0 at the others, so a null vector's coordinates are its free entries."""
+def _null_space(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the null space of a square matrix over F_p (row vectors)."""
     n = len(rows)
     m = [row[:] for row in rows]
     pivot_col_of_row: list[int] = []
@@ -159,15 +157,14 @@ def _null_space(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
         pivot_col_of_row.append(col)
         rank += 1
     pivots = set(pivot_col_of_row)
-    frees = [col for col in range(n) if col not in pivots]
     basis = []
-    for free in frees:
+    for free in (col for col in range(n) if col not in pivots):
         vec = [0] * n
         vec[free] = 1
         for row_idx, col in enumerate(pivot_col_of_row):
             vec[col] = (-m[row_idx][free]) % p
         basis.append(vec)
-    return basis, frees
+    return basis
 
 
 def _frobenius_nullity_basis(f: list[int], p: int) -> list[list[int]]:
@@ -183,7 +180,7 @@ def _frobenius_nullity_basis(f: list[int], p: int) -> list[list[int]]:
         current = poly_mulmod(current, xp, tail, p)
     # h = sum a_i x^i is fixed by Frobenius iff a * (Q - I) == 0
     mt = [[(q_rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
-    return [_trim(vec) for vec in _null_space(mt, p)[0]]
+    return [_trim(vec) for vec in _null_space(mt, p)]
 
 
 def _split_by(u: list[int], h: list[int], p: int) -> list[list[int]]:

@@ -19,7 +19,7 @@ from idemlift.catalog import (
     poly_crt_combine,
 )
 from idemlift.errors import SizeLimitError, UnsupportedError, VerificationError
-from idemlift.group_rings import GroupRing
+from idemlift.group_rings import GroupRing, PackedRing
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
@@ -147,6 +147,22 @@ class TestFrobeniusIdempotents:
         fam = frobenius_idempotents(_over(1009, None, 16), list_cap=0)
         assert fam.count == 2**16 and not fam.complete and len(fam.primitive) == 16
 
+    def test_split_by_characters_not_by_zeros(self, monkeypatch):
+        # F_1009 C16 is split (16 divides 1008): its 16 components differ in
+        # the quadratic character of h + a for a few shifts a, at O(log p)
+        # products each; telling them apart only where h + a is 0 would
+        # walk hundreds of shifts
+        calls = []
+        real = PackedRing.mul
+
+        def counting(self, a, b):
+            calls.append(None)
+            return real(self, a, b)
+
+        monkeypatch.setattr(PackedRing, "mul", counting)
+        assert len(frobenius_idempotents(_over(1009, None, 16), list_cap=0).primitive) == 16
+        assert len(calls) < 4000
+
     def test_dimension_cap(self):
         assert frobenius_idempotents(_over(2, None, 64)).count == 2
         with pytest.raises(SizeLimitError):
@@ -204,12 +220,15 @@ class TestHatFamily:
         import idemlift.catalog as catalog
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("verify_family called on a family of the wrong size")
+            raise AssertionError("work done on a family of the wrong size")
 
         monkeypatch.setattr(catalog, "verify_family", forbidden)
         monkeypatch.setattr(catalog, "_subset_sums", forbidden)
+        monkeypatch.setattr(PackedRing, "mul", forbidden)
         with pytest.raises(UnsupportedError, match="size 7 vs 25 components"):
             hat_family(AbelianGroup((5, 5)), 11)
+        with pytest.raises(UnsupportedError, match="size 2 vs 3 components"):
+            hat_family(AbelianGroup((7,)), 2)
 
     def test_non_elementary_rejected(self):
         with pytest.raises(UnsupportedError):

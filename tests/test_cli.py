@@ -31,18 +31,19 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
-def pow_calls(monkeypatch):
-    """Exponents of every group-ring power taken while the test runs."""
-    from idemlift.group_rings import GroupRingElement
+def lift_calls(monkeypatch):
+    """Elements that ``catalog._combine`` lifts while the test runs: it reads
+    each through ``_embed`` before raising it to its prime-power exponent."""
+    from idemlift import catalog
 
     calls = []
-    real = GroupRingElement.__pow__
+    real = catalog._embed
 
-    def counting(self, e):
-        calls.append(e)
-        return real(self, e)
+    def counting(x, carrier):
+        calls.append(x)
+        return real(x, carrier)
 
-    monkeypatch.setattr(GroupRingElement, "__pow__", counting)
+    monkeypatch.setattr(catalog, "_embed", counting)
     return calls
 
 
@@ -87,7 +88,7 @@ class TestList:
         assert code == 3
         assert "use 'count' or raise --cap" in err
 
-    def test_cap_exceeded_lifts_no_members(self, capsys, pow_calls):
+    def test_cap_exceeded_lifts_no_members(self, capsys, lift_calls):
         # 2^18 members exceed the cap: only the 18 primitives are lifted
         code, out, err = run(capsys, "list", "Z(1000){C31}")
         assert code == 3
@@ -96,15 +97,15 @@ class TestList:
             "error: |E| = 262144 exceeds the listing cap 65536; "
             "use 'count' or raise --cap\n"
         )
-        assert len(pow_calls) == 18
+        assert len(lift_calls) == 18
 
     @pytest.mark.parametrize("ring, lifts", [("Z(200){C3}", 4), ("Z(2520){C11}", 10)])
-    def test_lifts_one_element_per_primitive(self, capsys, pow_calls, ring, lifts):
+    def test_lifts_one_element_per_primitive(self, capsys, lift_calls, ring, lifts):
         # the listing is the subset sums of the lifted primitives: no member is lifted
         code, out, _ = run(capsys, "list", ring)
         assert code == 0
         assert len(out.splitlines()) == 1 + 2**lifts
-        assert len(pow_calls) == lifts
+        assert len(lift_calls) == lifts
 
     def test_cap_override_small(self, capsys):
         code, _, _ = run(capsys, "list", "Z(12)", "--cap", "2")
@@ -180,6 +181,19 @@ class TestCount:
         assert code == 0
         assert out == "|E(Z(2){C53xC53})| = 36028797018963968 = 2^55\nprimitive count: 55\n"
         assert elapsed < 4.0
+
+    def test_frobenius_at_the_dimension_cap_within_budget(self, capsys):
+        # F_3(C2^6) is split (3 = 1 mod 2): B is all of A, 64 components,
+        # each piece split by products in the ring's own kernel
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "Z(3){C2xC2xC2xC2xC2xC2}")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == (
+            "|E(Z(3){C2xC2xC2xC2xC2xC2})| = 18446744073709551616 = 2^64\n"
+            "primitive count: 64\n"
+        )
+        assert elapsed < 1.5
 
     @pytest.mark.parametrize(
         "p", [100003, 1000000007, 4611686018427388039]  # the last is 2^62 + 135
@@ -266,13 +280,13 @@ class TestPrimitive:
         )
         assert len(lines) == 5
 
-    def test_lifts_only_the_primitives(self, capsys, pow_calls):
+    def test_lifts_only_the_primitives(self, capsys, lift_calls):
         from idemlift.catalog import enumerate_idempotents
         from idemlift.parsing import build_ring
 
         ring = build_ring("Z(1000){C31}")
         expected = enumerate_idempotents(ring, list_cap=0).primitive
-        pow_calls.clear()
+        lift_calls.clear()
         code, out, _ = run(capsys, "primitive", "Z(1000){C31}")
         assert code == 0
         lines = out.splitlines()
@@ -280,10 +294,10 @@ class TestPrimitive:
             "primitive idempotents of Z(1000){C31}: 18 elements [crt-combined]"
         )
         assert lines[1:] == [ring.element_text(x) for x in expected]
-        assert len(pow_calls) == 18
+        assert len(lift_calls) == 18
 
     @pytest.mark.parametrize("cap, complete", [("16", True), ("15", False)])
-    def test_json_complete_at_the_cap_boundary(self, capsys, pow_calls, cap, complete):
+    def test_json_complete_at_the_cap_boundary(self, capsys, lift_calls, cap, complete):
         # |E| = 16: "complete" says whether `list --cap` would list E,
         # and the four primitives are all that is lifted either way
         code, out, _ = run(capsys, "primitive", "Z(200){C3}", "--json", "--cap", cap)
@@ -292,7 +306,7 @@ class TestPrimitive:
         assert payload["count"] == 16
         assert payload["complete"] is complete
         assert "members" not in payload
-        assert len(pow_calls) == 4
+        assert len(lift_calls) == 4
 
     def test_json_has_no_members(self, capsys):
         code, out, _ = run(capsys, "primitive", "--json", "Z(200){C3}")
