@@ -239,11 +239,13 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
     its fixed space B is the F_p-span of A's primitive idempotents, whether
     or not A is semisimple (Berlekamp's Q-matrix lifted to algebras; Friedl
     & Ronyai 1985).  B is the null space of Frob - I, read as ring
-    elements h.  Starting from the one piece 1, every piece e is refined
-    into the nonzero e*f over the idempotent families f that the h give
+    elements h; the scalars among them split nothing and are dropped.
+    Starting from the one piece 1, every piece e is refined into the
+    nonzero e*f over the idempotent families f that the h give
     (``_splitting_families``), all products in A's own kernel, until there
-    are dim B pieces.  The family is certified against the orbit count of
-    g -> g^(p^d) on the p'-part of G, which does not look at B.
+    are dim B pieces; a piece with e*f = e is kept whole at once.  The
+    family is certified against the orbit count of g -> g^(p^d) on the
+    p'-part of G, which does not look at B.
     """
     p = ring.coefficient_modulus
     if not is_prime(p):
@@ -265,13 +267,22 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
                 rows[gp * d + j][g * d + k] += v
     basis = _null_space(rows, p)
     k = len(basis)
-    families = _splitting_families(ring, [ring.from_coeffs(v) for v in basis], p)
+    # a scalar (packed value below p) is constant on every component
+    hs = [h for v in basis if (h := ring.from_coeffs(v)).value >= p]
+    families = _splitting_families(ring, hs, p)
     primitive = [ring.one]
     while len(primitive) < k:
         family = next(families, None)
         if family is None:
             raise ArithmeticError(f"the basis of B split 1 into {len(primitive)}, not {k}, pieces")
-        primitive = [x for e in primitive for f in family if not (x := e * f).is_zero()]
+        pieces = []
+        for e in primitive:
+            for f in family:
+                if not (x := e * f).is_zero():
+                    pieces.append(x)
+                    if x == e:  # e lies under f, so e * f' = 0 for every other f'
+                        break
+        primitive = pieces
     # the p'-part of G: each cyclic factor without its p-part
     coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
     expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
@@ -308,8 +319,8 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
     expected = frobenius_orbit_count(group, p)
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
-    # count.  That number is compared before any candidate is built (each
-    # difference costs a product); _build_family then verifies the family once.
+    # count.  That number is compared before any candidate is built;
+    # _build_family then verifies the family once.
     if size != expected:
         raise UnsupportedError(
             "hat family certification failed for "
@@ -327,17 +338,6 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
     )
 
 
-def _trivial_pair_family(ring: Ring, list_cap: int) -> IdempotentFamily:
-    """A field's E = {0, 1}: its primitive family is {1}."""
-    return _build_family(
-        ring,
-        primitive=[ring.one],
-        provenance="factorization",
-        expected_components=1,
-        list_cap=list_cap,
-    )
-
-
 def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
     """E(ring) for a carrier whose coefficient modulus is prime.
 
@@ -349,7 +349,8 @@ def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> Idem
     if not is_prime(p):
         raise ValueError(f"base enumeration needs a prime modulus, got {p}")
     if isinstance(ring, ResidueRing):
-        return _trivial_pair_family(ring, list_cap)
+        return _build_family(ring, primitive=[ring.one], provenance="factorization",
+                             expected_components=1, list_cap=list_cap)
     if isinstance(ring, QuotientRing):
         return poly_crt_combine(p, ring.q, TRIVIAL_GROUP, list_cap=list_cap)
     if isinstance(ring, GroupRing):
@@ -374,48 +375,33 @@ def poly_crt_combine(
 
     The combination rule is e = sum_i s_i(x) m_i(x) f_i^{p^{r_i - 1}} over
     choices of f_i from E((F_p[x]/(q_i)) G).  Without a group each factor
-    ring is a field, E = {0, 1}; a linear factor gives F_p G, and a factor
-    of degree > 1 gives F_{p^d} G, split by ``frobenius_idempotents``.
-    The factor families are asked for their primitives only.
+    ring is a field, whose one primitive is 1; with one, every linear factor
+    gives F_p G, whose family is found once, and a factor of degree > 1
+    gives F_{p^d} G, split by ``frobenius_idempotents``.
     """
     if not is_prime(p):
         raise ValueError(f"poly_crt_combine requires a prime modulus, got {p}")
     quotient = QuotientRing(p, mpoly)
     carrier: Ring = quotient if group.is_trivial else GroupRing(quotient, group)
     fact = berlekamp_factor(quotient.q, p)
-    weights = []
-    alphas = []
-    families = []
+    weights, alphas, families = [], [], []
+    linear = ()  # the primitives of E(F_p G), shared by every linear factor
     for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         # the weight s_i(x) m_i(x) sits at the group identity, block 0
         w = quotient.from_polynomial(_product(inv, cof)).coeffs
         weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
         alphas.append(p ** (e - 1))
-        factor_ring = QuotientRing(p, q)
         if group.is_trivial:
-            families.append(_trivial_pair_family(factor_ring, list_cap=0))
+            families.append((carrier.one,))
         elif len(q) == 2:
-            # F_p[x]/(x - a) is F_p, so E(F_p G) is the factor's family
-            families.append(
-                base_field_idempotents(GroupRing(ResidueRing(p), group), list_cap=0)
-            )
+            # F_p[x]/(x - a) is F_p
+            fp_group = GroupRing(ResidueRing(p), group)
+            linear = linear or base_field_idempotents(fp_group, list_cap=0).primitive
+            families.append(linear)
         else:
-            families.append(frobenius_idempotents(GroupRing(factor_ring, group), list_cap=0))
-
-    if len(fact.factors) > 1:
-        provenance = "crt-combined"
-    elif alphas[0] > 1:
-        provenance = "lifted"
-    else:
-        provenance = "factorization"
-    return _combine(
-        carrier,
-        weights=weights,
-        alphas=alphas,
-        families=families,
-        provenance=provenance,
-        list_cap=list_cap,
-    )
+            field = GroupRing(QuotientRing(p, q), group)
+            families.append(frobenius_idempotents(field, list_cap=0).primitive)
+    return _combine(carrier, weights=weights, alphas=alphas, families=families, list_cap=list_cap)
 
 
 def _embed(x, carrier: Ring):
@@ -431,31 +417,29 @@ def _embed(x, carrier: Ring):
     )
 
 
-def _combine(
-    carrier: Ring,
-    *,
-    weights,
-    alphas,
-    families,
-    provenance: str,
-    list_cap: int,
-) -> IdempotentFamily:
-    """Glue per-component families: e = sum_i w_i * embed(f_i)^{alpha_i}.
+def _combine(carrier: Ring, *, weights, alphas, families, list_cap: int) -> IdempotentFamily:
+    """Glue per-component primitives: e = sum_i w_i * embed(f_i)^{alpha_i}.
 
-    The weights w_i are carrier elements.  The glue is additive, so the
-    lifts of the certified component primitives, one each, are the
-    carrier's primitive family; ``_build_family`` lists E from them.
+    The weights w_i are carrier elements and each family is a tuple of
+    certified component primitives.  The glue is additive, so their lifts,
+    one each, are the carrier's primitive family; ``_build_family`` lists E
+    from them.  Provenance: "crt-combined" for more than one component,
+    "lifted" for one raised to a power, "factorization" for one as it is.
     """
     primitive = [
         w * _embed(f, carrier) ** alpha
         for w, alpha, fam in zip(weights, alphas, families)
-        for f in fam.primitive
+        for f in fam
     ]
+    if len(families) > 1:
+        provenance = "crt-combined"
+    else:
+        provenance = "lifted" if alphas[0] > 1 else "factorization"
     return _build_family(
         carrier,
         primitive=primitive,
         provenance=provenance,
-        expected_components=sum(len(f.primitive) for f in families),
+        expected_components=sum(map(len, families)),
         list_cap=list_cap,
     )
 
@@ -470,33 +454,23 @@ def crt_combine(
     Completeness multiplies; the embedded per-prime primitives form the
     (additive) primitive family.
     """
-    ring = GroupRing(ResidueRing(m), group)
-    return _crt_enumerate(ring, list_cap)
+    return _crt_enumerate(GroupRing(ResidueRing(m), group), list_cap)
 
 
 def _crt_enumerate(ring: Ring, list_cap: int) -> IdempotentFamily:
     m = ring.coefficient_modulus
     if m == 1:
-        return _build_family(
-            ring,
-            provenance="brute-force",
-            expected_components=0,
-            list_cap=list_cap,
-        )
+        return _build_family(ring, provenance="brute-force", expected_components=0,
+                             list_cap=list_cap)
     fact = factorize(m)
-    families = [
-        base_field_idempotents(ring.reduce_to(pp.prime), list_cap=0)
-        for pp in fact.factors
-    ]
-    weights = [ring.from_int(w) for w in fact.crt_weights]
-    alphas = [pp.prime ** (pp.exponent - 1) for pp in fact.factors]
-    single = len(fact.factors) == 1
     return _combine(
         ring,
-        weights=weights,
-        alphas=alphas,
-        families=families,
-        provenance="lifted" if single else "crt-combined",
+        weights=[ring.from_int(w) for w in fact.crt_weights],
+        alphas=[pp.prime ** (pp.exponent - 1) for pp in fact.factors],
+        families=[
+            base_field_idempotents(ring.reduce_to(pp.prime), list_cap=0).primitive
+            for pp in fact.factors
+        ],
         list_cap=list_cap,
     )
 

@@ -8,8 +8,8 @@ wide enough that a product carries into no other slot.  A product is one
 integer product, wrapped and folded back onto the group; a SWAR ("SIMD
 within a register") program then takes every slot mod m at once, and a
 quotient base reduces every block by its monic q.  A sum is one addition
-and one guarded subtraction of m.  Z_m[x]/(q) alone is the layout of the
-trivial group.
+and one guarded subtraction of m, and so is a negation m - a.  Z_m[x]/(q)
+alone is the layout of the trivial group.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ class PackedRing(Ring):
     def add(self, a: int, b: int) -> int:
         lay = self._layout
         z = a + b
+        return z - (((z + lay.add_m) & lay.guard) >> lay.top) * self.coefficient_modulus
+
+    def neg(self, a: int) -> int:
+        """m - a in every slot, then ``add``'s guarded subtraction of m."""
+        lay = self._layout
+        z = lay.m_all - a
         return z - (((z + lay.add_m) & lay.guard) >> lay.top) * self.coefficient_modulus
 
 
@@ -273,6 +279,7 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
         last=_sweep_steps(last, m, top, ones),
         guard=ones << top,
         add_m=((1 << top) - m) * ones,
+        m_all=m * ones,
     )
 
 

@@ -56,9 +56,6 @@ class AbelianGroup:
         ei, ej = self.exponents(i), self.exponents(j)
         return self.index(a + b for a, b in zip(ei, ej))
 
-    def inverse(self, i: int) -> int:
-        return self.index(-a for a in self.exponents(i))
-
     def power(self, i: int, k: int) -> int:
         return self.index(a * k for a in self.exponents(i))
 

@@ -46,12 +46,6 @@ class QuotientRing(PackedRing):
         self.dimension = len(self._tail)
         self._shape = ((), self._tail, modulus)
 
-    @property
-    def variable(self) -> PolyQuotientElement:
-        if self.dimension < 2:
-            raise ValueError("quotient of degree 1 has no residual variable")
-        return self.from_coeffs((0, 1) + (0,) * (self.dimension - 2))
-
     def from_polynomial(self, coeffs) -> PolyQuotientElement:
         """The residue of a coefficient sequence of any length."""
         cs = reduce_mod(list(coeffs), self._tail, self.coefficient_modulus)

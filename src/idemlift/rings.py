@@ -276,9 +276,9 @@ class Ring:
     - ``pack``/``unpack`` between a tuple of reduced coefficients and the
       packed int.  Every layout keeps flat index 0 in the low bits, below
       every other slot, so the scalar v * 1 is the int v mod m;
-    - the whole-int ``mul(a, b)`` and ``add(a, b)`` on packed ints.  Here
-      ``scale(a, c)``, by an integer c, is the product with c * 1, and
-      ``neg`` is scaling by -1;
+    - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)`` on packed
+      ints.  Here ``scale(a, c)``, by an integer c, is the product with
+      c * 1;
     - ``reduce_to``, ``expression``, ``element_text`` and
       ``structure_constants``.
 
@@ -295,10 +295,6 @@ class Ring:
     @property
     def cardinality(self) -> int:
         return self.coefficient_modulus**self.dimension
-
-    @property
-    def characteristic(self) -> int:
-        return self.coefficient_modulus
 
     @property
     def zero(self):
@@ -324,9 +320,6 @@ class Ring:
     def scale(self, a: int, c: int) -> int:
         """a times the integer c: the product with the scalar c * 1."""
         return self.mul(a, c % self.coefficient_modulus)
-
-    def neg(self, a: int) -> int:
-        return self.scale(a, -1)
 
     def reduce_to(self, c: int) -> "Ring":
         """The structurally identical ring with coefficient modulus c."""
@@ -369,10 +362,6 @@ class ResidueRing(Ring):
         self.coefficient_modulus = modulus
         self.dimension = 1
 
-    @property
-    def modulus(self) -> int:
-        return self.coefficient_modulus
-
     def pack(self, coeffs: Sequence[int]) -> int:
         return coeffs[0]
 
@@ -385,6 +374,9 @@ class ResidueRing(Ring):
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.coefficient_modulus
 
+    def neg(self, a: int) -> int:
+        return -a % self.coefficient_modulus
+
     def coefficient_texts(self, coeffs):
         return map(str, coeffs)
 
@@ -392,19 +384,22 @@ class ResidueRing(Ring):
         return ResidueRing(c)
 
     def expression(self) -> str:
-        return f"Z({self.modulus})"
+        return f"Z({self.coefficient_modulus})"
 
     def element_text(self, x: Element) -> str:
         return str(x.value)
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        return [[(1 % self.modulus,)]]
+        return [[(1 % self.coefficient_modulus,)]]
 
     def __eq__(self, other):
-        return isinstance(other, ResidueRing) and other.modulus == self.modulus
+        return (
+            isinstance(other, ResidueRing)
+            and other.coefficient_modulus == self.coefficient_modulus
+        )
 
     def __hash__(self):
-        return hash(("ResidueRing", self.modulus))
+        return hash(("ResidueRing", self.coefficient_modulus))
 
     def __repr__(self):
-        return f"ResidueRing({self.modulus})"
+        return f"ResidueRing({self.coefficient_modulus})"

@@ -163,6 +163,22 @@ class TestFrobeniusIdempotents:
         assert len(frobenius_idempotents(_over(1009, None, 16), list_cap=0).primitive) == 16
         assert len(calls) < 4000
 
+    def test_split_pieces_are_not_refined(self, monkeypatch):
+        # F_193 C64 has 64 components (64 divides 192).  A piece e with
+        # e * f = e lies under f and is kept without the products by the
+        # other members of f, and the scalar null vector splits nothing;
+        # multiplying every piece by every member took 10,499 products
+        calls = []
+        real = PackedRing.mul
+
+        def counting(self, a, b):
+            calls.append(None)
+            return real(self, a, b)
+
+        monkeypatch.setattr(PackedRing, "mul", counting)
+        assert len(frobenius_idempotents(_over(193, None, 64), list_cap=0).primitive) == 64
+        assert len(calls) < 6200
+
     def test_dimension_cap(self):
         assert frobenius_idempotents(_over(2, None, 64)).count == 2
         with pytest.raises(SizeLimitError):

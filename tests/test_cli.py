@@ -269,6 +269,45 @@ class TestCount:
         assert out == "|E(Z(4611686014132420609))| = 2 = 2^1\nprimitive count: 1\n"
         assert elapsed < 5.0
 
+    def test_field_factors_build_no_ring(self, capsys, monkeypatch):
+        # 1008 + x^7 splits into seven linear factors over F_1009; each factor
+        # ring is a field whose one primitive is the carrier's 1, so the glue
+        # certifies one family in one layout
+        from idemlift import catalog
+        from idemlift.group_rings import _layout
+
+        builds = []
+        real = catalog._build_family
+        monkeypatch.setattr(
+            catalog, "_build_family", lambda *a, **k: builds.append(1) or real(*a, **k)
+        )
+        _layout.cache_clear()
+        code, out, _ = run(capsys, "count", "Z(1009)[x]/(1008+x^7)")
+        assert code == 0
+        assert out == "|E(Z(1009)[x]/(1008 + x^7))| = 128 = 2^7\nprimitive count: 7\n"
+        assert len(builds) == 1
+        assert _layout.cache_info().misses == 1
+
+    def test_linear_factors_share_one_group_family(self, capsys, monkeypatch):
+        # x^2 + 1 has two linear factors mod 13 and mod 17: E(F_p C3) is found
+        # once per prime.  Over F_13 the hat family fails (13 = 1 mod 3) and
+        # the splitter answers; over F_17 the hat family certifies.
+        from idemlift import catalog
+
+        calls = []
+        for name in ("hat_family", "frobenius_idempotents", "poly_crt_combine"):
+            real = getattr(catalog, name)
+            monkeypatch.setattr(
+                catalog, name,
+                lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k),
+            )
+        code, out, _ = run(capsys, "count", "Z(221)[i]{C3}")
+        assert code == 0
+        assert out == "|E(Z(221)[i]{C3})| = 1024 = 2^10\nprimitive count: 10\n"
+        assert sorted(calls) == sorted(
+            ["poly_crt_combine"] * 2 + ["hat_family"] * 2 + ["frobenius_idempotents"]
+        )
+
 
 class TestPrimitive:
     def test_z200c3(self, capsys):

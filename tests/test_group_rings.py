@@ -5,7 +5,7 @@ import random
 import pytest
 
 from idemlift.groups import AbelianGroup, all_subgroups, subgroup_generated
-from idemlift.group_rings import GroupRing, _split, pow_tower
+from idemlift.group_rings import GroupRing, PackedRing, _split, pow_tower
 from idemlift.parsing import build_ring
 from idemlift.quotients import QuotientRing
 from idemlift.rings import ResidueRing
@@ -207,6 +207,35 @@ class TestPackedContract:
                 assert_canonical(got)
         assert_canonical(top)
         assert (top - top).is_zero() and top + -top == ring.zero
+
+
+class TestSubtraction:
+    """x - y is a sum: m - y in every slot, then one guarded subtraction."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["Z(1)", "Z(1){C2xC3}", "Z(7)", "Z(12){C2xC3}", "Z(25)[i]{C3}",
+         "Z(2305843009213693951)[x]/(1 + x^2 + x^3){C4}"],
+    )
+    def test_costs_no_product(self, expr, monkeypatch):
+        ring = build_ring(expr)
+        m = ring.coefficient_modulus
+        rng = random.Random(f"sub:{expr}")
+        x, y = _random_element(rng, ring), _random_element(rng, ring)
+        top = ring.from_coeffs((m - 1,) * ring.dimension)
+        pairs = [(x, y), (y, x), (x, top), (top, top), (ring.zero, x), (x, ring.zero)]
+        wants = [a + (m - 1) * b for a, b in pairs]
+
+        def forbidden(*args):
+            raise AssertionError("a product in a subtraction")
+
+        monkeypatch.setattr(PackedRing, "mul", forbidden)
+        monkeypatch.setattr(ResidueRing, "mul", forbidden)
+        for (a, b), want in zip(pairs, wants):
+            assert a - b == want
+            assert_canonical(a - b)
+        if expr == "Z(12){C2xC3}":  # rank 2: empty slots between the blocks
+            assert ring._layout.count > ring.dimension
 
 
 class TestHat:

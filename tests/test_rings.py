@@ -180,7 +180,7 @@ class TestResidueRing:
         r = ResidueRing(6)
         assert [x.coeff_vector() for x in r.elements()] == [(v,) for v in range(6)]
         assert r.cardinality == 6
-        assert r.characteristic == 6
+        assert r.coefficient_modulus == 6
 
     def test_include_reduce_round_trip(self):
         big = ResidueRing(200)
