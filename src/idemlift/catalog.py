@@ -88,10 +88,6 @@ class IdempotentFamily:
         return out
 
 
-def _canonical(elems) -> tuple:
-    return tuple(sorted(elems, key=lambda x: x.coeff_vector()))
-
-
 def _build_family(
     ring: Ring,
     *,
@@ -107,7 +103,7 @@ def _build_family(
     |E| = 2^k, listed as the subset sums of the k primitives when that
     fits under ``list_cap``.  Supplied ``members`` are the whole of E.
     """
-    primitive = _canonical(primitive)
+    primitive = tuple(sorted(primitive, key=lambda x: ring.order_key(x.value)))
     orthogonal_primitive = False
     if primitive or expected_components is not None:
         check = verify_family(primitive, ring, expected_components)
@@ -122,20 +118,27 @@ def _build_family(
     if members is None:
         count = 2 ** len(primitive)
         complete = count <= list_cap
-        members = _subset_sums(primitive, ring) if complete else ()
+        values, keys = [], []
+        if complete:
+            values = _subset_sums([x.value for x in primitive], ring)
+            keys = _subset_sums([ring.order_key(x.value) for x in primitive], ring)
     else:
         count, complete = len(members), True
         if count & (count - 1) != 0:
             raise VerificationError(
                 f"|E| = {count} is not a power of 2; enumeration is broken"
             )
-    members = _canonical(members)
+        values = [x.value for x in members]
+        keys = list(map(ring.order_key, values))
+    values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    members = tuple(ring.element(ring, v) for v in values)
     for x in members:
         if not verify_idempotent(x):
             raise VerificationError(
                 f"claimed member {ring.element_text(x)} is not idempotent"
             )
-    if any(x == y for x, y in pairwise(members)):
+    # keys are equal exactly when values are, so a duplicate sorts next to its twin
+    if any(a == b for a, b in pairwise(values)):
         raise VerificationError("complete family contains duplicates")
     return IdempotentFamily(
         ring=ring,
@@ -165,21 +168,18 @@ def _atoms_of(members, ring: Ring) -> tuple:
     return tuple(atoms)
 
 
-def _subset_sums(primitive, ring: Ring) -> list:
-    # Sums of packed ints: one addition and one guarded subtraction of m per
-    # listed member.  The listing grows by the 16 subset sums of four
-    # primitives at a time, into a new list each pass.  Doubling one list in
-    # place allocates the same members, yet the benchmark worker's peak RSS
-    # on list_render rose from 37.2 to 39.1 MiB; this order peaks at 37.3
-    # (medians of ten runs, 2-core Xeon, Python 3.11).
+def _subset_sums(values, ring: Ring) -> list[int]:
+    # All 2^k subset sums of k packed ints, in an order fixed by k alone, so
+    # the members and their order keys come out in step: one addition and
+    # one guarded subtraction of m per sum, doubling one list in place.
+    # Sixteen sums of four values at a time, into a new list each pass, ran
+    # and peaked the same (list_render worker: 0.389 against 0.390 s, 21.57
+    # against 21.59 MiB; medians of six pairs, 2-core Xeon, Python 3.11).
     add = ring.add
     out = [0]
-    for i in range(0, len(primitive), 4):
-        batch = [0]
-        for e in primitive[i : i + 4]:
-            batch.extend([add(x, e.value) for x in batch])
-        out = [add(x, y) for x in out for y in batch]
-    return [ring.element(ring, v) for v in out]
+    for e in values:
+        out.extend([add(x, e) for x in out])
+    return out
 
 
 def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> IdempotentFamily:
@@ -314,18 +314,18 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
     ring = GroupRing(ResidueRing(p), group)
-    subs = minimal_nontrivial_subgroups(group) if group.rank == 2 else []
-    size = 2 if group.rank == 1 else 1 + len(subs)
+    size = 2 if group.rank == 1 else group.factors[0] + 2  # q + 1 subgroups of C_q^2
     expected = frobenius_orbit_count(group, p)
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
-    # count.  That number is compared before any candidate is built;
-    # _build_family then verifies the family once.
+    # count.  That number is compared before any subgroup or candidate is
+    # built; _build_family then verifies the family once.
     if size != expected:
         raise UnsupportedError(
             "hat family certification failed for "
             f"{ring.expression()}: size {size} vs {expected} components"
         )
+    subs = minimal_nontrivial_subgroups(group) if group.rank == 2 else []
     g_hat = ring.hat(Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order))))
     parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in subs]
     candidate = [g_hat] + [x - g_hat for x in parts]
@@ -427,7 +427,7 @@ def _combine(carrier: Ring, *, weights, alphas, families, list_cap: int) -> Idem
     "lifted" for one raised to a power, "factorization" for one as it is.
     """
     primitive = [
-        w * _embed(f, carrier) ** alpha
+        w if f.value == 1 else w * _embed(f, carrier) ** alpha  # 1 lifts to 1
         for w, alpha, fam in zip(weights, alphas, families)
         for f in fam
     ]
@@ -523,7 +523,8 @@ def crt_combine_powerform(
               for pp in fact.factors]
     choices = [ring.zero]
     for c, f in zip(coeffs, base_families):
-        embedded = [c * ring.from_coeffs(e.coeffs) for e in _subset_sums(f.primitive, f.ring)]
+        sums = _subset_sums([e.value for e in f.primitive], f.ring)
+        embedded = [c * ring.from_coeffs(f.ring.unpack(v)) for v in sums]
         choices = [x + y for x in choices for y in embedded]
     members = [pow_tower(u, radical, k - 1) for u in choices]
     primitive = [

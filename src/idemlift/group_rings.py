@@ -46,6 +46,12 @@ class PackedRing(Ring):
         lay = self._layout
         return lay.pick(_split(v, lay.count, lay.slot))
 
+    def order_key(self, v: int) -> int:
+        """v's slots in reverse order, flat index 0 on top: ints that compare
+        as the coefficient tuples do and that ``add`` sums slot by slot."""
+        lay = self._layout
+        return _join(_split(v, lay.count, lay.slot)[::-1], lay.slot)
+
     def mul(self, a: int, b: int) -> int:
         """Multiply once, wrap and fold onto the group, reduce every slot."""
         lay = self._layout
@@ -75,6 +81,8 @@ class PackedRing(Ring):
 class GroupRingElement(Element):
     # The benchmark's span tracer (perfbench/spans.py) wraps these through
     # this class's own __dict__, so they are bound here and not inherited.
+    # lifting.verify_idempotent squares packed ints through ring.mul, so the
+    # traced product count does not include those squarings.
     __slots__ = ()
     __mul__ = Element.__mul__
     __pow__ = Element.__pow__

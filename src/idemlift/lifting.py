@@ -28,7 +28,7 @@ NILPOTENCY_CAP = 64
 
 
 def verify_idempotent(x) -> bool:
-    return x * x == x
+    return x.ring.mul(x.value, x.value) == x.value  # builds no element
 
 
 def verify_orthogonal(x, y) -> bool:

@@ -9,8 +9,8 @@ vector packed in its ring's layout with every coefficient reduced below m:
 Z_m holds the residue itself, the other carriers a Kronecker layout
 (``group_rings``).  Products, sums, negation, scaling, equality and
 hashing are whole-int operations; coefficient tuples appear only at the
-boundary (``from_coeffs``, ``coeffs``, text, JSON, the sort key and the
-brute-force scan, which multiplies through the structure constants).
+boundary (``from_coeffs``, ``coeffs``, text, JSON and the brute-force scan,
+which multiplies through the structure constants).
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -182,11 +182,11 @@ class Element:
     """One element of any carrier: its coefficient vector packed in one int.
 
     ``value`` is the ring's packed int; ``coeffs`` unpacks it on each use
-    and keeps nothing, so a listing holds its members' ints and no tuples.
-    Every operation is the ring's whole-int kernel.  Mixing elements of
-    different rings raises ValueError; an operand that is neither an
-    element nor (for scaling) an int gives NotImplemented, so Python
-    raises TypeError.
+    and keeps nothing, so a listing holds its members' ints, sorted by
+    ``ring.order_key``, and no tuples.  Every operation is the ring's
+    whole-int kernel.  Mixing elements of different rings raises
+    ValueError; an operand that is neither an element nor (for scaling) an
+    int gives NotImplemented, so Python raises TypeError.
     """
 
     __slots__ = ("ring", "value")
@@ -279,6 +279,8 @@ class Ring:
     - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)`` on packed
       ints.  Here ``scale(a, c)``, by an integer c, is the product with
       c * 1;
+    - ``order_key(v)``, an int that orders packed values as their
+      coefficient tuples and that ``add`` sums as it sums the values;
     - ``reduce_to``, ``expression``, ``element_text`` and
       ``structure_constants``.
 
@@ -367,6 +369,9 @@ class ResidueRing(Ring):
 
     def unpack(self, v: int) -> tuple[int, ...]:
         return (v,)
+
+    def order_key(self, v: int) -> int:
+        return v
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.coefficient_modulus

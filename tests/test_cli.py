@@ -107,6 +107,34 @@ class TestList:
         assert len(out.splitlines()) == 1 + 2**lifts
         assert len(lift_calls) == lifts
 
+    @pytest.mark.parametrize(
+        "argv, members, k",
+        [(["list", "Z(4095){C4}"], 16384, 14), (["list", "Z(60){C3xC3}", "--json"], 2048, 11)],
+    )
+    def test_one_unpack_and_one_squaring_per_member(self, capsys, monkeypatch, argv, members, k):
+        # members are sorted by int keys summed beside them, so a listed
+        # member is unpacked once, for its text or JSON; the rest are the
+        # k primitives' embeddings and JSON.  Every listed member is squared.
+        from idemlift import catalog
+        from idemlift.group_rings import PackedRing
+
+        unpacks, squared = [], []
+        real_unpack, real_verify = PackedRing.unpack, catalog.verify_idempotent
+        monkeypatch.setattr(
+            PackedRing, "unpack", lambda self, v: unpacks.append(1) or real_unpack(self, v)
+        )
+        monkeypatch.setattr(
+            catalog, "verify_idempotent", lambda x: squared.append(x) or real_verify(x)
+        )
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(unpacks) <= members + 2 * k
+        if "--json" in argv:
+            assert [list(x.coeffs) for x in squared] == json.loads(out)["members"]
+        else:
+            assert [x.ring.element_text(x) for x in squared] == out.splitlines()[1:]
+        assert len(squared) == members
+
     def test_cap_override_small(self, capsys):
         code, _, _ = run(capsys, "list", "Z(12)", "--cap", "2")
         assert code == 3
@@ -287,6 +315,32 @@ class TestCount:
         assert out == "|E(Z(1009)[x]/(1008 + x^7))| = 128 = 2^7\nprimitive count: 7\n"
         assert len(builds) == 1
         assert _layout.cache_info().misses == 1
+
+    def test_unit_components_lift_without_products(self, capsys, monkeypatch):
+        # each field factor's primitive is its own 1, so its lift is the
+        # weight w itself: no w * embed(1)^alpha for any of the seven
+        from idemlift.group_rings import PackedRing
+
+        products = []
+        real = PackedRing.mul
+        monkeypatch.setattr(
+            PackedRing, "mul", lambda self, a, b: products.append(1) or real(self, a, b)
+        )
+        code, out, err = run(capsys, "count", "Z(1009)[x]/(1008+x^7)")
+        assert (code, err) == (0, "")
+        assert out == "|E(Z(1009)[x]/(1008 + x^7))| = 128 = 2^7\nprimitive count: 7\n"
+        assert len(products) == 13
+
+    def test_hat_size_checked_before_subgroups(self, capsys):
+        # C251 x C251 gives 253 hat candidates, but F_2 C251xC251 has 1261
+        # components (ord_251(2) = 50): the hat route is refused before it
+        # closes a subgroup for each of the 63,000 elements of order 251,
+        # and the Frobenius route is over its dimension cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "Z(2){C251xC251}")
+        assert (code, out) == (3, "")
+        assert err == "error: Frobenius splitting capped at dimension 64, got 63001\n"
+        assert time.perf_counter() - start < 5.0
 
     def test_linear_factors_share_one_group_family(self, capsys, monkeypatch):
         # x^2 + 1 has two linear factors mod 13 and mod 17: E(F_p C3) is found

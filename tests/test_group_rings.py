@@ -425,3 +425,47 @@ class TestTextMatchesReference:
         dense = build_ring("Z(8)[x]/(1 + x + x^3){C3}")
         assert dense.element_text(dense.zero) == "0*e + 0*g + 0*g^2"
         assert dense.element_text(dense.from_int(3)) == "(3)*e + 0*g + 0*g^2"
+
+
+ORDER_KEY_RINGS = ["Z(%d)", "Z(%d)[x]/(1 + x + x^3)", "Z(%d)[i]{C3}", "Z(%d){C3xC3}"]
+
+
+class TestOrderKey:
+    """``order_key`` is an int that orders packed values as their coefficient
+    tuples do and that ``add`` sums as it sums the values.  The last two
+    rings leave gaps between their slots."""
+
+    @pytest.mark.parametrize("text, m", zip(ORDER_KEY_RINGS, [7, 3, 3, 2]))
+    def test_every_element_in_ascending_order(self, text, m):
+        # elements() runs in the lexicographic coefficient order, so the keys
+        # must rise strictly: order-preserving, and equal only for equal values
+        ring = build_ring(text % m)
+        keys = [ring.order_key(x.value) for x in ring.elements()]
+        assert len(keys) == ring.cardinality
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(isinstance(k, int) for k in keys)
+
+    @pytest.mark.parametrize("text", ORDER_KEY_RINGS)
+    def test_sort_sum_and_equality(self, text):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            m = data.draw(st.sampled_from([2, 3, 10, 2**61 - 1, 2**63 - 25]))
+            ring = build_ring(text % m)
+            coeff = st.integers(min_value=0, max_value=m - 1)
+            # few distinct coefficients, so equal vectors do occur
+            vec = st.lists(st.sampled_from([0, 1, m - 1]) | coeff,
+                           min_size=ring.dimension, max_size=ring.dimension)
+            xs = [ring.from_coeffs(v) for v in data.draw(st.lists(vec, min_size=2, max_size=8))]
+            key = ring.order_key
+            by_key = sorted(xs, key=lambda x: key(x.value))
+            assert [x.coeffs for x in by_key] == sorted(x.coeffs for x in xs)
+            for a in xs:
+                for b in xs:
+                    assert key(ring.add(a.value, b.value)) == ring.add(key(a.value), key(b.value))
+                    assert (key(a.value) == key(b.value)) == (a == b)
+
+        check()
