@@ -34,7 +34,6 @@ from .groups import (
     all_subgroups,
     frobenius_orbit_count,
     group_from_factors,
-    minimal_nontrivial_subgroups,
     subgroup_generated,
 )
 from .lifting import (
@@ -110,7 +109,6 @@ __all__ = [
     "group_from_factors",
     "hat_family",
     "is_prime",
-    "minimal_nontrivial_subgroups",
     "modular_inverse",
     "nilpotency_index",
     "parse_element",

@@ -42,7 +42,7 @@ from .groups import (
     Subgroup,
     TRIVIAL_GROUP,
     frobenius_orbit_count,
-    minimal_nontrivial_subgroups,
+    order_q_subgroups,
 )
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
@@ -299,7 +299,7 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
     """Subgroup-average idempotents of F_p G for elementary abelian G of rank <= 2.
 
     Rank 1 uses {G-hat, 1 - G-hat}; rank 2 uses G-hat plus H-hat - G-hat
-    over the minimal nontrivial subgroups H.  The family is certified
+    over the q + 1 subgroups H of order q of C_q x C_q.  The family is certified
     against the Frobenius orbit count or rejected outright.
     """
     if not is_prime(p):
@@ -325,9 +325,8 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
             "hat family certification failed for "
             f"{ring.expression()}: size {size} vs {expected} components"
         )
-    subs = minimal_nontrivial_subgroups(group) if group.rank == 2 else []
     g_hat = ring.hat(Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order))))
-    parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in subs]
+    parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in order_q_subgroups(group)]
     candidate = [g_hat] + [x - g_hat for x in parts]
     return _build_family(
         ring,

@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .catalog import (
     DEFAULT_LIST_CAP,
@@ -56,8 +56,29 @@ _EXIT_CODES = {
 }
 
 
+@lru_cache(maxsize=64)
+def _int_row(length: int, indent: str) -> str:
+    return "[" + ",".join([f"\n{indent}  {{}}"] * length) + f"\n{indent}]"
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str-keyed documents,
+    which the standard library encodes in pure Python, item by item: here a
+    list of plain ints (``type(v) is int``, so True stays ``true``) fills
+    one cached row template per (length, indent)."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"\n{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + ",".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if all(type(v) is int for v in value):
+            return _int_row(len(value), indent).format(*value)
+        return "[" + ",".join(f"\n{inner}{_json_text(v, inner)}" for v in value) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _emit_error(exc: IdemliftError, json_mode: bool) -> int:
@@ -104,8 +125,7 @@ def _emit_family(fam: IdempotentFamily, ring: Ring, args, label: str) -> int:
         _print_json(fam.to_json_dict())
     else:
         print(f"{label}({ring.expression()}): {fam.count} elements [{fam.provenance}]")
-        for x in fam.members:
-            print(ring.element_text(x))
+        sys.stdout.writelines(ring.element_text(x) + "\n" for x in fam.members)
     if args.golden:
         return _check_golden(fam, args.golden)
     return 0
@@ -163,8 +183,7 @@ def _cmd_primitive(args) -> int:
             f"primitive idempotents of {ring.expression()}: "
             f"{len(fam.primitive)} elements [{fam.provenance}]"
         )
-        for x in fam.primitive:
-            print(ring.element_text(x))
+        sys.stdout.writelines(ring.element_text(x) + "\n" for x in fam.primitive)
     return 0
 
 

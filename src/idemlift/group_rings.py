@@ -20,7 +20,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from .groups import AbelianGroup, Subgroup
-from .rings import Element, Ring, modular_inverse
+from .rings import Element, ResidueRing, Ring, modular_inverse
 
 
 class PackedRing(Ring):
@@ -99,7 +99,7 @@ class GroupRing(PackedRing):
         self.coefficient_modulus = base.coefficient_modulus
         self.dimension = group.order * base.dimension
         self._shape = (group.factors, base._tail, base.coefficient_modulus)
-        self._names = None
+        self._names = self._dense_row = None
 
     def hat(self, sub: Subgroup) -> GroupRingElement:
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
@@ -122,14 +122,20 @@ class GroupRing(PackedRing):
         """Canonical text: ``c0*e + c1*g + c2*g^2`` / rank-2 ``c*(a^i b^j)`` terms.
 
         Rank-1 output is dense (a coefficient for every power of g) so
-        listings line up column-wise; higher ranks print only nonzero
-        terms since those carriers have |G| >= 4 basis elements.
+        listings line up column-wise; it fills one row template, with the
+        ints themselves over Z_m.  Higher ranks print only nonzero terms
+        since those carriers have |G| >= 4 basis elements.
         """
         if self._names is None:
             self._names = tuple(map(self.group.element_name, range(self.group.order)))
-        dense, texts = self.group.rank <= 1, self.base.coefficient_texts(x.coeffs)
-        terms = [f"{t}*{name}" for t, name in zip(texts, self._names) if dense or t != "0"]
-        return " + ".join(terms) or "0"
+            self._dense_row = " + ".join(f"{{}}*{name}" for name in self._names).format
+        coeffs = self.unpack(x.value)
+        if self.group.rank > 1:
+            texts = self.base.coefficient_texts(coeffs)
+            return " + ".join(f"{t}*{n}" for t, n in zip(texts, self._names) if t != "0") or "0"
+        if not isinstance(self.base, ResidueRing):
+            coeffs = self.base.coefficient_texts(coeffs)
+        return self._dense_row(*coeffs)
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         base_sc, bd = self.base.structure_constants(), self.base.dimension

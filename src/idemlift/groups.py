@@ -25,13 +25,8 @@ class AbelianGroup:
         if any(n < 2 for n in factors):
             raise ValueError(f"cyclic factors must be >= 2, got {factors}")
         self.factors = tuple(factors)
-        self.order = prod(self.factors) if self.factors else 1
-        strides = []
-        acc = 1
-        for n in reversed(self.factors):
-            strides.append(acc)
-            acc *= n
-        self._strides = tuple(reversed(strides))
+        self.order = prod(self.factors)
+        self._strides = tuple(prod(self.factors[k + 1 :]) for k in range(len(self.factors)))
 
     @property
     def rank(self) -> int:
@@ -42,10 +37,7 @@ class AbelianGroup:
         return self.order == 1
 
     def exponents(self, index: int) -> tuple[int, ...]:
-        out = []
-        for n, s in zip(self.factors, self._strides):
-            out.append((index // s) % n)
-        return tuple(out)
+        return tuple([index // s % n for n, s in zip(self.factors, self._strides)])
 
     def index(self, exponents) -> int:
         return sum(
@@ -58,12 +50,6 @@ class AbelianGroup:
 
     def power(self, i: int, k: int) -> int:
         return self.index(a * k for a in self.exponents(i))
-
-    def element_order(self, i: int) -> int:
-        result = 1
-        for a, n in zip(self.exponents(i), self.factors):
-            result = result * (n // gcd(a, n)) // gcd(result, n // gcd(a, n))
-        return result
 
     def expression(self) -> str:
         return "{" + "x".join(f"C{n}" for n in self.factors) + "}"
@@ -79,13 +65,8 @@ class AbelianGroup:
         """Multiplicative name of the element: e, g^2, (a b^3), ..."""
         if index == 0:
             return "e"
-        exps = self.exponents(index)
-        names = self.generator_names()
-        parts = []
-        for name, a in zip(names, exps):
-            if a == 0:
-                continue
-            parts.append(name if a == 1 else f"{name}^{a}")
+        exps = zip(self.generator_names(), self.exponents(index))
+        parts = [name if a == 1 else f"{name}^{a}" for name, a in exps if a]
         if self.rank == 1:
             return parts[0]
         return "(" + " ".join(parts) + ")"
@@ -130,9 +111,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 def subgroup_generated(group: AbelianGroup, generators) -> Subgroup:
     """Closure of the generator set, as sorted parent indices."""
@@ -176,18 +154,17 @@ def all_subgroups(
     return sorted(seen.values(), key=lambda s: (s.order, s.members))
 
 
-def minimal_nontrivial_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Subgroups of prime order (the atoms of the subgroup lattice).
+def order_q_subgroups(group: AbelianGroup) -> list[Subgroup]:
+    """The q + 1 subgroups of order q of C_q x C_q: <(1, 0)> and <(j, 1)>, j < q.
 
-    Each is cyclic, generated by any of its nonidentity elements, so they
-    are the <x> for the x of prime order; sorted by (order, member indices).
+    The multiples k * (a, b) of each generator, read as indices a * q + b;
+    no closure and no group products.
     """
-    found: dict[tuple[int, ...], Subgroup] = {}
-    for x in range(1, group.order):
-        if is_prime(group.element_order(x)):
-            sub = subgroup_generated(group, (x,))
-            found.setdefault(sub.members, sub)
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+    q = group.factors[0]
+    return [
+        Subgroup(group, (a * q + b,), tuple(sorted(k * a % q * q + k * b % q for k in range(q))))
+        for a, b in [(1, 0)] + [(j, 1) for j in range(q)]
+    ]
 
 
 def frobenius_orbit_count(group: AbelianGroup, p: int, degree: int = 1) -> int:

