@@ -20,8 +20,9 @@ idempotents, and the gluing is additive over the prime parts.  So every
 provider and the CRT glue pass on only a certified primitive family (one
 lift per primitive), and ``_build_family`` is the one place that lists
 E(ring): the subset sums of that family, when they fit under the listing
-cap.  Only the oracle's scan and the power form bring members of their
-own, and those pass through the same checks.
+cap.  The oracle's scan and the power form build members of their own;
+the scan is refined into primitives like B's basis, and each must equal
+the listing of the family it certifies.
 
 Everything returned is re-verified: members are squared, primitive
 families are checked for orthogonality, their sum, and their size against
@@ -52,19 +53,17 @@ from .rings import ResidueRing, Ring, factorize, is_prime, modular_inverse
 
 DEFAULT_LIST_CAP = 2**16
 FROBENIUS_DIMENSION_CAP = 64
-_ATOM_DERIVATION_CAP = 4096
 
 
 @dataclass(frozen=True)
 class IdempotentFamily:
     """A verified batch of idempotents of one carrier.
 
-    ``members`` is the full E(ring) when ``complete`` (canonically sorted
-    by coefficient vector), and empty when E was counted but not
-    materialized.  The members are the subset sums of ``primitive``, or
-    the route's own (the oracle's scan, the power form).  ``primitive`` is
-    the certified orthogonal primitive decomposition of 1 when one is
-    known.  ``count`` is |E(ring)| in either case.
+    ``primitive`` is the certified orthogonal primitive decomposition of
+    1 (empty only for the zero ring).  ``members`` is the full E(ring),
+    the subset sums of ``primitive`` canonically sorted by coefficient
+    vector, when ``complete``, and empty when E was counted but not
+    materialized.  ``count`` is |E(ring)| = 2^len(primitive) in either case.
     """
 
     ring: Ring
@@ -72,7 +71,6 @@ class IdempotentFamily:
     primitive: tuple
     count: int
     complete: bool
-    orthogonal_primitive: bool
     provenance: str
 
     def to_json_dict(self) -> dict:
@@ -91,45 +89,29 @@ class IdempotentFamily:
 def _build_family(
     ring: Ring,
     *,
-    primitive=(),
+    primitive,
     provenance: str,
-    expected_components: int | None = None,
+    expected_components: int,
     list_cap: int = DEFAULT_LIST_CAP,
-    members=None,
 ) -> IdempotentFamily:
-    """Re-verify and canonically order a family before handing it out.
-
-    Without ``members`` the family is its certified ``primitive`` one:
-    |E| = 2^k, listed as the subset sums of the k primitives when that
-    fits under ``list_cap``.  Supplied ``members`` are the whole of E.
-    """
+    """Certify the k primitives against ``expected_components``, then list
+    E as their 2^k subset sums, canonically ordered and re-verified, when
+    that fits under ``list_cap``."""
     primitive = tuple(sorted(primitive, key=lambda x: ring.order_key(x.value)))
-    orthogonal_primitive = False
-    if primitive or expected_components is not None:
-        check = verify_family(primitive, ring, expected_components)
-        if not check.primitive_certified:
-            raise VerificationError(
-                "primitive family failed certification: "
-                f"idempotent={check.all_idempotent}, nonzero={check.all_nonzero}, "
-                f"orthogonal={check.orthogonal}, sum_to_one={check.sums_to_one}, "
-                f"size={check.size}, expected={check.expected_components}"
-            )
-        orthogonal_primitive = True
-    if members is None:
-        count = 2 ** len(primitive)
-        complete = count <= list_cap
-        values, keys = [], []
-        if complete:
-            values = _subset_sums([x.value for x in primitive], ring)
-            keys = _subset_sums([ring.order_key(x.value) for x in primitive], ring)
-    else:
-        count, complete = len(members), True
-        if count & (count - 1) != 0:
-            raise VerificationError(
-                f"|E| = {count} is not a power of 2; enumeration is broken"
-            )
-        values = [x.value for x in members]
-        keys = list(map(ring.order_key, values))
+    check = verify_family(primitive, ring, expected_components)
+    if not check.primitive_certified:
+        raise VerificationError(
+            "primitive family failed certification: "
+            f"idempotent={check.all_idempotent}, nonzero={check.all_nonzero}, "
+            f"orthogonal={check.orthogonal}, sum_to_one={check.sums_to_one}, "
+            f"size={check.size}, expected={check.expected_components}"
+        )
+    count = 2 ** len(primitive)
+    complete = count <= list_cap
+    values, keys = [], []
+    if complete:
+        values = _subset_sums([x.value for x in primitive], ring)
+        keys = _subset_sums([ring.order_key(x.value) for x in primitive], ring)
     values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
     members = tuple(ring.element(ring, v) for v in values)
     for x in members:
@@ -146,26 +128,28 @@ def _build_family(
         primitive=primitive,
         count=count,
         complete=complete,
-        orthogonal_primitive=orthogonal_primitive,
         provenance=provenance,
     )
 
 
-def _atoms_of(members, ring: Ring) -> tuple:
-    """Minimal nonzero idempotents of a complete E (its primitive elements)."""
-    if len(members) > _ATOM_DERIVATION_CAP:
-        return ()
-    nonzero = [e for e in members if not e.is_zero()]
-    atoms = []
-    for e in nonzero:
-        minimal = True
-        for f in nonzero:
-            if f != e and f * e == f:
-                minimal = False
-                break
-        if minimal:
-            atoms.append(e)
-    return tuple(atoms)
+def _refine(ring: Ring, families, k: int) -> list:
+    """Split 1 into k pieces: each piece e becomes the nonzero e*f over the
+    members f of the next family of orthogonal idempotents summing to 1,
+    and a piece with e*f = e is kept whole at once."""
+    primitive = [ring.one] if k else []  # k = 0 only in the zero ring, where 1 = 0
+    while len(primitive) < k:
+        family = next(families, None)
+        if family is None:
+            raise VerificationError(f"the families split 1 into {len(primitive)}, not {k}, pieces")
+        pieces = []
+        for e in primitive:
+            for f in family:
+                if not (x := e * f).is_zero():
+                    pieces.append(x)
+                    if x == e:  # e lies under f, so e * f' = 0 for every other f'
+                        break
+        primitive = pieces
+    return primitive
 
 
 def _subset_sums(values, ring: Ring) -> list[int]:
@@ -183,19 +167,27 @@ def _subset_sums(values, ring: Ring) -> list[int]:
 
 
 def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> IdempotentFamily:
-    """Exhaustive scan; the oracle side of every dual-route check."""
+    """Exhaustive scan; the oracle side of every dual-route check.
+
+    A Boolean algebra of 2^k members has k atoms, and the pairs {f, 1 - f}
+    over the scanned f refine 1 into them.  The scan must then be exactly
+    the listing of the certified atoms, in the same ascending order.
+    """
     members = brute_force_scan(ring, cap)
-    primitive = _atoms_of(members, ring)
-    expected = len(primitive) if primitive else None
-    if ring.cardinality == 1:
-        primitive, expected = (), 0
-    return _build_family(
+    k = len(members).bit_length() - 1
+    if not members or len(members) != 1 << k:
+        raise VerificationError(f"|E| = {len(members)} is not a power of 2; enumeration is broken")
+    families = ([f, ring.one - f] for f in members if not f.is_zero() and f != ring.one)
+    fam = _build_family(
         ring,
-        members=members,
-        primitive=primitive,
+        primitive=_refine(ring, families, k),
         provenance="brute-force",
-        expected_components=expected,
+        expected_components=k,
+        list_cap=len(members),
     )
+    if fam.members != tuple(members):
+        raise VerificationError("the scan is not the Boolean algebra of its atoms")
+    return fam
 
 
 def cyclic_base_idempotents(n: int, p: int, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
@@ -243,9 +235,9 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
     Starting from the one piece 1, every piece e is refined into the
     nonzero e*f over the idempotent families f that the h give
     (``_splitting_families``), all products in A's own kernel, until there
-    are dim B pieces; a piece with e*f = e is kept whole at once.  The
-    family is certified against the orbit count of g -> g^(p^d) on the
-    p'-part of G, which does not look at B.
+    are dim B pieces (``_refine``).  The family is certified against the
+    orbit count of g -> g^(p^d) on the p'-part of G, which does not look
+    at B.
     """
     p = ring.coefficient_modulus
     if not is_prime(p):
@@ -269,20 +261,7 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
     k = len(basis)
     # a scalar (packed value below p) is constant on every component
     hs = [h for v in basis if (h := ring.from_coeffs(v)).value >= p]
-    families = _splitting_families(ring, hs, p)
-    primitive = [ring.one]
-    while len(primitive) < k:
-        family = next(families, None)
-        if family is None:
-            raise ArithmeticError(f"the basis of B split 1 into {len(primitive)}, not {k}, pieces")
-        pieces = []
-        for e in primitive:
-            for f in family:
-                if not (x := e * f).is_zero():
-                    pieces.append(x)
-                    if x == e:  # e lies under f, so e * f' = 0 for every other f'
-                        break
-        primitive = pieces
+    primitive = _refine(ring, _splitting_families(ring, hs, p), k)
     # the p'-part of G: each cyclic factor without its p-part
     coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
     expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
@@ -459,8 +438,8 @@ def crt_combine(
 def _crt_enumerate(ring: Ring, list_cap: int) -> IdempotentFamily:
     m = ring.coefficient_modulus
     if m == 1:
-        return _build_family(ring, provenance="brute-force", expected_components=0,
-                             list_cap=list_cap)
+        return _build_family(ring, primitive=(), provenance="brute-force",
+                             expected_components=0, list_cap=list_cap)
     fact = factorize(m)
     return _combine(
         ring,
@@ -499,7 +478,8 @@ def crt_combine_powerform(
     c_i = rad(m)/p_i, t_i c_i == 1 (mod p_i), k = max r_i.  Must agree with
     crt_combine element-for-element; the tests hold the two routes equal.
     Its members are built here, one power form per choice of base members,
-    never as subset sums of its primitives.
+    never as subset sums of its primitives, and must be the listing of the
+    certified family of its power-form primitives.
     """
     ring = GroupRing(ResidueRing(m), group)
     if m == 1:
@@ -531,10 +511,13 @@ def crt_combine_powerform(
         for coeff, fam in zip(coeffs, base_families)
         for f in fam.primitive
     ]
-    return _build_family(
+    fam = _build_family(
         ring,
-        members=members,
         primitive=primitive,
         provenance="crt-combined",
         expected_components=sum(len(f.primitive) for f in base_families),
+        list_cap=list_cap,
     )
+    if sorted(x.value for x in members) != sorted(x.value for x in fam.members):
+        raise VerificationError("the power-form members are not the listing of its primitives")
+    return fam

@@ -170,10 +170,6 @@ def _cmd_primitive(args) -> int:
     ring = build_ring(args.ring)
     cap = _cap(args, DEFAULT_LIST_CAP)
     fam = enumerate_idempotents(ring, list_cap=0)  # the primitives only, no listing
-    if not fam.orthogonal_primitive:
-        raise UnsupportedError(
-            f"no certified primitive family available for {ring.expression()}"
-        )
     if args.json:
         payload = fam.to_json_dict()
         payload["complete"] = fam.count <= cap  # whether `list --cap` would list E

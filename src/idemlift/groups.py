@@ -87,14 +87,11 @@ class AbelianGroup:
         return f"AbelianGroup({self.factors})"
 
 
-def group_from_factors(
-    factors, cap: int = DEFAULT_GROUP_ORDER_CAP
-) -> AbelianGroup:
-    """Build C_{n_1} x ... x C_{n_r}; the order is capped (default 2**16)."""
-    factors = tuple(int(n) for n in factors)
-    group = AbelianGroup(factors)
-    if group.order > cap:
-        raise SizeLimitError(f"group order {group.order} exceeds cap {cap}")
+def group_from_factors(factors) -> AbelianGroup:
+    """Build C_{n_1} x ... x C_{n_r}; the order is capped at 2**16."""
+    group = AbelianGroup(tuple(int(n) for n in factors))
+    if group.order > DEFAULT_GROUP_ORDER_CAP:
+        raise SizeLimitError(f"group order {group.order} exceeds cap {DEFAULT_GROUP_ORDER_CAP}")
     return group
 
 
@@ -127,26 +124,28 @@ def subgroup_generated(group: AbelianGroup, generators) -> Subgroup:
     return Subgroup(group, gens, tuple(sorted(members)))
 
 
-def all_subgroups(
-    group: AbelianGroup, cap: int = DEFAULT_SUBGROUP_ORDER_CAP
-) -> list[Subgroup]:
+def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
     """Every subgroup, found by closing each known subgroup under one more generator.
 
     Each subgroup of a finite abelian group arises by adjoining generators
     one at a time, so iterating to a fixpoint is exhaustive at every rank.
-    Sorted by (order, member indices).
+    S and x generate the same subgroup as S and any other member of the
+    coset xS, so S is closed once per coset, under its least member.
+    Sorted by (order, member indices); the group order is capped at 4096.
     """
-    if group.order > cap:
-        raise SizeLimitError(f"subgroup enumeration capped at order {cap}")
+    if group.order > DEFAULT_SUBGROUP_ORDER_CAP:
+        raise SizeLimitError(f"subgroup enumeration capped at order {DEFAULT_SUBGROUP_ORDER_CAP}")
     seen: dict[tuple[int, ...], Subgroup] = {}
     trivial = subgroup_generated(group, ())
     seen[trivial.members] = trivial
     frontier = [trivial]
     while frontier:
         sub = frontier.pop()
+        covered = set(sub.members)
         for x in range(1, group.order):
-            if x in sub.members:
+            if x in covered:
                 continue
+            covered.update(group.mul(x, s) for s in sub.members)
             bigger = subgroup_generated(group, sub.generators + (x,))
             if bigger.members not in seen:
                 seen[bigger.members] = bigger

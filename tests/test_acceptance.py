@@ -204,7 +204,6 @@ def test_criterion_3_companion_true_primitive_family_has_21_members():
     fam = enumerate_idempotents(ring, list_cap=0)
     assert fam.count == 2**21
     assert len(fam.primitive) == 21
-    assert fam.orthogonal_primitive
     check = verify_family(fam.primitive, ring, expected_components=21)
     assert check.primitive_certified
 

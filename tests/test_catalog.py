@@ -37,7 +37,6 @@ class TestBruteForceFamilies:
         assert _vectors(fam.members) == [(0,), (1,), (4,), (9,)]
         assert fam.complete and fam.count == 4
         assert fam.provenance == "brute-force"
-        assert fam.orthogonal_primitive
         assert _vectors(fam.primitive) == [(4,), (9,)]
 
     def test_atoms_of_f2c3(self):
@@ -45,13 +44,48 @@ class TestBruteForceFamilies:
         fam = brute_force_idempotents(ring)
         assert fam.count == 4
         assert _vectors(fam.primitive) == [(0, 1, 1), (1, 1, 1)]
-        assert fam.orthogonal_primitive
 
     def test_zero_ring(self):
         fam = brute_force_idempotents(ResidueRing(1))
         assert fam.count == 1
         assert fam.complete
         assert fam.primitive == ()
+
+    def test_scan_that_is_not_a_boolean_algebra_rejected(self, monkeypatch):
+        # 8 of the 16 idempotents of Z(210): 0, 1, the four prime
+        # components e2 = 105, e3 = 70, e5 = 126, e7 = 120, e2 + e3 = 175
+        # and e5 + e7 = 36.  Eight is 2^3, but these are not the eight sums
+        # of any three orthogonal idempotents.
+        import idemlift.catalog as catalog
+
+        ring = ResidueRing(210)
+        scan = [ring.from_int(v) for v in (0, 1, 36, 70, 105, 120, 126, 175)]
+        monkeypatch.setattr(catalog, "brute_force_scan", lambda ring, cap: scan)
+        with pytest.raises(VerificationError):
+            brute_force_idempotents(ring)
+
+    def test_atoms_of_a_large_scan_are_certified(self, monkeypatch):
+        # the scan is fed the pipeline's own 16,384-member listing; its 14
+        # atoms are found by refinement, with no cap on the scan's size
+        import idemlift.catalog as catalog
+
+        pipeline = enumerate_idempotents(build_ring("Z(4095){C4}"))
+        assert pipeline.count == 2**14
+        monkeypatch.setattr(
+            catalog, "brute_force_scan", lambda ring, cap: list(pipeline.members)
+        )
+        fam = brute_force_idempotents(pipeline.ring)
+        assert fam.primitive == pipeline.primitive
+        assert fam.members == pipeline.members
+
+    def test_scan_size_not_a_power_of_two_rejected(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        ring = ResidueRing(12)
+        scan = [ring.from_int(v) for v in (0, 1, 4)]
+        monkeypatch.setattr(catalog, "brute_force_scan", lambda ring, cap: scan)
+        with pytest.raises(VerificationError, match="not a power of 2"):
+            brute_force_idempotents(ring)
 
 
 class TestCyclicBase:
@@ -79,14 +113,12 @@ class TestCyclicBase:
         fam = cyclic_base_idempotents(6, 5)
         assert fam.count == 16
         assert len(fam.primitive) == 4
-        assert fam.orthogonal_primitive
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_non_semisimple_matches_oracle(self):
         for n, p in ((3, 3), (6, 3), (4, 2)):
             fam = cyclic_base_idempotents(n, p)
             assert fam.provenance == "factorization"
-            assert fam.orthogonal_primitive
             assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_nonprime_rejected(self):
@@ -130,7 +162,7 @@ class TestFrobeniusIdempotents:
     def test_matches_oracle(self, ring):
         fam = frobenius_idempotents(ring)
         assert fam.provenance == "factorization"
-        assert fam.complete and fam.orthogonal_primitive
+        assert fam.complete
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**16))
 
     @pytest.mark.parametrize(
@@ -198,7 +230,6 @@ class TestHatFamily:
             assert fam.provenance == "hat-family"
             assert len(fam.primitive) == 7
             assert fam.count == 128
-            assert fam.orthogonal_primitive
 
     def test_rank1_c3_over_f2(self):
         fam = hat_family(AbelianGroup((3,)), 2)
@@ -219,7 +250,6 @@ class TestHatFamily:
 
         monkeypatch.setattr(catalog, "verify_family", counting)
         fam = hat_family(AbelianGroup((5, 5)), 2)
-        assert fam.orthogonal_primitive
         assert len(calls) == 1
 
     def test_certification_failure_c7_over_f2(self):
@@ -299,7 +329,6 @@ class TestPolyCrtCombine:
         fam = poly_crt_combine(5, (1, 0, 1))
         assert _vectors(fam.members) == [(0, 0), (1, 0), (3, 1), (3, 4)]
         assert fam.provenance == "crt-combined"
-        assert fam.orthogonal_primitive
 
     def test_irreducible_modulus_gives_field(self):
         fam = poly_crt_combine(3, (1, 0, 1))
@@ -317,7 +346,6 @@ class TestPolyCrtCombine:
         # F_4 C_3: 4 = 1 mod 3, so three components and 8 idempotents
         fam = poly_crt_combine(2, (1, 1, 1), AbelianGroup((3,)))
         assert fam.count == 8
-        assert fam.orthogonal_primitive
         assert _vectors(fam.members) == _vectors(brute_force_scan(fam.ring))
 
     def test_extension_field_trivial_group_fine(self):
@@ -336,7 +364,6 @@ class TestCrtCombine:
         fam = crt_combine(200, AbelianGroup((3,)))
         assert fam.count == 16
         assert fam.provenance == "crt-combined"
-        assert fam.orthogonal_primitive
         assert len(fam.primitive) == 4
         assert _vectors(fam.members) == _vectors(
             brute_force_scan(fam.ring, cap=2**23)
@@ -427,7 +454,7 @@ class TestEnumerate:
         fam = enumerate_idempotents(ring)
         assert fam.count == 16
         assert fam.complete
-        assert fam.orthogonal_primitive and len(fam.primitive) == 4
+        assert len(fam.primitive) == 4
 
     def test_count_only_mode(self):
         ring = GroupRing(ResidueRing(936), AbelianGroup((5, 5)))
@@ -436,7 +463,6 @@ class TestEnumerate:
         assert not fam.complete
         assert fam.members == ()
         assert len(fam.primitive) == 21
-        assert fam.orthogonal_primitive
 
     def test_json_shape(self):
         fam = enumerate_idempotents(ResidueRing(12))

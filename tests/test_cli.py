@@ -414,21 +414,6 @@ class TestPrimitive:
         assert code == 0
         assert "0 elements" in out
 
-    def test_uncertified_family_rejected(self, capsys, monkeypatch):
-        import dataclasses
-
-        import idemlift.cli as cli
-        from idemlift.catalog import enumerate_idempotents as real
-
-        def uncertified(ring, list_cap):
-            fam = real(ring, list_cap)
-            return dataclasses.replace(fam, primitive=(), orthogonal_primitive=False)
-
-        monkeypatch.setattr(cli, "enumerate_idempotents", uncertified)
-        code, _, err = run(capsys, "primitive", "Z(12)")
-        assert code == 4
-        assert "no certified primitive family" in err
-
 
 class TestLift:
     def test_gaussian(self, capsys):
