@@ -61,7 +61,7 @@ class TestBruteForceFamilies:
         ring = ResidueRing(210)
         scan = [ring.from_int(v) for v in (0, 1, 36, 70, 105, 120, 126, 175)]
         monkeypatch.setattr(catalog, "brute_force_scan", lambda ring, cap: scan)
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="not the Boolean algebra"):
             brute_force_idempotents(ring)
 
     def test_atoms_of_a_large_scan_are_certified(self, monkeypatch):
@@ -394,6 +394,23 @@ class TestCrtCombine:
         monkeypatch.setattr(catalog, "base_field_idempotents", tampered)
         with pytest.raises(VerificationError, match="failed certification"):
             crt_combine(200, AbelianGroup((3,)))
+
+    def test_power_form_members_checked_against_the_listing(self, monkeypatch):
+        # the power form builds its members from the subset sums of each
+        # prime's base primitives; losing one choice must not go unseen
+        import idemlift.catalog as catalog
+
+        real = catalog._subset_sums
+
+        def one_lost(values, ring):
+            sums = real(values, ring)
+            if ring.coefficient_modulus == 5:
+                sums[-1] = sums[0]
+            return sums
+
+        monkeypatch.setattr(catalog, "_subset_sums", one_lost)
+        with pytest.raises(VerificationError, match="power-form members"):
+            crt_combine_powerform(200, AbelianGroup((3,)))
 
     def test_powerform_cap(self):
         with pytest.raises(SizeLimitError):
