@@ -18,11 +18,12 @@ check, never a provider.
 The idempotents form a Boolean algebra whose atoms are the primitive
 idempotents, and the gluing is additive over the prime parts.  So every
 provider and the CRT glue pass on only a certified primitive family (one
-lift per primitive), and ``_build_family`` is the one place that lists
-E(ring): the subset sums of that family, when they fit under the listing
-cap.  The oracle's scan and the power form build members of their own;
-the scan is refined into primitives like B's basis, and each must equal
-the listing of the family it certifies.
+lift per primitive), and a family is nothing more: E(ring) is listed from
+it, as the subset sums of its primitives, only when ``members`` is first
+read.  Capping a listing is the caller's choice.  The oracle's scan and
+the power form build members of their own; the scan is refined into
+primitives like B's basis, and each must equal the listing of the family
+it certifies.
 
 Everything returned is re-verified: members are squared, primitive
 families are checked for orthogonality, their sum, and their size against
@@ -33,6 +34,7 @@ certified is an error, never a silent downgrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from math import gcd, prod
 
@@ -57,46 +59,53 @@ FROBENIUS_DIMENSION_CAP = 64
 
 @dataclass(frozen=True)
 class IdempotentFamily:
-    """A verified batch of idempotents of one carrier.
+    """E(ring), given by its certified primitive idempotents.
 
     ``primitive`` is the certified orthogonal primitive decomposition of
-    1 (empty only for the zero ring).  ``members`` is the full E(ring),
-    the subset sums of ``primitive`` canonically sorted by coefficient
-    vector, when ``complete``, and empty when E was counted but not
-    materialized.  ``count`` is |E(ring)| = 2^len(primitive) in either case.
+    1 (empty only for the zero ring).  E is the Boolean algebra it
+    generates, so ``count`` is |E(ring)| = 2^len(primitive), and
+    ``members`` lists E on first read: the subset sums of ``primitive``,
+    canonically sorted by coefficient vector, each squared once more.
     """
 
     ring: Ring
-    members: tuple
     primitive: tuple
-    count: int
-    complete: bool
     provenance: str
 
+    @property
+    def count(self) -> int:
+        return 1 << len(self.primitive)
+
+    @cached_property
+    def members(self) -> tuple:
+        ring = self.ring
+        values = _subset_sums([x.value for x in self.primitive], ring)
+        keys = _subset_sums([ring.order_key(x.value) for x in self.primitive], ring)
+        values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        members = tuple(ring.element(ring, v) for v in values)
+        for x in members:
+            if not verify_idempotent(x):
+                raise VerificationError(
+                    f"claimed member {ring.element_text(x)} is not idempotent"
+                )
+        # keys are equal exactly when values are, so a duplicate sorts next to its twin
+        if any(a == b for a, b in pairwise(values)):
+            raise VerificationError("complete family contains duplicates")
+        return members
+
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "ring": self.ring.expression(),
             "count": self.count,
             "primitive": [list(x.coeff_vector()) for x in self.primitive],
-            "complete": self.complete,
             "provenance": self.provenance,
         }
-        if self.complete:
-            out["members"] = [list(x.coeff_vector()) for x in self.members]
-        return out
 
 
 def _build_family(
-    ring: Ring,
-    *,
-    primitive,
-    provenance: str,
-    expected_components: int,
-    list_cap: int = DEFAULT_LIST_CAP,
+    ring: Ring, *, primitive, provenance: str, expected_components: int
 ) -> IdempotentFamily:
-    """Certify the k primitives against ``expected_components``, then list
-    E as their 2^k subset sums, canonically ordered and re-verified, when
-    that fits under ``list_cap``."""
+    """The family of the primitives, certified against ``expected_components``."""
     primitive = tuple(sorted(primitive, key=lambda x: ring.order_key(x.value)))
     check = verify_family(primitive, ring, expected_components)
     if not check.primitive_certified:
@@ -106,30 +115,7 @@ def _build_family(
             f"orthogonal={check.orthogonal}, sum_to_one={check.sums_to_one}, "
             f"size={check.size}, expected={check.expected_components}"
         )
-    count = 2 ** len(primitive)
-    complete = count <= list_cap
-    values, keys = [], []
-    if complete:
-        values = _subset_sums([x.value for x in primitive], ring)
-        keys = _subset_sums([ring.order_key(x.value) for x in primitive], ring)
-    values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
-    members = tuple(ring.element(ring, v) for v in values)
-    for x in members:
-        if not verify_idempotent(x):
-            raise VerificationError(
-                f"claimed member {ring.element_text(x)} is not idempotent"
-            )
-    # keys are equal exactly when values are, so a duplicate sorts next to its twin
-    if any(a == b for a, b in pairwise(values)):
-        raise VerificationError("complete family contains duplicates")
-    return IdempotentFamily(
-        ring=ring,
-        members=members,
-        primitive=primitive,
-        count=count,
-        complete=complete,
-        provenance=provenance,
-    )
+    return IdempotentFamily(ring=ring, primitive=primitive, provenance=provenance)
 
 
 def _refine(ring: Ring, families, k: int) -> list:
@@ -183,17 +169,16 @@ def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> Idempot
         primitive=_refine(ring, families, k),
         provenance="brute-force",
         expected_components=k,
-        list_cap=len(members),
     )
     if fam.members != tuple(members):
         raise VerificationError("the scan is not the Boolean algebra of its atoms")
     return fam
 
 
-def cyclic_base_idempotents(n: int, p: int, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
+def cyclic_base_idempotents(n: int, p: int) -> IdempotentFamily:
     """E(F_p C_n), p dividing n or not, by ``frobenius_idempotents``."""
     group = AbelianGroup((n,)) if n != 1 else TRIVIAL_GROUP
-    return frobenius_idempotents(GroupRing(ResidueRing(p), group), list_cap)
+    return frobenius_idempotents(GroupRing(ResidueRing(p), group))
 
 
 def _splitting_families(ring: GroupRing, hs, p: int):
@@ -224,7 +209,7 @@ def _splitting_families(ring: GroupRing, hs, p: int):
                 yield family
 
 
-def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
+def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     """E(KG) for K = F_p or F_p[x]/(q) with q irreducible, any G and any p.
 
     Frobenius a -> a^p is F_p-linear on the commutative algebra A = KG, and
@@ -270,11 +255,10 @@ def frobenius_idempotents(ring: GroupRing, list_cap: int = DEFAULT_LIST_CAP) -> 
         primitive=primitive,
         provenance="factorization",
         expected_components=expected,
-        list_cap=list_cap,
     )
 
 
-def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
+def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
     """Subgroup-average idempotents of F_p G for elementary abelian G of rank <= 2.
 
     Rank 1 uses {G-hat, 1 - G-hat}; rank 2 uses G-hat plus H-hat - G-hat
@@ -312,11 +296,10 @@ def hat_family(group: AbelianGroup, p: int, list_cap: int = DEFAULT_LIST_CAP) ->
         primitive=candidate,
         provenance="hat-family",
         expected_components=expected,
-        list_cap=list_cap,
     )
 
 
-def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> IdempotentFamily:
+def base_field_idempotents(ring: Ring) -> IdempotentFamily:
     """E(ring) for a carrier whose coefficient modulus is prime.
 
     Dispatch: Z_p has {0, 1}; a quotient base goes to ``poly_crt_combine``;
@@ -328,26 +311,21 @@ def base_field_idempotents(ring: Ring, list_cap: int = DEFAULT_LIST_CAP) -> Idem
         raise ValueError(f"base enumeration needs a prime modulus, got {p}")
     if isinstance(ring, ResidueRing):
         return _build_family(ring, primitive=[ring.one], provenance="factorization",
-                             expected_components=1, list_cap=list_cap)
+                             expected_components=1)
     if isinstance(ring, QuotientRing):
-        return poly_crt_combine(p, ring.q, TRIVIAL_GROUP, list_cap=list_cap)
+        return poly_crt_combine(p, ring.q)
     if isinstance(ring, GroupRing):
         if isinstance(ring.base, QuotientRing):
-            return poly_crt_combine(p, ring.base.q, ring.group, list_cap=list_cap)
+            return poly_crt_combine(p, ring.base.q, ring.group)
         if isinstance(ring.base, ResidueRing):
             try:
-                return hat_family(ring.group, p, list_cap)
+                return hat_family(ring.group, p)
             except UnsupportedError:
-                return frobenius_idempotents(ring, list_cap)
+                return frobenius_idempotents(ring)
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
-def poly_crt_combine(
-    p: int,
-    mpoly,
-    group: AbelianGroup = TRIVIAL_GROUP,
-    list_cap: int = DEFAULT_LIST_CAP,
-) -> IdempotentFamily:
+def poly_crt_combine(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP) -> IdempotentFamily:
     """E((F_p[x]/(m(x))) G) from the factorization m(x) = prod q_i^{r_i},
     m(x) a coefficient sequence, lowest degree first.
 
@@ -374,12 +352,12 @@ def poly_crt_combine(
         elif len(q) == 2:
             # F_p[x]/(x - a) is F_p
             fp_group = GroupRing(ResidueRing(p), group)
-            linear = linear or base_field_idempotents(fp_group, list_cap=0).primitive
+            linear = linear or base_field_idempotents(fp_group).primitive
             families.append(linear)
         else:
             field = GroupRing(QuotientRing(p, q), group)
-            families.append(frobenius_idempotents(field, list_cap=0).primitive)
-    return _combine(carrier, weights=weights, alphas=alphas, families=families, list_cap=list_cap)
+            families.append(frobenius_idempotents(field).primitive)
+    return _combine(carrier, weights=weights, alphas=alphas, families=families)
 
 
 def _embed(x, carrier: Ring):
@@ -395,14 +373,14 @@ def _embed(x, carrier: Ring):
     )
 
 
-def _combine(carrier: Ring, *, weights, alphas, families, list_cap: int) -> IdempotentFamily:
+def _combine(carrier: Ring, *, weights, alphas, families) -> IdempotentFamily:
     """Glue per-component primitives: e = sum_i w_i * embed(f_i)^{alpha_i}.
 
     The weights w_i are carrier elements and each family is a tuple of
     certified component primitives.  The glue is additive, so their lifts,
-    one each, are the carrier's primitive family; ``_build_family`` lists E
-    from them.  Provenance: "crt-combined" for more than one component,
-    "lifted" for one raised to a power, "factorization" for one as it is.
+    one each, are the carrier's primitive family.  Provenance: "crt-combined"
+    for more than one component, "lifted" for one raised to a power,
+    "factorization" for one as it is.
     """
     primitive = [
         w if f.value == 1 else w * _embed(f, carrier) ** alpha  # 1 lifts to 1
@@ -418,45 +396,36 @@ def _combine(carrier: Ring, *, weights, alphas, families, list_cap: int) -> Idem
         primitive=primitive,
         provenance=provenance,
         expected_components=sum(map(len, families)),
-        list_cap=list_cap,
     )
 
 
-def crt_combine(
-    m: int,
-    group: AbelianGroup,
-    list_cap: int = DEFAULT_LIST_CAP,
-) -> IdempotentFamily:
+def crt_combine(m: int, group: AbelianGroup) -> IdempotentFamily:
     """E(Z_m G) as e = sum_i s_i m_i f_i^{p_i^{r_i - 1}} over base choices.
 
     Completeness multiplies; the embedded per-prime primitives form the
     (additive) primitive family.
     """
-    return _crt_enumerate(GroupRing(ResidueRing(m), group), list_cap)
+    return _crt_enumerate(GroupRing(ResidueRing(m), group))
 
 
-def _crt_enumerate(ring: Ring, list_cap: int) -> IdempotentFamily:
+def _crt_enumerate(ring: Ring) -> IdempotentFamily:
     m = ring.coefficient_modulus
     if m == 1:
         return _build_family(ring, primitive=(), provenance="brute-force",
-                             expected_components=0, list_cap=list_cap)
+                             expected_components=0)
     fact = factorize(m)
     return _combine(
         ring,
         weights=[ring.from_int(w) for w in fact.crt_weights],
         alphas=[pp.prime ** (pp.exponent - 1) for pp in fact.factors],
         families=[
-            base_field_idempotents(ring.reduce_to(pp.prime), list_cap=0).primitive
+            base_field_idempotents(ring.reduce_to(pp.prime)).primitive
             for pp in fact.factors
         ],
-        list_cap=list_cap,
     )
 
 
-def enumerate_idempotents(
-    ring: Ring,
-    list_cap: int = DEFAULT_LIST_CAP,
-) -> IdempotentFamily:
+def enumerate_idempotents(ring: Ring) -> IdempotentFamily:
     """E(ring) for any supported carrier, by base providers + lifting + CRT.
 
     |E(ring)| always equals the product of the base-field counts (the
@@ -464,36 +433,30 @@ def enumerate_idempotents(
     the construction verifies that with exact arithmetic.
     """
     if is_prime(ring.coefficient_modulus):
-        return base_field_idempotents(ring, list_cap)
-    return _crt_enumerate(ring, list_cap)
+        return base_field_idempotents(ring)
+    return _crt_enumerate(ring)
 
 
-def crt_combine_powerform(
-    m: int,
-    group: AbelianGroup,
-    list_cap: int = DEFAULT_LIST_CAP,
-) -> IdempotentFamily:
+def crt_combine_powerform(m: int, group: AbelianGroup) -> IdempotentFamily:
     """E(Z_m G) in single-power form: e = (sum_i t_i c_i f_i)^{rad(m)^{k-1}}.
 
     c_i = rad(m)/p_i, t_i c_i == 1 (mod p_i), k = max r_i.  Must agree with
     crt_combine element-for-element; the tests hold the two routes equal.
     Its members are built here, one power form per choice of base members,
     never as subset sums of its primitives, and must be the listing of the
-    certified family of its power-form primitives.
+    certified family of its power-form primitives.  More than
+    ``DEFAULT_LIST_CAP`` of them are refused before any is built.
     """
     ring = GroupRing(ResidueRing(m), group)
     if m == 1:
-        return _crt_enumerate(ring, list_cap)
+        return _crt_enumerate(ring)
     fact = factorize(m)
-    base_families = [
-        base_field_idempotents(ring.reduce_to(pp.prime), list_cap=0)
-        for pp in fact.factors
-    ]
+    base_families = [base_field_idempotents(ring.reduce_to(pp.prime)) for pp in fact.factors]
     count = prod(f.count for f in base_families)
-    if count > list_cap:
+    if count > DEFAULT_LIST_CAP:
         raise SizeLimitError(
             f"power-form enumeration materializes all {count} members; "
-            f"that exceeds the cap {list_cap}"
+            f"that exceeds the cap {DEFAULT_LIST_CAP}"
         )
     radical = fact.radical
     k = fact.max_exponent
@@ -516,7 +479,6 @@ def crt_combine_powerform(
         primitive=primitive,
         provenance="crt-combined",
         expected_components=sum(len(f.primitive) for f in base_families),
-        list_cap=list_cap,
     )
     if sorted(x.value for x in members) != sorted(x.value for x in fam.members):
         raise VerificationError("the power-form members are not the listing of its primitives")

@@ -98,11 +98,25 @@ def _cap(args, default: int) -> int:
     return default
 
 
-def _check_golden(fam: IdempotentFamily, path: str) -> int:
+def _read_golden(path: str | None) -> set | None:
+    """The vectors of a stored table ``{"members": [[c, ...], ...]}``."""
+    if path is None:
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ParseError(f"cannot read golden table {path}: {exc}")
+    members = stored.get("members") if isinstance(stored, dict) else None
+    if not isinstance(members, list) or not all(
+        isinstance(v, list) and all(type(c) is int for c in v) for v in members
+    ):
+        raise ParseError(f'golden table {path} needs "members": a list of integer lists')
+    return {tuple(v) for v in members}
+
+
+def _check_golden(fam: IdempotentFamily, want: set) -> int:
     """Compare the family against a stored table; 0 on match, 1 on mismatch."""
-    with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    want = {tuple(v) for v in stored["members"]}
     got = {x.coeff_vector() for x in fam.members}
     if want == got:
         print(f"golden: match ({len(got)} members)")
@@ -120,56 +134,50 @@ def _check_golden(fam: IdempotentFamily, path: str) -> int:
     return 1
 
 
-def _emit_family(fam: IdempotentFamily, ring: Ring, args, label: str) -> int:
+def _emit_family(fam: IdempotentFamily, ring: Ring, args, golden: set | None) -> int:
+    members = fam.members  # listed, and checked, before anything is printed
     if args.json:
-        _print_json(fam.to_json_dict())
+        listing = {"complete": True, "members": [list(x.coeff_vector()) for x in members]}
+        _print_json(fam.to_json_dict() | listing)
     else:
-        print(f"{label}({ring.expression()}): {fam.count} elements [{fam.provenance}]")
-        sys.stdout.writelines(ring.element_text(x) + "\n" for x in fam.members)
-    if args.golden:
-        return _check_golden(fam, args.golden)
+        print(f"E({ring.expression()}): {fam.count} elements [{fam.provenance}]")
+        sys.stdout.writelines(ring.element_text(x) + "\n" for x in members)
+    if golden is not None:
+        return _check_golden(fam, golden)
     return 0
 
 
 def _cmd_list(args) -> int:
     ring = build_ring(args.ring)
-    list_cap = _cap(args, DEFAULT_LIST_CAP)
-    fam = enumerate_idempotents(ring, list_cap)
-    if not fam.complete:
+    cap = _cap(args, DEFAULT_LIST_CAP)
+    golden = _read_golden(args.golden)
+    fam = enumerate_idempotents(ring)
+    if fam.count > cap:
         raise SizeLimitError(
-            f"|E| = {fam.count} exceeds the listing cap {list_cap}; "
+            f"|E| = {fam.count} exceeds the listing cap {cap}; "
             "use 'count' or raise --cap"
         )
-    return _emit_family(fam, ring, args, "E")
+    return _emit_family(fam, ring, args, golden)
 
 
 def _cmd_count(args) -> int:
     ring = build_ring(args.ring)
     _cap(args, DEFAULT_LIST_CAP)  # validated like every --cap; count lists nothing
-    fam = enumerate_idempotents(ring, list_cap=0)
-    log2 = fam.count.bit_length() - 1
-    primitive_count = log2 if fam.count == 1 << log2 else None
+    fam = enumerate_idempotents(ring)
+    log2 = len(fam.primitive)
     if args.json:
-        _print_json(
-            {
-                "ring": ring.expression(),
-                "count": fam.count,
-                "log2": log2,
-                "primitive_count": primitive_count,
-                "provenance": fam.provenance,
-            }
-        )
+        _print_json({"ring": ring.expression(), "count": fam.count, "log2": log2,
+                     "primitive_count": log2, "provenance": fam.provenance})
     else:
-        power = f" = 2^{log2}" if fam.count == 1 << log2 else ""
-        print(f"|E({ring.expression()})| = {fam.count}{power}")
-        print(f"primitive count: {primitive_count}")
+        print(f"|E({ring.expression()})| = {fam.count} = 2^{log2}")
+        print(f"primitive count: {log2}")
     return 0
 
 
 def _cmd_primitive(args) -> int:
     ring = build_ring(args.ring)
     cap = _cap(args, DEFAULT_LIST_CAP)
-    fam = enumerate_idempotents(ring, list_cap=0)  # the primitives only, no listing
+    fam = enumerate_idempotents(ring)  # members are never read: no listing
     if args.json:
         payload = fam.to_json_dict()
         payload["complete"] = fam.count <= cap  # whether `list --cap` would list E
@@ -258,34 +266,37 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     ring = build_ring(args.ring)
-    fam = brute_force_idempotents(ring, _cap(args, DEFAULT_BRUTE_CAP))
-    return _emit_family(fam, ring, args, "E")
+    cap = _cap(args, DEFAULT_BRUTE_CAP)
+    golden = _read_golden(args.golden)
+    return _emit_family(brute_force_idempotents(ring, cap), ring, args, golden)
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged and
     # returns a fresh Namespace, and the _cmd_* functions read their module
-    # globals when they run
+    # globals when they run.  Each subcommand takes only the flags it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--cap", type=int, default=None, metavar="N",
-                        help="override the enumeration and scan caps")
-    common.add_argument("--golden", default=None, metavar="PATH",
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None, metavar="N",
+                        help="override the listing and scan caps")
+    golden = argparse.ArgumentParser(add_help=False)
+    golden.add_argument("--golden", default=None, metavar="PATH",
                         help="compare the output against a stored table; exit 1 on mismatch")
     parser = argparse.ArgumentParser(
         prog="idemlift",
         description="Exact enumeration, lifting, and verification of ring idempotents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("list", parents=[common], help="materialize E(RING)")
+    p = sub.add_parser("list", parents=[common, capped, golden], help="materialize E(RING)")
     p.add_argument("ring")
     p.set_defaults(run=_cmd_list)
-    p = sub.add_parser("count", parents=[common],
+    p = sub.add_parser("count", parents=[common, capped],
                        help="|E(RING)| and primitive count without materializing")
     p.add_argument("ring")
     p.set_defaults(run=_cmd_count)
-    p = sub.add_parser("primitive", parents=[common],
+    p = sub.add_parser("primitive", parents=[common, capped],
                        help="certified orthogonal primitive family")
     p.add_argument("ring")
     p.set_defaults(run=_cmd_primitive)
@@ -301,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("ring")
     p.add_argument("elements", nargs="+")
     p.set_defaults(run=_cmd_verify)
-    p = sub.add_parser("oracle", parents=[common], help="brute-force scan")
+    p = sub.add_parser("oracle", parents=[common, capped, golden], help="brute-force scan")
     p.add_argument("ring")
     p.set_defaults(run=_cmd_oracle)
     return parser

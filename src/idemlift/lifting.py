@@ -35,14 +35,14 @@ def verify_orthogonal(x, y) -> bool:
     return (x * y).is_zero()
 
 
-def nilpotency_index(x, cap: int = NILPOTENCY_CAP) -> int | None:
-    """Smallest k <= cap with x**k == 0, or None when no such k exists.
+def nilpotency_index(x) -> int | None:
+    """Smallest k <= NILPOTENCY_CAP with x**k == 0, or None when no such k exists.
 
     None is a signal, not an error: callers decide whether non-nilpotency
     is acceptable.
     """
     power = x
-    for k in range(1, cap + 1):
+    for k in range(1, NILPOTENCY_CAP + 1):
         if power.is_zero():
             return k
         power = power * x
@@ -120,7 +120,7 @@ class LiftReport:
         }
 
 
-def binomial_lift(f, n: int | None = None, cap: int = NILPOTENCY_CAP):
+def binomial_lift(f, n: int | None = None):
     """Lift f to the idempotent congruent to it modulo the nil ideal.
 
     Requires (f^2 - f)**n == 0; n is computed exactly when omitted and
@@ -132,10 +132,10 @@ def binomial_lift(f, n: int | None = None, cap: int = NILPOTENCY_CAP):
     ring = f.ring
     w = f * f - f
     if n is None:
-        n = nilpotency_index(w, cap)
+        n = nilpotency_index(w)
         if n is None:
             raise VerificationError(
-                f"f^2 - f is not nilpotent within exponent cap {cap}"
+                f"f^2 - f is not nilpotent within exponent cap {NILPOTENCY_CAP}"
             )
     else:
         if n < 1:
@@ -220,13 +220,13 @@ def _scalar_of(ring: Ring, x) -> int | None:
     return v if m > 1 and v < m else None
 
 
-def _scalar_nilpotency_index(c: int, m: int, cap: int = NILPOTENCY_CAP) -> int | None:
+def _scalar_nilpotency_index(c: int, m: int) -> int | None:
     """``nilpotency_index(c*1)`` without ring products.
 
     (c*1)^k = c^k * 1, and 1 carries coefficient 1, so the power vanishes
     exactly when c^k = 0 mod m.
     """
-    return next((k for k in range(1, cap + 1) if pow(c, k, m) == 0), None)
+    return next((k for k in range(1, NILPOTENCY_CAP + 1) if pow(c, k, m) == 0), None)
 
 
 def chain_for_nilpotent_ideal(
@@ -234,7 +234,6 @@ def chain_for_nilpotent_ideal(
     a,
     index: int | None = None,
     char: int | None = None,
-    cap: int = NILPOTENCY_CAP,
 ) -> CncChain:
     """Chain N > N^2 > ... > N^k = 0 for the principal ideal N = (a).
 
@@ -246,11 +245,11 @@ def chain_for_nilpotent_ideal(
     """
     scalar = _scalar_of(ring, a)
     if scalar is not None:
-        k = _scalar_nilpotency_index(scalar, ring.coefficient_modulus, cap)
+        k = _scalar_nilpotency_index(scalar, ring.coefficient_modulus)
     else:
-        k = nilpotency_index(a, cap)
+        k = nilpotency_index(a)
     if k is None:
-        raise VerificationError(f"chain generator is not nilpotent within cap {cap}")
+        raise VerificationError(f"chain generator is not nilpotent within cap {NILPOTENCY_CAP}")
     if index is not None and index != k:
         raise VerificationError(
             f"claimed nilpotency index {index} but the exact index is {k}"

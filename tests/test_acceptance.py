@@ -158,7 +158,7 @@ def test_criterion_3_z936_claimed_orthogonal_family(
     t0 = time.perf_counter()
     family = [x for part in scaled for x in part]
     family_check = verify_family(family, ring, expected_components=21)
-    pipeline = enumerate_idempotents(ring, list_cap=0).primitive
+    pipeline = enumerate_idempotents(ring).primitive
     same_as_pipeline = _vectors(family) == _vectors(pipeline) and len(pipeline) == 21
     combo_check = verify_family(members, ring)
     total = ring.zero
@@ -201,7 +201,7 @@ def test_criterion_3_companion_all_343_idempotent_and_distinct(
 
 def test_criterion_3_companion_true_primitive_family_has_21_members():
     ring = build_ring("Z(936){C5xC5}")
-    fam = enumerate_idempotents(ring, list_cap=0)
+    fam = enumerate_idempotents(ring)
     assert fam.count == 2**21
     assert len(fam.primitive) == 21
     check = verify_family(fam.primitive, ring, expected_components=21)
@@ -390,7 +390,7 @@ def test_criterion_7_property_suite():
         else:
             ring = gaussian_ring(m)
         try:
-            count = enumerate_idempotents(ring, list_cap=0).count
+            count = enumerate_idempotents(ring).count
         except UnsupportedError:
             if ring.cardinality <= 2**16:
                 count = len(brute_force_scan(ring))

@@ -35,7 +35,7 @@ class TestBruteForceFamilies:
     def test_z12(self):
         fam = brute_force_idempotents(ResidueRing(12))
         assert _vectors(fam.members) == [(0,), (1,), (4,), (9,)]
-        assert fam.complete and fam.count == 4
+        assert fam.count == 4
         assert fam.provenance == "brute-force"
         assert _vectors(fam.primitive) == [(4,), (9,)]
 
@@ -48,7 +48,6 @@ class TestBruteForceFamilies:
     def test_zero_ring(self):
         fam = brute_force_idempotents(ResidueRing(1))
         assert fam.count == 1
-        assert fam.complete
         assert fam.primitive == ()
 
     def test_scan_that_is_not_a_boolean_algebra_rejected(self, monkeypatch):
@@ -162,7 +161,6 @@ class TestFrobeniusIdempotents:
     def test_matches_oracle(self, ring):
         fam = frobenius_idempotents(ring)
         assert fam.provenance == "factorization"
-        assert fam.complete
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**16))
 
     @pytest.mark.parametrize(
@@ -175,9 +173,15 @@ class TestFrobeniusIdempotents:
         assert _vectors(frob.primitive) == _vectors(hat.primitive)
         assert _vectors(frob.members) == _vectors(hat.members)
 
-    def test_count_only(self):
-        fam = frobenius_idempotents(_over(1009, None, 16), list_cap=0)
-        assert fam.count == 2**16 and not fam.complete and len(fam.primitive) == 16
+    def test_count_only(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        def forbidden(*args):
+            raise AssertionError("E listed for a count")
+
+        monkeypatch.setattr(catalog, "_subset_sums", forbidden)
+        fam = frobenius_idempotents(_over(1009, None, 16))
+        assert fam.count == 2**16 and len(fam.primitive) == 16
 
     def test_split_by_characters_not_by_zeros(self, monkeypatch):
         # F_1009 C16 is split (16 divides 1008): its 16 components differ in
@@ -192,7 +196,7 @@ class TestFrobeniusIdempotents:
             return real(self, a, b)
 
         monkeypatch.setattr(PackedRing, "mul", counting)
-        assert len(frobenius_idempotents(_over(1009, None, 16), list_cap=0).primitive) == 16
+        assert len(frobenius_idempotents(_over(1009, None, 16)).primitive) == 16
         assert len(calls) < 4000
 
     def test_split_pieces_are_not_refined(self, monkeypatch):
@@ -208,7 +212,7 @@ class TestFrobeniusIdempotents:
             return real(self, a, b)
 
         monkeypatch.setattr(PackedRing, "mul", counting)
-        assert len(frobenius_idempotents(_over(193, None, 64), list_cap=0).primitive) == 64
+        assert len(frobenius_idempotents(_over(193, None, 64)).primitive) == 64
         assert len(calls) < 6200
 
     def test_dimension_cap(self):
@@ -384,8 +388,8 @@ class TestCrtCombine:
 
         real = catalog.base_field_idempotents
 
-        def tampered(ring, list_cap):
-            fam = real(ring, list_cap)
+        def tampered(ring):
+            fam = real(ring)
             if ring.coefficient_modulus != 2:
                 return fam
             bogus = ring.from_coeffs((1, 1, 0))
@@ -413,11 +417,12 @@ class TestCrtCombine:
             crt_combine_powerform(200, AbelianGroup((3,)))
 
     def test_powerform_cap(self):
-        with pytest.raises(SizeLimitError):
-            crt_combine_powerform(200, AbelianGroup((3,)), list_cap=8)
+        # 2^21 members, above the 2^16 the power form materializes
+        with pytest.raises(SizeLimitError, match="the cap 65536"):
+            crt_combine_powerform(936, AbelianGroup((5, 5)))
 
     def test_powerform_cap_checked_before_listing(self, monkeypatch):
-        # F_2 C31 has 2^7 members and F_5^3 C31 2^11: 2^18 > 1024, known
+        # F_2 C31 has 2^7 members and F_5^3 C31 2^11: 2^18 > 2^16, known
         # from the primitive families alone
         import idemlift.catalog as catalog
 
@@ -427,7 +432,7 @@ class TestCrtCombine:
             catalog, "_subset_sums", lambda *args: calls.append(args) or real(*args)
         )
         with pytest.raises(SizeLimitError, match="262144"):
-            crt_combine_powerform(1000, AbelianGroup((31,)), list_cap=1024)
+            crt_combine_powerform(1000, AbelianGroup((31,)))
         assert calls == []
 
 
@@ -463,22 +468,24 @@ class TestEnumerate:
     )
     def test_matches_oracle(self, ring):
         fam = enumerate_idempotents(ring)
-        assert fam.complete
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring))
 
     def test_deep_tower_group_ring_over_quotient(self):
         ring = GroupRing(QuotientRing(25, (1, 0, 1)), AbelianGroup((3,)))
         fam = enumerate_idempotents(ring)
         assert fam.count == 16
-        assert fam.complete
         assert len(fam.primitive) == 4
 
-    def test_count_only_mode(self):
+    def test_count_only_mode(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        def forbidden(*args):
+            raise AssertionError("E listed for a count")
+
+        monkeypatch.setattr(catalog, "_subset_sums", forbidden)
         ring = GroupRing(ResidueRing(936), AbelianGroup((5, 5)))
-        fam = enumerate_idempotents(ring, list_cap=0)
+        fam = enumerate_idempotents(ring)
         assert fam.count == 2**21
-        assert not fam.complete
-        assert fam.members == ()
         assert len(fam.primitive) == 21
 
     def test_json_shape(self):
@@ -486,9 +493,52 @@ class TestEnumerate:
         payload = fam.to_json_dict()
         assert payload["ring"] == "Z(12)"
         assert payload["count"] == 4
-        assert payload["complete"] is True
-        assert payload["members"] == [[0], [1], [4], [9]]
         assert sorted(payload["primitive"]) == [[4], [9]]
+        assert payload["provenance"] == "crt-combined"
+        assert set(payload) == {"ring", "count", "primitive", "provenance"}
+
+    def test_members_listed_once_on_first_read(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        calls = []
+        real = catalog._subset_sums
+        monkeypatch.setattr(
+            catalog, "_subset_sums", lambda *args: calls.append(args) or real(*args)
+        )
+        fam = enumerate_idempotents(ResidueRing(12))
+        assert calls == []
+        assert fam.members is fam.members
+        assert len(calls) == 2  # the members and their sort keys
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (lambda sums, ring: sums[0], "contains duplicates"),
+            (lambda sums, ring: ring.add(sums[-1], sums[1]), "not idempotent"),
+        ],
+        ids=["duplicate", "not-idempotent"],
+    )
+    def test_listing_checks_its_members(self, monkeypatch, capsys, last, message):
+        # the last subset sum is replaced; Z(30) keys its members by value,
+        # so the sort keys change in step with the members.  `list` must
+        # fail before printing anything
+        import idemlift.catalog as catalog
+        from idemlift.cli import main
+
+        real = catalog._subset_sums
+
+        def corrupted(values, ring):
+            sums = real(values, ring)
+            sums[-1] = last(sums, ring)
+            return sums
+
+        monkeypatch.setattr(catalog, "_subset_sums", corrupted)
+        fam = enumerate_idempotents(ResidueRing(30))
+        with pytest.raises(VerificationError, match=message):
+            fam.members
+        assert main(["list", "Z(30)"]) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 class TestPipelineWithoutOracle:
@@ -518,7 +568,7 @@ class TestPipelineWithoutOracle:
         ],
     )
     def test_catalog_carriers(self, expr):
-        fam = enumerate_idempotents(build_ring(expr), list_cap=0)
+        fam = enumerate_idempotents(build_ring(expr))
         assert fam.count >= 1
 
     def test_criterion_7_carriers(self, monkeypatch):

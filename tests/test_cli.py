@@ -83,6 +83,35 @@ class TestList:
         assert code == 1
         assert "golden: MISMATCH (1 missing, 1 unexpected)" in err
 
+    @pytest.mark.parametrize("command", ["list", "oracle"])
+    @pytest.mark.parametrize(
+        "table",
+        ["missing", "nope", '{"x": 1}', '{"members": [[1, 2], 3]}', "directory"],
+    )
+    def test_unreadable_golden_refused_before_enumerating(
+        self, capsys, monkeypatch, tmp_path, command, table
+    ):
+        from idemlift import cli
+
+        def forbidden(*args):
+            raise AssertionError("enumerated before the golden table was read")
+
+        monkeypatch.setattr(cli, "enumerate_idempotents", forbidden)
+        monkeypatch.setattr(cli, "brute_force_idempotents", forbidden)
+        if table == "missing":
+            path = tmp_path / "missing.json"
+        elif table == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "table.json"
+            path.write_text(table)
+        code, out, err = run(capsys, command, "Z(6)", "--golden", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "golden table" in err
+        code, out, err = run(capsys, command, "Z(6)", "--json", "--golden", str(path))
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["type"] == "ParseError"
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "list", "Z(936){C5xC5}")
         assert code == 3
@@ -378,7 +407,7 @@ class TestPrimitive:
         from idemlift.parsing import build_ring
 
         ring = build_ring("Z(1000){C31}")
-        expected = enumerate_idempotents(ring, list_cap=0).primitive
+        expected = enumerate_idempotents(ring).primitive
         lift_calls.clear()
         code, out, _ = run(capsys, "primitive", "Z(1000){C31}")
         assert code == 0
@@ -563,6 +592,24 @@ class TestErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "Z(12)", "--golden", "nope"],
+            ["primitive", "Z(12)", "--golden", "nope"],
+            ["lift", "Z(12)", "4", "--golden", "nope"],
+            ["verify", "Z(12)", "4", "--golden", "nope"],
+            ["lift", "Z(12)", "4", "--cap", "0"],
+            ["verify", "Z(12)", "4", "--cap", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_flags_a_command_does_not_read_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
 
 class TestProcess:
     """One parser per process, and what a process sees of the package."""
@@ -572,6 +619,7 @@ class TestProcess:
         ["list", "--json", "Z(12){C2}"],
         ["lift", "Z(8){C3}", "3*e + 2*g", "--tower", "2", "3"],
         ["count", "Z(12)", "--seed", "1"],  # argparse error, exit 2
+        ["lift", "Z(12)", "4", "--cap", "3"],  # lift takes no --cap: exit 2
         ["--help"],
         ["verify", "Z(12)", "4", "9"],
         ["primitive", "--json", "Z(2){C3xC3}"],
@@ -593,7 +641,7 @@ class TestProcess:
         for argv in self.ARGVS:
             cli._build_parser.cache_clear()
             fresh.append(self._call(capsys, argv))
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 0, 0, 0]
         parser = cli._build_parser()
         for _ in range(2):
             for argv, want in zip(self.ARGVS, fresh):

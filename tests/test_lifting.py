@@ -386,7 +386,7 @@ class TestVerifyFamily:
 
     def test_forged_families_rejected(self):
         ring = GroupRing(ResidueRing(10), AbelianGroup((2, 2)))
-        fam = enumerate_idempotents(ring, list_cap=0)
+        fam = enumerate_idempotents(ring)
         primitive = list(fam.primitive)
         k = len(primitive)
         check = verify_family(primitive, ring, k)
