@@ -19,23 +19,23 @@ The idempotents form a Boolean algebra whose atoms are the primitive
 idempotents, and the gluing is additive over the prime parts.  So every
 provider and the CRT glue pass on only a certified primitive family (one
 lift per primitive), and a family is nothing more: E(ring) is listed from
-it, as the subset sums of its primitives, only when ``members`` is first
-read.  Capping a listing is the caller's choice.  The oracle's scan and
-the power form build members of their own; the scan is refined into
-primitives like B's basis, and each must equal the listing of the family
-it certifies.
+it only when ``members`` is first read, as the subset sums of the
+primitives' order keys, each holding its packed value in its low bits, in
+one pass and one plain sort.  Capping a listing is the caller's choice.
+The oracle's scan and the power form build members of their own, and each
+must equal the listing of the family it certifies.
 
-Everything returned is re-verified: members are squared, primitive
-families are checked for orthogonality, their sum, and their size against
-an independently computed component count.  A family that cannot be
-certified is an error, never a silent downgrade.
+Everything returned is re-verified: every listed member is squared, in
+the ring's own kernel and 256 at a time; primitive families are checked
+for orthogonality, their sum, and their size against an independently
+computed component count.  A family that cannot be certified is an
+error, never a silent downgrade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from math import gcd, prod
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
@@ -65,7 +65,8 @@ class IdempotentFamily:
     1 (empty only for the zero ring).  E is the Boolean algebra it
     generates, so ``count`` is |E(ring)| = 2^len(primitive), and
     ``members`` lists E on first read: the subset sums of ``primitive``,
-    canonically sorted by coefficient vector, each squared once more.
+    canonically sorted by coefficient vector, each squared once more (a
+    block at a time, by ``ring.square_mismatch``) and none listed twice.
     """
 
     ring: Ring
@@ -79,18 +80,19 @@ class IdempotentFamily:
     @cached_property
     def members(self) -> tuple:
         ring = self.ring
-        values = _subset_sums([x.value for x in self.primitive], ring)
-        keys = _subset_sums([ring.order_key(x.value) for x in self.primitive], ring)
-        values = [values[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+        keys = [ring.order_key(x.value) for x in self.primitive]
+        # sorted() of a temporary: the unsorted sums are freed as it returns
+        values = ring.key_values(sorted(_subset_sums(keys, ring)))
         members = tuple(ring.element(ring, v) for v in values)
-        for x in members:
-            if not verify_idempotent(x):
-                raise VerificationError(
-                    f"claimed member {ring.element_text(x)} is not idempotent"
-                )
-        # keys are equal exactly when values are, so a duplicate sorts next to its twin
-        if any(a == b for a, b in pairwise(values)):
-            raise VerificationError("complete family contains duplicates")
+        start = ring.square_mismatch(values)
+        if start is not None:  # square them one by one from that block on, to name the member
+            for x in members[start:]:
+                if not verify_idempotent(x):
+                    raise VerificationError(f"claimed member {x} is not idempotent")
+        # a key holds its value, so a duplicate sorts next to its twin
+        for x, a, b in zip(members, values, values[1:]):
+            if a == b:
+                raise VerificationError(f"complete family contains duplicates of {x}")
         return members
 
     def to_json_dict(self) -> dict:
@@ -139,12 +141,8 @@ def _refine(ring: Ring, families, k: int) -> list:
 
 
 def _subset_sums(values, ring: Ring) -> list[int]:
-    # All 2^k subset sums of k packed ints, in an order fixed by k alone, so
-    # the members and their order keys come out in step: one addition and
+    # All 2^k subset sums of k order keys or packed ints: one addition and
     # one guarded subtraction of m per sum, doubling one list in place.
-    # Sixteen sums of four values at a time, into a new list each pass, ran
-    # and peaked the same (list_render worker: 0.389 against 0.390 s, 21.57
-    # against 21.59 MiB; medians of six pairs, 2-core Xeon, Python 3.11).
     add = ring.add
     out = [0]
     for e in values:

@@ -115,36 +115,33 @@ def _read_golden(path: str | None) -> set | None:
     return {tuple(v) for v in members}
 
 
-def _check_golden(fam: IdempotentFamily, want: set) -> int:
-    """Compare the family against a stored table; 0 on match, 1 on mismatch."""
-    got = {x.coeff_vector() for x in fam.members}
-    if want == got:
-        print(f"golden: match ({len(got)} members)")
-        return 0
-    missing = want - got
-    extra = got - want
-    print(
-        f"golden: MISMATCH ({len(missing)} missing, {len(extra)} unexpected)",
-        file=sys.stderr,
-    )
-    for vec in sorted(missing):
-        print(f"  missing   {list(vec)}", file=sys.stderr)
-    for vec in sorted(extra):
-        print(f"  unexpected {list(vec)}", file=sys.stderr)
-    return 1
+def _print_golden(diff: dict, size: int) -> None:
+    if diff["match"]:
+        print(f"golden: match ({size} members)")
+        return
+    missing, extra = diff["missing"], diff["unexpected"]
+    print(f"golden: MISMATCH ({len(missing)} missing, {len(extra)} unexpected)", file=sys.stderr)
+    for key in ("missing", "unexpected"):
+        for vec in diff[key]:
+            print(f"  {key:9} {list(vec)}", file=sys.stderr)
 
 
 def _emit_family(fam: IdempotentFamily, ring: Ring, args, golden: set | None) -> int:
-    members = fam.members  # listed, and checked, before anything is printed
+    values = [x.value for x in fam.members]  # listed, and checked, before anything is printed
+    diff = None
+    if golden is not None:  # under --json the comparison is part of the one document
+        got = set(ring.unpack_many(values))
+        diff = {"match": got == golden, "missing": sorted(golden - got),
+                "unexpected": sorted(got - golden)}
     if args.json:
-        listing = {"complete": True, "members": [list(x.coeff_vector()) for x in members]}
-        _print_json(fam.to_json_dict() | listing)
+        listing = {"complete": True, "members": list(ring.unpack_many(values))}
+        _print_json(fam.to_json_dict() | listing | ({} if diff is None else {"golden": diff}))
     else:
         print(f"E({ring.expression()}): {fam.count} elements [{fam.provenance}]")
-        sys.stdout.writelines(ring.element_text(x) + "\n" for x in members)
-    if golden is not None:
-        return _check_golden(fam, golden)
-    return 0
+        sys.stdout.writelines(ring.row_text(c) + "\n" for c in ring.unpack_many(values))
+        if diff is not None:
+            _print_golden(diff, len(golden))
+    return 0 if diff is None or diff["match"] else 1
 
 
 def _cmd_list(args) -> int:

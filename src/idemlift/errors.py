@@ -23,9 +23,8 @@ class SizeLimitError(IdemliftError):
 class UnsupportedError(IdemliftError):
     """Structurally valid input outside the supported constructions (exit code 4).
 
-    Raised for non-invertible scalars, for providers asked about carriers
-    outside their construction (such as a hat family when p divides |G|),
-    and for the uncertified families the CLI refuses.
+    Raised for non-invertible scalars and for providers asked about
+    carriers outside their construction (a hat family when p divides |G|).
     """
 
 

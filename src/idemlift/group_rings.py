@@ -5,11 +5,11 @@ An element of RG is one block of ``base.dimension`` coefficients per group
 element, in the group's canonical index order, held as one int: Kronecker
 substitution (Schoenhage 1982; Harvey 2009) gives each coefficient a slot
 wide enough that a product carries into no other slot.  A product is one
-integer product, wrapped and folded back onto the group; a SWAR ("SIMD
-within a register") program then takes every slot mod m at once, and a
-quotient base reduces every block by its monic q.  A sum is one addition
-and one guarded subtraction of m, and so is a negation m - a.  Z_m[x]/(q)
-alone is the layout of the trivial group.
+integer product, wrapped and folded onto the group; a SWAR ("SIMD within
+a register") program then takes every slot mod m at once, a quotient base
+reduces every block by its monic q, and the same steps reduce 256 squares
+side by side.  A sum is one addition and one guarded subtraction of m, as
+is a negation m - a.  Z_m[x]/(q) alone is the layout of the trivial group.
 """
 
 from __future__ import annotations
@@ -46,25 +46,44 @@ class PackedRing(Ring):
         lay = self._layout
         return lay.pick(_split(v, lay.count, lay.slot))
 
-    def order_key(self, v: int) -> int:
-        """v's slots in reverse order, flat index 0 on top: ints that compare
-        as the coefficient tuples do and that ``add`` sums slot by slot."""
+    def unpack_many(self, values):
+        """``map(self.unpack, values)``, by slot columns for <= 32 slots."""
         lay = self._layout
-        return _join(_split(v, lay.count, lay.slot)[::-1], lay.slot)
+        if lay.count > 32:
+            yield from map(self.unpack, values)
+            return
+        mask, shifts = (1 << lay.slot) - 1, [p * lay.slot for p in lay.positions]
+        for i in range(0, len(values), 1024):
+            block = values[i : i + 1024]
+            yield from zip(*[[(v >> s) & mask for v in block] for s in shifts])
+
+    def order_key(self, v: int) -> int:
+        """v's slots reversed, flat index 0 on top, above v itself in the low
+        ``bits``: an int that orders as the tuples do and that ``add`` sums."""
+        lay = self._layout
+        return _join(_split(v, lay.count, lay.slot)[::-1], lay.slot) << lay.bits | v
+
+    def key_values(self, keys: list[int]) -> list[int]:
+        wrap = self._layout.wrap
+        return [k & wrap for k in keys]
 
     def mul(self, a: int, b: int) -> int:
-        """Multiply once, wrap and fold onto the group, reduce every slot."""
-        lay = self._layout
-        z = a * b
-        z = (z & lay.wrap) + (z >> lay.bits)
-        for shift, mask in lay.folds:
-            z += (z >> shift) & mask
-        if lay.first:
-            z = _sweep(z, lay.first)
-        low = z & lay.low
-        for shift, r in lay.tops:
-            low += ((z >> shift) & lay.slot0) * r
-        return _sweep(low, lay.last)
+        return _reduce(a * b, self._layout)
+
+    def square_mismatch(self, values: list[int]) -> int | None:
+        """Start of the first block of 256 values holding one that is not its
+        own square, or None.  A block's squares sit side by side in one int,
+        one byte-aligned field each, and ``_reduce`` reduces them at once."""
+        lay, n = self._layout, min(len(values), 256) or 1
+        size = (2 * lay.bits + 8) // 8  # at least 2 * bits + 1 bits: a square and a spare bit
+        block = _tiled(lay, _repeat(1, 8 * size, n))
+        for i in range(0, len(values), n):
+            vs = values[i : i + n]
+            squares = b"".join([(v * v).to_bytes(size, "little") for v in vs])
+            fields = b"".join([v.to_bytes(size, "little") for v in vs])
+            if _reduce(int.from_bytes(squares, "little"), block) != int.from_bytes(fields, "little"):
+                return i
+        return None
 
     def add(self, a: int, b: int) -> int:
         lay = self._layout
@@ -73,16 +92,13 @@ class PackedRing(Ring):
 
     def neg(self, a: int) -> int:
         """m - a in every slot, then ``add``'s guarded subtraction of m."""
-        lay = self._layout
-        z = lay.m_all - a
-        return z - (((z + lay.add_m) & lay.guard) >> lay.top) * self.coefficient_modulus
+        return self.add(self._layout.m_all - a, 0)
 
 
 class GroupRingElement(Element):
     # The benchmark's span tracer (perfbench/spans.py) wraps these through
     # this class's own __dict__, so they are bound here and not inherited.
-    # lifting.verify_idempotent squares packed ints through ring.mul, so the
-    # traced product count does not include those squarings.
+    # Traced counts miss listings' squarings: packed ints, a block at a time.
     __slots__ = ()
     __mul__ = Element.__mul__
     __pow__ = Element.__pow__
@@ -118,7 +134,7 @@ class GroupRing(PackedRing):
     def expression(self) -> str:
         return self.base.expression() + self.group.expression()
 
-    def element_text(self, x: GroupRingElement) -> str:
+    def row_text(self, coeffs) -> str:
         """Canonical text: ``c0*e + c1*g + c2*g^2`` / rank-2 ``c*(a^i b^j)`` terms.
 
         Rank-1 output is dense (a coefficient for every power of g) so
@@ -129,7 +145,6 @@ class GroupRing(PackedRing):
         if self._names is None:
             self._names = tuple(map(self.group.element_name, range(self.group.order)))
             self._dense_row = " + ".join(f"{{}}*{name}" for name in self._names).format
-        coeffs = self.unpack(x.value)
         if self.group.rank > 1:
             texts = self.base.coefficient_texts(coeffs)
             return " + ".join(f"{t}*{n}" for t, n in zip(texts, self._names) if t != "0") or "0"
@@ -236,6 +251,35 @@ def _sweep(z: int, steps: tuple) -> int:
     return z
 
 
+def _reduce(z: int, lay: SimpleNamespace) -> int:
+    """A product z, wrapped and folded onto the group, every slot reduced."""
+    z = (z & lay.wrap) + ((z >> lay.bits) & lay.wrap)
+    for shift, mask in lay.folds:
+        z += (z >> shift) & mask
+    if lay.first:
+        z = _sweep(z, lay.first)
+    low = z & lay.low
+    for shift, r in lay.tops:
+        low += ((z >> shift) & lay.slot0) * r
+    return _sweep(low, lay.last)
+
+
+def _tiled(lay: SimpleNamespace, t: int) -> SimpleNamespace:
+    """``_reduce``'s steps of lay for products side by side in fields: every
+    mask times t, which holds a 1 at the foot of each field."""
+
+    def steps(s):
+        folds, ladder, guard, top = s
+        folds = [(h, hi * t, c, lo * t) for h, hi, c, lo in folds]
+        return folds, [(add * t, k) for add, k in ladder], guard * t, top
+
+    return SimpleNamespace(
+        bits=lay.bits, wrap=lay.wrap * t, folds=[(shift, mask * t) for shift, mask in lay.folds],
+        first=lay.first and steps(lay.first), low=lay.low * t, slot0=lay.slot0 * t,
+        tops=lay.tops, last=steps(lay.last),
+    )
+
+
 @lru_cache(maxsize=256)
 def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNamespace:
     """Where a packed ring puts each coefficient, and how it reduces, for one
@@ -273,13 +317,13 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
     if d > 1:
         first, last = _sweep_steps(bound, m, top, ones), m - 1 + (d - 1) * (m - 1) ** 2
     positions = [p + k for p in blocks for k in range(d)]
-    contiguous = positions[-1] == len(positions) - 1
+    both = _repeat(1, slot, 2 * count)  # ``add`` sums an order key's two halves
     return SimpleNamespace(
         slot=slot,
         top=top,
         count=positions[-1] + 1,
         positions=positions,
-        pick=tuple if contiguous else itemgetter(*positions),
+        pick=tuple if len(positions) == positions[-1] + 1 else itemgetter(*positions),
         bits=count * slot,
         wrap=(1 << count * slot) - 1,
         folds=[
@@ -291,8 +335,8 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
         slot0=slot0 * ((1 << slot) - 1),
         tops=tops,
         last=_sweep_steps(last, m, top, ones),
-        guard=ones << top,
-        add_m=((1 << top) - m) * ones,
+        guard=both << top,
+        add_m=((1 << top) - m) * both,
         m_all=m * ones,
     )
 

@@ -75,11 +75,7 @@ def brute_force_scan(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:
             if not good.any():
                 break
         hits.extend(int(v) for v in idx[good])
-    out = []
-    for h in hits:
-        vec = [(h // int(powers[k])) % m for k in range(n)]
-        out.append(ring.from_coeffs(vec))
-    return out
+    return [ring.from_coeffs([(h // int(pw)) % m for pw in powers]) for h in hits]
 
 
 def brute_force_scan_slow(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> list:

@@ -69,8 +69,8 @@ class QuotientRing(PackedRing):
         # over Z_1, q is 0: print x, as __init__ reads it
         return f"Z({m})[x]/({poly_text(self.q, 'x') if m > 1 else 'x'})"
 
-    def element_text(self, x: PolyQuotientElement) -> str:
-        return poly_text(x.coeffs, self._var_name)
+    def row_text(self, coeffs) -> str:
+        return poly_text(coeffs, self._var_name)
 
     def coefficient_texts(self, coeffs):
         """Each block's text; nonzero blocks of n > 1 in parentheses."""

@@ -280,9 +280,10 @@ class Ring:
       ints.  Here ``scale(a, c)``, by an integer c, is the product with
       c * 1;
     - ``order_key(v)``, an int that orders packed values as their
-      coefficient tuples and that ``add`` sums as it sums the values;
-    - ``reduce_to``, ``expression``, ``element_text`` and
-      ``structure_constants``.
+      coefficient tuples, that ``add`` sums as it sums the values and
+      that holds v, which ``key_values`` reads back;
+    - ``row_text`` of a coefficient tuple, ``reduce_to(c)`` (the ring over
+      Z_c), ``expression`` and ``structure_constants``.
 
     A group ring's base also has ``_tail`` (its modulus is the monic
     x^d + tail; Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's
@@ -316,27 +317,19 @@ class Ring:
         """The scalar v * 1: v at flat index 0 (identity, constant term)."""
         return self.element(self, v % self.coefficient_modulus)
 
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
     def scale(self, a: int, c: int) -> int:
         """a times the integer c: the product with the scalar c * 1."""
         return self.mul(a, c % self.coefficient_modulus)
 
-    def reduce_to(self, c: int) -> "Ring":
-        """The structurally identical ring with coefficient modulus c."""
-        raise NotImplementedError
-
-    def expression(self) -> str:
-        """Canonical ring expression, parseable by the CLI grammar."""
-        raise NotImplementedError
-
     def element_text(self, x) -> str:
-        raise NotImplementedError
+        return self.row_text(self.unpack(x.value))
 
-    def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        """n x n table of basis products as coefficient vectors."""
-        raise NotImplementedError
+    def unpack_many(self, values):
+        return map(self.unpack, values)
+
+    def square_mismatch(self, values: list[int]) -> int | None:
+        """Index of the first value that is not its own square, or None."""
+        return next((i for i, v in enumerate(values) if self.mul(v, v) != v), None)
 
     def elements(self) -> Iterator:
         """All elements, ascending in the lexicographic coefficient order."""
@@ -373,6 +366,9 @@ class ResidueRing(Ring):
     def order_key(self, v: int) -> int:
         return v
 
+    def key_values(self, keys: list[int]) -> list[int]:
+        return keys
+
     def mul(self, a: int, b: int) -> int:
         return a * b % self.coefficient_modulus
 
@@ -391,8 +387,8 @@ class ResidueRing(Ring):
     def expression(self) -> str:
         return f"Z({self.coefficient_modulus})"
 
-    def element_text(self, x: Element) -> str:
-        return str(x.value)
+    def row_text(self, coeffs) -> str:
+        return str(coeffs[0])
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         return [[(1 % self.coefficient_modulus,)]]

@@ -508,7 +508,7 @@ class TestEnumerate:
         fam = enumerate_idempotents(ResidueRing(12))
         assert calls == []
         assert fam.members is fam.members
-        assert len(calls) == 2  # the members and their sort keys
+        assert len(calls) == 1  # keys that hold their members: one pass
 
     @pytest.mark.parametrize(
         "last, message",
@@ -519,9 +519,9 @@ class TestEnumerate:
         ids=["duplicate", "not-idempotent"],
     )
     def test_listing_checks_its_members(self, monkeypatch, capsys, last, message):
-        # the last subset sum is replaced; Z(30) keys its members by value,
-        # so the sort keys change in step with the members.  `list` must
-        # fail before printing anything
+        # the last subset sum is replaced; each sum is a key that holds its
+        # member (over Z(30) the value itself), so the member changes with
+        # it.  `list` must fail before printing anything
         import idemlift.catalog as catalog
         from idemlift.cli import main
 
@@ -539,6 +539,83 @@ class TestEnumerate:
         assert main(["list", "Z(30)"]) == 5
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+
+class TestListingBlockCheck:
+    """``members`` squares its values 256 at a time in one SWAR reduction
+    (``PackedRing.square_mismatch``) and finds duplicates as equal sorted
+    neighbours.  A value planted into the listing after the sort, or a sum
+    duplicated, must be named wherever it sits: at the first, a middle or
+    the last member, or inside a short final block (the sums cut to
+    n/2 + 44, so the last block holds 44 of them when n > 256).  The rings
+    cover fold masks (C3xC3), a quotient base with its sweep and ``tops``,
+    a Gaussian listing of one block and one of 64 blocks."""
+
+    RINGS = ["Z(60){C3xC3}", "Z(221)[i]{C3}", "Z(32045)[i]", "Z(4095){C4}"]
+    WHERE = ["first", "middle", "last", "short-final-block"]
+
+    @staticmethod
+    def _tamper(monkeypatch, ring, kind, where):
+        """Patch the listing; return the text the error must name."""
+        import idemlift.catalog as catalog
+
+        n = enumerate_idempotents(ring).count
+        size = n // 2 + 44 if where == "short-final-block" else n
+        at = {"first": 0, "middle": n // 2, "last": n - 1}.get(where, size - 10)
+        sums = sorted(catalog._subset_sums(
+            [ring.order_key(x.value) for x in enumerate_idempotents(ring).primitive], ring
+        ))[:size]
+        value = ring.key_values(sums)[at]
+        if kind == "duplicate":
+            twin = at - 1 if at else 1  # the first member is duplicated into the second
+            sums[twin] = sums[at]
+            named = value
+        else:
+            named = ring.add(value, ring.from_int(2).value)
+            assert ring.mul(named, named) != named
+            real = PackedRing.key_values
+
+            def planted(self, keys):
+                values = real(self, keys)
+                values[at] = named
+                return values
+
+            monkeypatch.setattr(PackedRing, "key_values", planted)
+        monkeypatch.setattr(catalog, "_subset_sums", lambda values, r: list(sums))
+        return ring.element_text(ring.element(ring, named))
+
+    @pytest.mark.parametrize("where", WHERE)
+    @pytest.mark.parametrize("kind", ["not-idempotent", "duplicate"])
+    @pytest.mark.parametrize("text", RINGS)
+    def test_bad_member_named(self, monkeypatch, capsys, text, kind, where):
+        from idemlift.cli import main
+
+        ring = build_ring(text)
+        named = self._tamper(monkeypatch, ring, kind, where)
+        message = f"contains duplicates of {named}" if kind == "duplicate" else (
+            f"claimed member {named} is not idempotent"
+        )
+        with pytest.raises(VerificationError) as info:
+            enumerate_idempotents(ring).members
+        assert str(info.value).endswith(message)
+        assert main(["list", text]) == 5
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {str(info.value)}\n"
+
+    @pytest.mark.parametrize("text", RINGS)
+    def test_square_mismatch_names_the_block(self, text):
+        # the block pass flags the block that holds a bad value, and only that
+        # one, in full blocks and in a short final block alike
+        ring = build_ring(text)
+        values = [x.value for x in enumerate_idempotents(ring).members]
+        bad = ring.add(values[-1], ring.from_int(2).value)
+        assert ring.square_mismatch(values) is None and ring.square_mismatch([]) is None
+        for cut in {len(values), len(values) // 2 + 44}:
+            for at in {0, cut // 2, cut - 1}:
+                tampered = values[:cut]
+                tampered[at] = bad
+                n = min(cut, 256)
+                assert ring.square_mismatch(tampered) == at // n * n
 
 
 class TestPipelineWithoutOracle:

@@ -19,6 +19,7 @@ import pytest
 
 import idemlift
 from idemlift.cli import main
+from idemlift.parsing import build_ring
 
 GOLDEN = str(Path(__file__).parent / "golden" / "z200c3.json")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -84,6 +85,28 @@ class TestList:
         assert "golden: MISMATCH (1 missing, 1 unexpected)" in err
 
     @pytest.mark.parametrize("command", ["list", "oracle"])
+    def test_json_golden_is_one_document(self, capsys, tmp_path, command):
+        # the comparison goes into the document, so all of stdout parses
+        ring = "Z(2){C3}"  # within the oracle's scan cap
+        _, out, _ = run(capsys, "list", ring, "--json")
+        members = json.loads(out)["members"]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"members": members}))
+        code, out, err = run(capsys, command, ring, "--json", "--golden", str(table))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["golden"] == {"match": True, "missing": [], "unexpected": []}
+        assert doc["members"] == members
+        # one member replaced, one added: both lists come out sorted
+        wrong = [[1, 1, 0], [0, 1, 0]] + members[1:]
+        table.write_text(json.dumps({"members": wrong}))
+        code, out, err = run(capsys, command, ring, "--json", "--golden", str(table))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["golden"] == {
+            "match": False, "missing": [[0, 1, 0], [1, 1, 0]], "unexpected": [members[0]],
+        }
+
+    @pytest.mark.parametrize("command", ["list", "oracle"])
     @pytest.mark.parametrize(
         "table",
         ["missing", "nope", '{"x": 1}', '{"members": [[1, 2], 3]}', "directory"],
@@ -141,28 +164,43 @@ class TestList:
         [(["list", "Z(4095){C4}"], 16384, 14), (["list", "Z(60){C3xC3}", "--json"], 2048, 11)],
     )
     def test_one_unpack_and_one_squaring_per_member(self, capsys, monkeypatch, argv, members, k):
-        # members are sorted by int keys summed beside them, so a listed
-        # member is unpacked once, for its text or JSON; the rest are the
-        # k primitives' embeddings and JSON.  Every listed member is squared.
+        # members are sorted by int keys that hold them, and rendered from
+        # slot columns: a listed member is unpacked once, by unpack_many, and
+        # never by a per-member unpack (those are the k primitives'
+        # embeddings and JSON).  The block pass squares every listed member
+        # once, in listing order, and nothing squares one again.
         from idemlift import catalog
         from idemlift.group_rings import PackedRing
 
-        unpacks, squared = [], []
-        real_unpack, real_verify = PackedRing.unpack, catalog.verify_idempotent
+        unpacks, rows, squared, again = [], [], [], []
+        real_unpack, real_many = PackedRing.unpack, PackedRing.unpack_many
+        real_block, real_verify = PackedRing.square_mismatch, catalog.verify_idempotent
+
+        def many(self, values):
+            for row in real_many(self, values):
+                rows.append(row)
+                yield row
+
         monkeypatch.setattr(
             PackedRing, "unpack", lambda self, v: unpacks.append(1) or real_unpack(self, v)
         )
+        monkeypatch.setattr(PackedRing, "unpack_many", many)
         monkeypatch.setattr(
-            catalog, "verify_idempotent", lambda x: squared.append(x) or real_verify(x)
+            PackedRing, "square_mismatch", lambda self, v: squared.extend(v) or real_block(self, v)
+        )
+        monkeypatch.setattr(
+            catalog, "verify_idempotent", lambda x: again.append(x) or real_verify(x)
         )
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert len(unpacks) <= members + 2 * k
+        assert len(unpacks) <= 2 * k
+        assert len(rows) == members
+        ring = build_ring(argv[1])
         if "--json" in argv:
-            assert [list(x.coeffs) for x in squared] == json.loads(out)["members"]
+            assert [list(ring.unpack(v)) for v in squared] == json.loads(out)["members"]
         else:
-            assert [x.ring.element_text(x) for x in squared] == out.splitlines()[1:]
-        assert len(squared) == members
+            assert [ring.row_text(ring.unpack(v)) for v in squared] == out.splitlines()[1:]
+        assert len(squared) == members and again == []
 
     def test_cap_override_small(self, capsys):
         code, _, _ = run(capsys, "list", "Z(12)", "--cap", "2")

@@ -471,3 +471,54 @@ class TestOrderKey:
                     assert (key(a.value) == key(b.value)) == (a == b)
 
         check()
+
+    @pytest.mark.parametrize("text, m", zip(ORDER_KEY_RINGS, [7, 3, 3, 2]))
+    def test_key_holds_the_value_below_the_reversed_slots(self, text, m):
+        # a packed key is the value's slots reversed, above the value itself
+        # in the layout's low ``bits``; Z_m's key is the residue
+        ring = build_ring(text % m)
+        for x in ring.elements():
+            key = ring.order_key(x.value)
+            assert ring.key_values([key]) == [x.value]
+            if isinstance(ring, PackedRing):
+                lay = ring._layout
+                slots = _split(x.value, lay.count, lay.slot)[::-1]
+                assert key >> lay.bits == sum(c << i * lay.slot for i, c in enumerate(slots))
+                assert key & ((1 << lay.bits) - 1) == x.value
+            else:
+                assert key == x.value
+
+
+class TestUnpackMany:
+    """``unpack_many`` reads a listing one slot column at a time, 1,024
+    values at a time, and falls back to ``unpack`` above 32 slots; either
+    way it must give what ``unpack`` gives, member for member."""
+
+    @pytest.mark.parametrize(
+        "text, slots, contiguous",
+        [("Z(7){C2xC3xC5}", 68, False), ("Z(60){C3xC3}", 13, False),
+         ("Z(4095){C4}", 4, True), ("Z(30030)", None, True)],
+    )
+    def test_listing_equals_unpack(self, text, slots, contiguous):
+        from idemlift.catalog import enumerate_idempotents
+
+        ring = build_ring(text)
+        if slots is not None:  # a packed layout: its size and shape as named
+            lay = ring._layout
+            assert (lay.count, lay.positions[-1] + 1 == len(lay.positions)) == (slots, contiguous)
+        values = [x.value for x in enumerate_idempotents(ring).members]
+        assert len(values) in (2**6, 2**11, 2**12, 2**14)
+        assert list(ring.unpack_many(values)) == [ring.unpack(v) for v in values]
+
+    @pytest.mark.parametrize("text", ["Z(221)[i]{C3}", "Z(9)[i]{C2xC2}", "Z(2**61 - 1){C2xC3}"])
+    def test_random_values_across_a_block_boundary(self, text):
+        # non-contiguous positions: a quotient base, and rank 2 over Z_m;
+        # 1,500 values take one full block of 1,024 and a short one
+        ring = build_ring(text.replace("2**61 - 1", str(2**61 - 1)))
+        rng = random.Random(text)
+        m = ring.coefficient_modulus
+        values = [ring.from_coeffs([rng.randrange(m) for _ in range(ring.dimension)]).value
+                  for _ in range(1500)]
+        values[1023:1025] = [0, ring.one.value]
+        assert list(ring.unpack_many(values)) == [ring.unpack(v) for v in values]
+        assert list(ring.unpack_many([])) == []

@@ -1,0 +1,18 @@
+"""The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 3,054.
+
+3,054 lines is the size of the package before the packed kernel; code that
+grows it past the cap pays for the lines by deleting others.
+"""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "idemlift"
+LINE_CAP = 3054
+
+
+def test_package_within_line_cap():
+    # wc -l counts newline characters
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted(SRC.glob("*.py"))}
+    assert len(counts) >= 12
+    total = sum(counts.values())
+    assert total <= LINE_CAP, f"src/idemlift/*.py has {total} lines, above the cap {LINE_CAP}"
