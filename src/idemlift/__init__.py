@@ -57,10 +57,9 @@ from .polynomials import (
     berlekamp_factor,
     poly_gcd,
 )
-from .quotients import QuotientRing, gaussian_ring
+from .quotients import QuotientRing, ResidueRing, gaussian_ring
 from .rings import (
     PrimePowerFactorization,
-    ResidueRing,
     Ring,
     factorize,
     is_prime,

@@ -50,8 +50,8 @@ from .groups import (
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
 from .polynomials import _null_space, _product, berlekamp_factor
-from .quotients import QuotientRing
-from .rings import ResidueRing, Ring, factorize, is_prime, modular_inverse
+from .quotients import QuotientRing, ResidueRing
+from .rings import Ring, factorize, is_prime, modular_inverse
 
 DEFAULT_LIST_CAP = 2**16
 FROBENIUS_DIMENSION_CAP = 64
@@ -233,7 +233,7 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     base, group = ring.base, ring.group
     d = base.dimension
     # Frob sends x^k g to (x^k)^p g^p: column (g, k) holds (x^k)^p in block g^p
-    xps = [(base.from_coeffs([int(j == k) for j in range(d)]) ** p).coeffs for k in range(d)]
+    xps = [(base.from_coeffs([int(j == k) for j in range(d)]) ** p).coeff_vector() for k in range(d)]
     rows = [[-int(r == c) % p for c in range(n)] for r in range(n)]
     for g in range(group.order):
         gp = group.power(g, p)
@@ -342,7 +342,7 @@ def poly_crt_combine(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP) -> Idem
     linear = ()  # the primitives of E(F_p G), shared by every linear factor
     for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         # the weight s_i(x) m_i(x) sits at the group identity, block 0
-        w = quotient.from_polynomial(_product(inv, cof)).coeffs
+        w = quotient.from_polynomial(_product(inv, cof)).coeff_vector()
         weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
         alphas.append(p ** (e - 1))
         if group.is_trivial:
@@ -363,7 +363,7 @@ def _embed(x, carrier: Ring):
     are at least as long, padding each block with zeros (a residue or a
     factor-quotient coefficient read into the full quotient)."""
     order = carrier.group.order if isinstance(carrier, GroupRing) else 1
-    cs = x.coeffs
+    cs = x.coeff_vector()
     src = len(cs) // order
     pad = (0,) * (carrier.dimension // order - src)
     return carrier.from_coeffs(

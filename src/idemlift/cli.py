@@ -48,6 +48,8 @@ from .oracle import DEFAULT_BRUTE_CAP
 from .parsing import build_ring, parse_element
 from .rings import FACTORIZATION_BOUND, Ring
 
+VERIFY_PAIR_CAP = 64
+
 _EXIT_CODES = {
     ParseError: 2,
     SizeLimitError: 3,
@@ -227,6 +229,9 @@ def _cmd_verify(args) -> int:
     ring = build_ring(args.ring)
     elems = [parse_element(text, ring) for text in args.elements]
     idem = [verify_idempotent(x) for x in elems]
+    if len(elems) > VERIFY_PAIR_CAP and not all(idem):  # every pair would be multiplied
+        raise SizeLimitError(f"verify checks every pair of a family with a non-idempotent "
+                             f"element, at most {VERIFY_PAIR_CAP} elements; got {len(elems)}")
     results: dict = {
         "ring": ring.expression(),
         "elements": [list(x.coeff_vector()) for x in elems],

@@ -1,5 +1,5 @@
-"""Group rings RG for a finite abelian group G, and the packed layout that
-RG and Z_m[x]/(q) share.
+"""Group rings RG for a finite abelian group G, and the packed layout and
+kernel that every carrier shares: RG, Z_m[x]/(q) and Z_m = Z_m[x]/(x).
 
 An element of RG is one block of ``base.dimension`` coefficients per group
 element, in the group's canonical index order, held as one int: Kronecker
@@ -20,14 +20,24 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 from .groups import AbelianGroup, Subgroup
-from .rings import Element, ResidueRing, Ring, modular_inverse
+from .rings import Element, Ring, modular_inverse
 
 
 class PackedRing(Ring):
     """A carrier held in the Kronecker layout of its ``_shape`` = (group
-    factors, base tail, m): RG, and Z_m[x]/(q) as the trivial group's.  The
-    layout is built on first use, so a ring refused by a size cap builds
-    none of its masks."""
+    factors, base tail, m): RG, and Z_m[x]/(q) and Z_m as the trivial
+    group's.  The layout is built on first use, so a ring refused by a size
+    cap builds none of its masks.  This is every carrier's kernel:
+
+    - ``pack``/``unpack`` between a tuple of reduced coefficients and the
+      packed int.  Flat index 0 sits in the low bits, below every other
+      slot, so the scalar v * 1 is the int v mod m;
+    - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)``;
+    - ``order_key(v)``, an int that orders packed values as their
+      coefficient tuples, that ``add`` sums as it sums the values and
+      that holds v, which ``key_values`` reads back;
+    - ``unpack_many`` and ``square_mismatch``, a listing a block at a time.
+    """
 
     _shape: tuple
 
@@ -138,9 +148,9 @@ class GroupRing(PackedRing):
         """Canonical text: ``c0*e + c1*g + c2*g^2`` / rank-2 ``c*(a^i b^j)`` terms.
 
         Rank-1 output is dense (a coefficient for every power of g) so
-        listings line up column-wise; it fills one row template, with the
-        ints themselves over Z_m.  Higher ranks print only nonzero terms
-        since those carriers have |G| >= 4 basis elements.
+        listings line up column-wise; it fills one row template, with bare
+        ints over a base of dimension 1.  Higher ranks print only nonzero
+        terms since those carriers have |G| >= 4 basis elements.
         """
         if self._names is None:
             self._names = tuple(map(self.group.element_name, range(self.group.order)))
@@ -148,7 +158,7 @@ class GroupRing(PackedRing):
         if self.group.rank > 1:
             texts = self.base.coefficient_texts(coeffs)
             return " + ".join(f"{t}*{n}" for t, n in zip(texts, self._names) if t != "0") or "0"
-        if not isinstance(self.base, ResidueRing):
+        if self.base.dimension > 1:
             coeffs = self.base.coefficient_texts(coeffs)
         return self._dense_row(*coeffs)
 

@@ -23,8 +23,8 @@ from functools import cache
 from .errors import ParseError, SizeLimitError
 from .groups import group_from_factors
 from .group_rings import GroupRing
-from .quotients import QuotientRing
-from .rings import ResidueRing, Ring
+from .quotients import QuotientRing, ResidueRing
+from .rings import Ring
 
 MAX_INPUT_BYTES = 1024
 MAX_EXPONENT = 1024  # x^k in a literal expands to k + 1 coefficients
@@ -218,7 +218,7 @@ def _parse_group_element(cur: _Cursor, ring: GroupRing):
     flat = [0] * ring.dimension
     while True:
         if quotient and cur.take("("):
-            coeff = base.from_polynomial(_parse_poly_body(cur, m, base._var_name)).coeffs
+            coeff = base.from_polynomial(_parse_poly_body(cur, m, base._var_name)).coeff_vector()
             cur.expect(")")
         else:
             value = cur.int_or_none()

@@ -5,9 +5,9 @@ functions below take lists or tuples, and the zero polynomial is empty.
 What leaves the module (gcds, factors, cofactors, inverses) is reduced
 mod m with trailing zeros trimmed.  Products in Z_m[x]/(u) go through
 ``poly_mulmod`` (schoolbook product, reduced by the monic u, then mod m);
-``QuotientRing`` elements multiply in the packed kernel of ``group_rings``
-instead.  Gcds and Berlekamp factorization require a prime modulus and
-say so.
+ring elements, of ``QuotientRing`` and ``ResidueRing`` alike, multiply in
+the packed kernel of ``group_rings`` instead.  Gcds and Berlekamp
+factorization require a prime modulus and say so.
 
 The factorizer is Berlekamp's method: squarefree reduction through gcd
 with the derivative (p-th powers handled by coefficient-wise p-th roots,

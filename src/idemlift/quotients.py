@@ -1,9 +1,11 @@
-"""Quotient rings Z_m[x]/(q) for monic q, including the Gaussian case q = x^2 + 1.
+"""Quotient rings Z_m[x]/(q) for monic q, including the Gaussian case
+q = x^2 + 1, and the residue ring Z_m as Z_m[x]/(x).
 
 Elements are residue polynomials of degree below deg q, coefficients
 lowest degree first, packed in the layout of ``group_rings`` for the
 trivial group: a product is one integer product, one SWAR pass mod m, one
-reduction by q of every slot at or above deg q, and a second pass.  When
+reduction by q of every slot at or above deg q, and a second pass.  A
+residue of Z_m fills the one slot, so its packed int is itself.  When
 q = x^2 + 1 the ring prints with ``i`` instead of ``x`` so Z_p[i] elements
 read as a + b*i.
 """
@@ -100,6 +102,47 @@ class QuotientRing(PackedRing):
 
     def __repr__(self):
         return f"QuotientRing({self.coefficient_modulus}, {self.q!r})"
+
+
+class ResidueRing(PackedRing):
+    """The ring Z_m of integers modulo m >= 1 (m = 1 is the zero ring, where
+    0 == 1): Z_m[x]/(x) in that layout, printed as its integers."""
+
+    _tail = (0,)
+
+    def __init__(self, modulus: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        self.coefficient_modulus = modulus
+        self.dimension = 1
+        self._shape = ((), self._tail, modulus)
+
+    def coefficient_texts(self, coeffs):
+        return map(str, coeffs)
+
+    def reduce_to(self, c: int) -> "ResidueRing":
+        return ResidueRing(c)
+
+    def expression(self) -> str:
+        return f"Z({self.coefficient_modulus})"
+
+    def row_text(self, coeffs) -> str:
+        return str(coeffs[0])
+
+    def structure_constants(self) -> list[list[tuple[int, ...]]]:
+        return [[(1 % self.coefficient_modulus,)]]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ResidueRing)
+            and other.coefficient_modulus == self.coefficient_modulus
+        )
+
+    def __hash__(self):
+        return hash(("ResidueRing", self.coefficient_modulus))
+
+    def __repr__(self):
+        return f"ResidueRing({self.coefficient_modulus})"
 
 
 def gaussian_ring(m: int) -> QuotientRing:

@@ -1,16 +1,16 @@
-"""Integer residue rings, the one element type, and the carrier interface.
+"""Integer helpers, factorization, the one element type, the carrier interface.
 
 Every carrier in this package is a finite commutative ring whose elements
 are fixed-length vectors of integers modulo m: the residue ring Z_m itself
 (length 1), polynomial quotients Z_m[x]/(q) (length deg q), and group rings
 over either (length multiplied by the group order, group index major, base
 coefficient minor).  Every element is an ``Element`` holding one int, that
-vector packed in its ring's layout with every coefficient reduced below m:
-Z_m holds the residue itself, the other carriers a Kronecker layout
-(``group_rings``).  Products, sums, negation, scaling, equality and
-hashing are whole-int operations; coefficient tuples appear only at the
-boundary (``from_coeffs``, ``coeffs``, text, JSON and the brute-force scan,
-which multiplies through the structure constants).
+vector packed in the one Kronecker layout of ``group_rings`` with every
+coefficient reduced below m; a Z_m residue packs as itself.  Products,
+sums, negation, scaling, equality and hashing are whole-int operations;
+coefficient tuples appear only at the boundary (``from_coeffs``,
+``coeff_vector``, text, JSON and the brute-force scan, which multiplies
+through the structure constants).
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -181,7 +181,7 @@ def factorize(m: int) -> PrimePowerFactorization:
 class Element:
     """One element of any carrier: its coefficient vector packed in one int.
 
-    ``value`` is the ring's packed int; ``coeffs`` unpacks it on each use
+    ``value`` is the ring's packed int; ``coeff_vector`` unpacks it on each use
     and keeps nothing, so a listing holds its members' ints, sorted by
     ``ring.order_key``, and no tuples.  Every operation is the ring's
     whole-int kernel.  Mixing elements of different rings raises
@@ -251,13 +251,11 @@ class Element:
     def coeff_vector(self) -> tuple[int, ...]:
         return self.ring.unpack(self.value)
 
-    coeffs = property(coeff_vector)
-
     def __str__(self):
         return self.ring.element_text(self)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.ring!r}, {self.coeffs!r})"
+        return f"{type(self).__name__}({self.ring!r}, {self.coeff_vector()!r})"
 
 
 def pow_mults(e: int) -> int:
@@ -271,24 +269,13 @@ class Ring:
 
     Subclasses set ``coefficient_modulus`` (the m above) and ``dimension``
     (the coefficient-vector length), may set ``element`` (the Element
-    subclass they hand out), and implement:
-
-    - ``pack``/``unpack`` between a tuple of reduced coefficients and the
-      packed int.  Every layout keeps flat index 0 in the low bits, below
-      every other slot, so the scalar v * 1 is the int v mod m;
-    - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)`` on packed
-      ints.  Here ``scale(a, c)``, by an integer c, is the product with
-      c * 1;
-    - ``order_key(v)``, an int that orders packed values as their
-      coefficient tuples, that ``add`` sums as it sums the values and
-      that holds v, which ``key_values`` reads back;
-    - ``row_text`` of a coefficient tuple, ``reduce_to(c)`` (the ring over
-      Z_c), ``expression`` and ``structure_constants``.
-
-    A group ring's base also has ``_tail`` (its modulus is the monic
-    x^d + tail; Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's
-    text, "0" if zero), at most one call per group-ring element.  Everything
-    else is generic.
+    subclass they hand out), and implement ``row_text`` of a coefficient
+    tuple, ``reduce_to(c)`` (the ring over Z_c), ``expression`` and
+    ``structure_constants``; every carrier's whole-int kernel is
+    ``group_rings.PackedRing``'s.  A group ring's base also has ``_tail``
+    (its modulus is the monic x^d + tail; Z_m is Z_m[x]/(x)) and
+    ``coefficient_texts`` (each block's text, "0" if zero), at most one
+    call per group-ring element.  Everything else is generic.
     """
 
     coefficient_modulus: int
@@ -324,13 +311,6 @@ class Ring:
     def element_text(self, x) -> str:
         return self.row_text(self.unpack(x.value))
 
-    def unpack_many(self, values):
-        return map(self.unpack, values)
-
-    def square_mismatch(self, values: list[int]) -> int | None:
-        """Index of the first value that is not its own square, or None."""
-        return next((i for i, v in enumerate(values) if self.mul(v, v) != v), None)
-
     def elements(self) -> Iterator:
         """All elements, ascending in the lexicographic coefficient order."""
         for coeffs in itertools.product(
@@ -342,65 +322,3 @@ class Ring:
         """Push x from this ring onto a reduced twin (coefficients mod c)."""
         return target.from_coeffs(x.coeff_vector())
 
-
-class ResidueRing(Ring):
-    """The ring Z_m of integers modulo m >= 1; m = 1 is the zero ring, where 0 == 1.
-
-    The packed int is the residue itself.
-    """
-
-    _tail = (0,)  # as a group-ring base, Z_m is Z_m[x]/(x)
-
-    def __init__(self, modulus: int):
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        self.coefficient_modulus = modulus
-        self.dimension = 1
-
-    def pack(self, coeffs: Sequence[int]) -> int:
-        return coeffs[0]
-
-    def unpack(self, v: int) -> tuple[int, ...]:
-        return (v,)
-
-    def order_key(self, v: int) -> int:
-        return v
-
-    def key_values(self, keys: list[int]) -> list[int]:
-        return keys
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.coefficient_modulus
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.coefficient_modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.coefficient_modulus
-
-    def coefficient_texts(self, coeffs):
-        return map(str, coeffs)
-
-    def reduce_to(self, c: int) -> "ResidueRing":
-        return ResidueRing(c)
-
-    def expression(self) -> str:
-        return f"Z({self.coefficient_modulus})"
-
-    def row_text(self, coeffs) -> str:
-        return str(coeffs[0])
-
-    def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        return [[(1 % self.coefficient_modulus,)]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueRing)
-            and other.coefficient_modulus == self.coefficient_modulus
-        )
-
-    def __hash__(self):
-        return hash(("ResidueRing", self.coefficient_modulus))
-
-    def __repr__(self):
-        return f"ResidueRing({self.coefficient_modulus})"

@@ -47,8 +47,8 @@ from idemlift.lifting import (
 )
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
-from idemlift.quotients import gaussian_ring
-from idemlift.rings import ResidueRing, factorize
+from idemlift.quotients import ResidueRing, gaussian_ring
+from idemlift.rings import factorize
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "z200c3.json"
 

@@ -23,8 +23,7 @@ from idemlift.group_rings import GroupRing, PackedRing
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
-from idemlift.quotients import QuotientRing, gaussian_ring
-from idemlift.rings import ResidueRing
+from idemlift.quotients import QuotientRing, ResidueRing, gaussian_ring
 
 
 def _vectors(elems):

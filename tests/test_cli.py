@@ -587,6 +587,36 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verified"] is False
 
+    def test_pair_cap_refuses_before_any_pair(self, capsys, monkeypatch):
+        # 2 is not idempotent in Z(6), so the family is checked pair by pair:
+        # 64 elements (2,016 pairs) are checked, 65 refused before any pair
+        from idemlift import cli
+
+        code, out, err = run(capsys, "verify", "Z(6)", "2", *["0"] * 63)
+        assert code == 5 and "orthogonal: yes\nsums to one: NO\n" in out
+        assert err == "error: failed checks: not idempotent: 2, sum equal to 1\n"
+        monkeypatch.setattr(cli, "verify_family", None)
+        code, out, err = run(capsys, "verify", "Z(6)", "2", *["0"] * 64)
+        assert (code, out) == (3, "")
+        assert err == ("error: verify checks every pair of a family with a non-idempotent "
+                       "element, at most 64 elements; got 65\n")
+
+    def test_idempotent_family_has_no_pair_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "Z(6)", "1", *["0"] * 127)
+        assert (code, err) == (0, "")
+        assert out.count("idempotent: yes") == 128
+        assert out.endswith("orthogonal: yes\nsums to one: yes\n")
+
+    def test_thousand_digit_modulus_within_budget(self, capsys):
+        # about the largest Z(m) the 1,024-byte input cap admits: its one
+        # slot's layout, reduction program included, is built in bounded time
+        ring = f"Z({10**999 + 7})"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", ring, "1")
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (0, f"ring: {ring}\nidempotent: yes  1\n", "")
+        assert elapsed < 5.0
+
 
 class TestOracle:
     def test_matches_list(self, capsys):

@@ -24,8 +24,7 @@ from idemlift.lifting import (
     verify_orthogonal,
 )
 from idemlift.oracle import brute_force_scan
-from idemlift.quotients import QuotientRing, gaussian_ring
-from idemlift.rings import ResidueRing
+from idemlift.quotients import QuotientRing, ResidueRing, gaussian_ring
 
 
 @pytest.fixture

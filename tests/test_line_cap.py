@@ -1,13 +1,14 @@
-"""The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 3,054.
+"""The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 3,029.
 
-3,054 lines is the size of the package before the packed kernel; code that
-grows it past the cap pays for the lines by deleting others.
+3,029 lines is the size of the package once Z_m joined the one packed
+kernel; code that grows it past the cap pays for the lines by deleting
+others.
 """
 
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "idemlift"
-LINE_CAP = 3054
+LINE_CAP = 3029
 
 
 def test_package_within_line_cap():

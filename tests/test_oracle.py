@@ -6,8 +6,7 @@ from idemlift.errors import SizeLimitError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import AbelianGroup
 from idemlift.oracle import brute_force_scan, brute_force_scan_slow
-from idemlift.quotients import QuotientRing, gaussian_ring
-from idemlift.rings import ResidueRing
+from idemlift.quotients import QuotientRing, ResidueRing, gaussian_ring
 
 
 SMALL_RINGS = [

@@ -7,8 +7,7 @@ import pytest
 
 from idemlift.catalog import enumerate_idempotents
 from idemlift.oracle import brute_force_scan
-from idemlift.quotients import QuotientRing, gaussian_ring
-from idemlift.rings import ResidueRing
+from idemlift.quotients import QuotientRing, ResidueRing, gaussian_ring
 
 
 class TestQuotientRing:

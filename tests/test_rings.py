@@ -11,9 +11,9 @@ import pytest
 
 from idemlift.errors import SizeLimitError, UnsupportedError
 from idemlift.parsing import build_ring
+from idemlift.quotients import ResidueRing
 from idemlift.rings import (
     MILLER_RABIN_BOUND,
-    ResidueRing,
     factorize,
     is_prime,
     modular_inverse,
