@@ -16,27 +16,33 @@ alone, in the ring's own kernel.  The brute-force scan is the independent
 check, never a provider.
 
 The idempotents form a Boolean algebra whose atoms are the primitive
-idempotents, and the gluing is additive over the prime parts.  So every
-provider and the CRT glue pass on only a certified primitive family (one
-lift per primitive), and a family is nothing more: E(ring) is listed from
-it only when ``members`` is first read, as the subset sums of the
-primitives' order keys, each holding its packed value in its low bits, in
-one pass and one plain sort.  Capping a listing is the caller's choice.
-The oracle's scan and the power form build members of their own, and each
-must equal the listing of the family it certifies.
+idempotents, and the gluing is additive over the prime parts.  So each
+internal route (``_base_route``, the routes it dispatches to, and the
+glue of ``_poly_route`` and ``_crt_route``) hands on uncertified candidate
+primitives, one lift per primitive, with a component count computed
+without looking at them: 1 per field factor, the Frobenius orbit count of
+a group ring (its number of simple components, Perlis & Walker 1950), and
+for the glue the sum of its components' counts over Berlekamp's factor
+list or the primes of m.  Only the public function the caller invoked
+certifies, once (``_build_family``): the primitives it returns are checked
+for idempotency, orthogonality, their sum, and their number against that
+count.  A family that cannot be certified is an error, never a silent
+downgrade.
 
-Everything returned is re-verified: every listed member is squared, in
-the ring's own kernel and 256 at a time; primitive families are checked
-for orthogonality, their sum, and their size against an independently
-computed component count.  A family that cannot be certified is an
-error, never a silent downgrade.
+A family is its certified primitives and nothing more: E(ring) is listed
+from it only when ``values`` is first read, as the subset sums of the
+primitives' order keys, each holding its packed value in its low bits, in
+one pass and one plain sort, and every listed member is squared, in the
+ring's own kernel and 256 at a time.  Capping a listing is the caller's
+choice.  The oracle's scan and the power form build members of their
+own, and each must equal the listing of the family it certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
 from .group_rings import GroupRing, pow_tower
@@ -61,12 +67,13 @@ FROBENIUS_DIMENSION_CAP = 64
 class IdempotentFamily:
     """E(ring), given by its certified primitive idempotents.
 
-    ``primitive`` is the certified orthogonal primitive decomposition of
-    1 (empty only for the zero ring).  E is the Boolean algebra it
-    generates, so ``count`` is |E(ring)| = 2^len(primitive), and
-    ``members`` lists E on first read: the subset sums of ``primitive``,
-    canonically sorted by coefficient vector, each squared once more (a
-    block at a time, by ``ring.square_mismatch``) and none listed twice.
+    ``primitive`` is the orthogonal primitive decomposition of 1 (empty
+    only for the zero ring), certified once against a count that does not
+    look at it.  E is the Boolean algebra it generates, so ``count`` is
+    |E(ring)| = 2^len(primitive).  ``values`` lists E on first read, as
+    packed ints: the subset sums of ``primitive``, canonically sorted by
+    coefficient vector, each squared once more (a block at a time, by
+    ``ring.square_mismatch``) and none listed twice; ``members`` wraps them.
     """
 
     ring: Ring
@@ -78,22 +85,26 @@ class IdempotentFamily:
         return 1 << len(self.primitive)
 
     @cached_property
-    def members(self) -> tuple:
+    def values(self) -> tuple:
         ring = self.ring
         keys = [ring.order_key(x.value) for x in self.primitive]
         # sorted() of a temporary: the unsorted sums are freed as it returns
         values = ring.key_values(sorted(_subset_sums(keys, ring)))
-        members = tuple(ring.element(ring, v) for v in values)
         start = ring.square_mismatch(values)
         if start is not None:  # square them one by one from that block on, to name the member
-            for x in members[start:]:
+            for x in (ring.element(ring, v) for v in values[start:]):
                 if not verify_idempotent(x):
                     raise VerificationError(f"claimed member {x} is not idempotent")
         # a key holds its value, so a duplicate sorts next to its twin
-        for x, a, b in zip(members, values, values[1:]):
+        for a, b in zip(values, values[1:]):
             if a == b:
+                x = ring.element(ring, a)
                 raise VerificationError(f"complete family contains duplicates of {x}")
-        return members
+        return tuple(values)
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(self.ring.element(self.ring, v) for v in self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,12 +115,12 @@ class IdempotentFamily:
         }
 
 
-def _build_family(
-    ring: Ring, *, primitive, provenance: str, expected_components: int
-) -> IdempotentFamily:
-    """The family of the primitives, certified against ``expected_components``."""
+def _build_family(ring: Ring, primitive, components: int, provenance: str) -> IdempotentFamily:
+    """Certify the candidate primitives against ``components``, a count
+    computed without looking at them.  Each route returns these arguments
+    uncertified; each public function passes its answer here, once."""
     primitive = tuple(sorted(primitive, key=lambda x: ring.order_key(x.value)))
-    check = verify_family(primitive, ring, expected_components)
+    check = verify_family(primitive, ring, components)
     if not check.primitive_certified:
         raise VerificationError(
             "primitive family failed certification: "
@@ -162,13 +173,8 @@ def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> Idempot
     if not members or len(members) != 1 << k:
         raise VerificationError(f"|E| = {len(members)} is not a power of 2; enumeration is broken")
     families = ([f, ring.one - f] for f in members if not f.is_zero() and f != ring.one)
-    fam = _build_family(
-        ring,
-        primitive=_refine(ring, families, k),
-        provenance="brute-force",
-        expected_components=k,
-    )
-    if fam.members != tuple(members):
+    fam = _build_family(ring, _refine(ring, families, k), k, "brute-force")
+    if fam.values != tuple(x.value for x in members):
         raise VerificationError("the scan is not the Boolean algebra of its atoms")
     return fam
 
@@ -222,6 +228,10 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     orbit count of g -> g^(p^d) on the p'-part of G, which does not look
     at B.
     """
+    return _build_family(*_frobenius_route(ring))
+
+
+def _frobenius_route(ring: GroupRing):
     p = ring.coefficient_modulus
     if not is_prime(p):
         raise ValueError(f"frobenius_idempotents requires a prime modulus, got {p}")
@@ -248,12 +258,7 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     # the p'-part of G: each cyclic factor without its p-part
     coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
     expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
-    return _build_family(
-        ring,
-        primitive=primitive,
-        provenance="factorization",
-        expected_components=expected,
-    )
+    return ring, primitive, expected, "factorization"
 
 
 def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
@@ -263,6 +268,10 @@ def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
     over the q + 1 subgroups H of order q of C_q x C_q.  The family is certified
     against the Frobenius orbit count or rejected outright.
     """
+    return _build_family(*_hat_route(group, p))
+
+
+def _hat_route(group: AbelianGroup, p: int):
     if not is_prime(p):
         raise ValueError(f"hat_family requires a prime modulus, got {p}")
     if not group.is_elementary_abelian() or group.rank > 2:
@@ -280,7 +289,7 @@ def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
     # count.  That number is compared before any subgroup or candidate is
-    # built; _build_family then verifies the family once.
+    # built; the answer's one certificate then verifies them.
     if size != expected:
         raise UnsupportedError(
             "hat family certification failed for "
@@ -288,13 +297,7 @@ def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
         )
     g_hat = ring.hat(Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order))))
     parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in order_q_subgroups(group)]
-    candidate = [g_hat] + [x - g_hat for x in parts]
-    return _build_family(
-        ring,
-        primitive=candidate,
-        provenance="hat-family",
-        expected_components=expected,
-    )
+    return ring, [g_hat] + [x - g_hat for x in parts], expected, "hat-family"
 
 
 def base_field_idempotents(ring: Ring) -> IdempotentFamily:
@@ -304,22 +307,25 @@ def base_field_idempotents(ring: Ring) -> IdempotentFamily:
     a group ring over F_p takes the hat family when it certifies and
     ``frobenius_idempotents`` otherwise.
     """
+    return _build_family(*_base_route(ring))
+
+
+def _base_route(ring: Ring):
     p = ring.coefficient_modulus
     if not is_prime(p):
         raise ValueError(f"base enumeration needs a prime modulus, got {p}")
     if isinstance(ring, ResidueRing):
-        return _build_family(ring, primitive=[ring.one], provenance="factorization",
-                             expected_components=1)
+        return ring, (ring.one,), 1, "factorization"
     if isinstance(ring, QuotientRing):
-        return poly_crt_combine(p, ring.q)
+        return _poly_route(p, ring.q)
     if isinstance(ring, GroupRing):
         if isinstance(ring.base, QuotientRing):
-            return poly_crt_combine(p, ring.base.q, ring.group)
+            return _poly_route(p, ring.base.q, ring.group)
         if isinstance(ring.base, ResidueRing):
             try:
-                return hat_family(ring.group, p)
+                return _hat_route(ring.group, p)
             except UnsupportedError:
-                return frobenius_idempotents(ring)
+                return _frobenius_route(ring)
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
@@ -333,29 +339,31 @@ def poly_crt_combine(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP) -> Idem
     gives F_p G, whose family is found once, and a factor of degree > 1
     gives F_{p^d} G, split by ``frobenius_idempotents``.
     """
+    return _build_family(*_poly_route(p, mpoly, group))
+
+
+def _poly_route(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP):
     if not is_prime(p):
         raise ValueError(f"poly_crt_combine requires a prime modulus, got {p}")
     quotient = QuotientRing(p, mpoly)
     carrier: Ring = quotient if group.is_trivial else GroupRing(quotient, group)
     fact = berlekamp_factor(quotient.q, p)
-    weights, alphas, families = [], [], []
-    linear = ()  # the primitives of E(F_p G), shared by every linear factor
+    weights, alphas, parts = [], [], []
+    linear = ()  # E(F_p G)'s primitives and count, shared by every linear factor
     for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
         # the weight s_i(x) m_i(x) sits at the group identity, block 0
         w = quotient.from_polynomial(_product(inv, cof)).coeff_vector()
         weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
         alphas.append(p ** (e - 1))
         if group.is_trivial:
-            families.append((carrier.one,))
+            parts.append(((carrier.one,), 1))
         elif len(q) == 2:
             # F_p[x]/(x - a) is F_p
-            fp_group = GroupRing(ResidueRing(p), group)
-            linear = linear or base_field_idempotents(fp_group).primitive
-            families.append(linear)
+            linear = linear or _base_route(GroupRing(ResidueRing(p), group))[1:3]
+            parts.append(linear)
         else:
-            field = GroupRing(QuotientRing(p, q), group)
-            families.append(frobenius_idempotents(field).primitive)
-    return _combine(carrier, weights=weights, alphas=alphas, families=families)
+            parts.append(_frobenius_route(GroupRing(QuotientRing(p, q), group))[1:3])
+    return _combine(carrier, weights=weights, alphas=alphas, parts=parts)
 
 
 def _embed(x, carrier: Ring):
@@ -371,30 +379,26 @@ def _embed(x, carrier: Ring):
     )
 
 
-def _combine(carrier: Ring, *, weights, alphas, families) -> IdempotentFamily:
+def _combine(carrier: Ring, *, weights, alphas, parts):
     """Glue per-component primitives: e = sum_i w_i * embed(f_i)^{alpha_i}.
 
-    The weights w_i are carrier elements and each family is a tuple of
-    certified component primitives.  The glue is additive, so their lifts,
-    one each, are the carrier's primitive family.  Provenance: "crt-combined"
-    for more than one component, "lifted" for one raised to a power,
-    "factorization" for one as it is.
+    The weights w_i are carrier elements; each part is a component's
+    uncertified primitives and its independent count.  The glue is
+    additive, so the lifts, one each, are the carrier's candidates, and its
+    count is the sum of the parts' counts, never of their lengths.
+    Provenance: "crt-combined" for more than one component, "lifted" for
+    one raised to a power, "factorization" for one as it is.
     """
     primitive = [
         w if f.value == 1 else w * _embed(f, carrier) ** alpha  # 1 lifts to 1
-        for w, alpha, fam in zip(weights, alphas, families)
+        for w, alpha, (fam, _) in zip(weights, alphas, parts)
         for f in fam
     ]
-    if len(families) > 1:
+    if len(parts) > 1:
         provenance = "crt-combined"
     else:
         provenance = "lifted" if alphas[0] > 1 else "factorization"
-    return _build_family(
-        carrier,
-        primitive=primitive,
-        provenance=provenance,
-        expected_components=sum(map(len, families)),
-    )
+    return carrier, primitive, sum(k for _, k in parts), provenance
 
 
 def crt_combine(m: int, group: AbelianGroup) -> IdempotentFamily:
@@ -403,23 +407,19 @@ def crt_combine(m: int, group: AbelianGroup) -> IdempotentFamily:
     Completeness multiplies; the embedded per-prime primitives form the
     (additive) primitive family.
     """
-    return _crt_enumerate(GroupRing(ResidueRing(m), group))
+    return _build_family(*_crt_route(GroupRing(ResidueRing(m), group)))
 
 
-def _crt_enumerate(ring: Ring) -> IdempotentFamily:
+def _crt_route(ring: Ring):
     m = ring.coefficient_modulus
     if m == 1:
-        return _build_family(ring, primitive=(), provenance="brute-force",
-                             expected_components=0)
+        return ring, (), 0, "brute-force"
     fact = factorize(m)
     return _combine(
         ring,
         weights=[ring.from_int(w) for w in fact.crt_weights],
         alphas=[pp.prime ** (pp.exponent - 1) for pp in fact.factors],
-        families=[
-            base_field_idempotents(ring.reduce_to(pp.prime)).primitive
-            for pp in fact.factors
-        ],
+        parts=[_base_route(ring.reduce_to(pp.prime))[1:3] for pp in fact.factors],
     )
 
 
@@ -430,9 +430,8 @@ def enumerate_idempotents(ring: Ring) -> IdempotentFamily:
     lift along each prime-power chain is a bijection on idempotents), and
     the construction verifies that with exact arithmetic.
     """
-    if is_prime(ring.coefficient_modulus):
-        return base_field_idempotents(ring)
-    return _crt_enumerate(ring)
+    route = _base_route if is_prime(ring.coefficient_modulus) else _crt_route
+    return _build_family(*route(ring))
 
 
 def crt_combine_powerform(m: int, group: AbelianGroup) -> IdempotentFamily:
@@ -447,11 +446,11 @@ def crt_combine_powerform(m: int, group: AbelianGroup) -> IdempotentFamily:
     """
     ring = GroupRing(ResidueRing(m), group)
     if m == 1:
-        return _crt_enumerate(ring)
+        return _build_family(*_crt_route(ring))
     fact = factorize(m)
-    base_families = [base_field_idempotents(ring.reduce_to(pp.prime)) for pp in fact.factors]
-    count = prod(f.count for f in base_families)
-    if count > DEFAULT_LIST_CAP:
+    bases = [_base_route(ring.reduce_to(pp.prime)) for pp in fact.factors]
+    components = sum(k for _, _, k, _ in bases)
+    if (count := 1 << components) > DEFAULT_LIST_CAP:
         raise SizeLimitError(
             f"power-form enumeration materializes all {count} members; "
             f"that exceeds the cap {DEFAULT_LIST_CAP}"
@@ -462,22 +461,17 @@ def crt_combine_powerform(m: int, group: AbelianGroup) -> IdempotentFamily:
     coeffs = [modular_inverse(radical // pp.prime, pp.prime) * (radical // pp.prime)
               for pp in fact.factors]
     choices = [ring.zero]
-    for c, f in zip(coeffs, base_families):
-        sums = _subset_sums([e.value for e in f.primitive], f.ring)
-        embedded = [c * ring.from_coeffs(f.ring.unpack(v)) for v in sums]
+    for c, (base, candidates, _, _) in zip(coeffs, bases):
+        sums = _subset_sums([e.value for e in candidates], base)
+        embedded = [c * ring.from_coeffs(base.unpack(v)) for v in sums]
         choices = [x + y for x in choices for y in embedded]
     members = [pow_tower(u, radical, k - 1) for u in choices]
     primitive = [
         pow_tower(coeff * ring.from_coeffs(f.coeff_vector()), radical, k - 1)
-        for coeff, fam in zip(coeffs, base_families)
-        for f in fam.primitive
+        for coeff, (_, candidates, _, _) in zip(coeffs, bases)
+        for f in candidates
     ]
-    fam = _build_family(
-        ring,
-        primitive=primitive,
-        provenance="crt-combined",
-        expected_components=sum(len(f.primitive) for f in base_families),
-    )
-    if sorted(x.value for x in members) != sorted(x.value for x in fam.members):
+    fam = _build_family(ring, primitive, components, "crt-combined")
+    if sorted(x.value for x in members) != sorted(fam.values):
         raise VerificationError("the power-form members are not the listing of its primitives")
     return fam

@@ -129,7 +129,7 @@ def _print_golden(diff: dict, size: int) -> None:
 
 
 def _emit_family(fam: IdempotentFamily, ring: Ring, args, golden: set | None) -> int:
-    values = [x.value for x in fam.members]  # listed, and checked, before anything is printed
+    values = fam.values  # listed, and checked, before anything is printed
     diff = None
     if golden is not None:  # under --json the comparison is part of the one document
         got = set(ring.unpack_many(values))

@@ -5,6 +5,8 @@ the carrier is small enough to scan; the combiners are additionally held
 against each other (summed vs power form) and against frozen values.
 """
 
+import re
+
 import pytest
 
 from idemlift.catalog import (
@@ -379,22 +381,19 @@ class TestCrtCombine:
         assert _vectors(summed.members) == _vectors(powered.members)
 
     def test_tampered_base_family_caught(self, monkeypatch):
-        # the glue lifts what the base provider hands on; a forged base
-        # primitive must fail the glued family's certification
-        import dataclasses
-
+        # the glue lifts what the base route hands on, uncertified; a forged
+        # base primitive must fail the glued family's certification
         import idemlift.catalog as catalog
 
-        real = catalog.base_field_idempotents
+        real = catalog._base_route
 
         def tampered(ring):
-            fam = real(ring)
-            if ring.coefficient_modulus != 2:
-                return fam
-            bogus = ring.from_coeffs((1, 1, 0))
-            return dataclasses.replace(fam, primitive=(bogus,) + fam.primitive[1:])
+            ring, primitive, components, provenance = real(ring)
+            if ring.coefficient_modulus == 2:
+                primitive = (ring.from_coeffs((1, 1, 0)),) + tuple(primitive)[1:]
+            return ring, primitive, components, provenance
 
-        monkeypatch.setattr(catalog, "base_field_idempotents", tampered)
+        monkeypatch.setattr(catalog, "_base_route", tampered)
         with pytest.raises(VerificationError, match="failed certification"):
             crt_combine(200, AbelianGroup((3,)))
 
@@ -433,6 +432,77 @@ class TestCrtCombine:
         with pytest.raises(SizeLimitError, match="262144"):
             crt_combine_powerform(1000, AbelianGroup((31,)))
         assert calls == []
+
+
+class TestOneCertificate:
+    """Routes hand on uncertified candidates and an independent count; the
+    public function the caller invoked certifies its answer, and only it."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        import idemlift.catalog as catalog
+
+        calls = []
+        real = catalog.verify_family
+        monkeypatch.setattr(
+            catalog, "verify_family", lambda *a: calls.append(a[0]) or real(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "Z(12)",
+            "Z(8){C3}",
+            "Z(1){C3}",
+            "Z(1105)[i]",
+            "Z(2310)[x]/(1 + x^4)",
+            "Z(221)[i]{C3}",
+            "Z(30){C3xC3}",
+        ],
+    )
+    def test_enumerate_certifies_its_answer_once(self, certified, expr):
+        fam = enumerate_idempotents(build_ring(expr))
+        assert len(certified) == 1
+        assert certified[0] is fam.primitive
+
+    def test_power_form_certifies_its_answer_once(self, certified):
+        fam = crt_combine_powerform(200, AbelianGroup((3,)))
+        assert len(certified) == 1
+        assert certified[0] is fam.primitive
+
+    @pytest.mark.parametrize(
+        "expr, short", [("Z(200){C3}", 1), ("Z(221)[i]{C3}", 2), ("Z(30){C3xC3}", 1)]
+    )
+    def test_merged_base_primitives_refused_by_the_count(self, monkeypatch, expr, short):
+        # two primitives of F_p G merged into one still give a complete,
+        # orthogonal family of nonzero idempotents, one member short: only the
+        # independent count tells it from the answer (integer CRT, polynomial
+        # CRT and a rank-2 hat base).  Over F_13, E(F_13 C3) serves both
+        # linear factors of x^2 + 1, so the glued family is two short.
+        import idemlift.catalog as catalog
+
+        real = catalog._base_route
+        merged = []
+
+        def merging(ring):
+            ring, primitive, components, provenance = real(ring)
+            if isinstance(ring, GroupRing) and isinstance(ring.base, ResidueRing):
+                if len(primitive) > 1 and not merged:
+                    merged.append(provenance)
+                    primitive = [primitive[0] + primitive[1], *primitive[2:]]
+            return ring, primitive, components, provenance
+
+        monkeypatch.setattr(catalog, "_base_route", merging)
+        with pytest.raises(VerificationError, match="failed certification") as err:
+            enumerate_idempotents(build_ring(expr))
+        assert merged
+        found = re.search(
+            r"idempotent=True, nonzero=True, orthogonal=True, sum_to_one=True, "
+            r"size=(\d+), expected=(\d+)",
+            str(err.value),
+        )
+        assert found and int(found[2]) == int(found[1]) + short
 
 
 class TestEnumerate:

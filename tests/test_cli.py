@@ -411,12 +411,12 @@ class TestCount:
 
     def test_linear_factors_share_one_group_family(self, capsys, monkeypatch):
         # x^2 + 1 has two linear factors mod 13 and mod 17: E(F_p C3) is found
-        # once per prime.  Over F_13 the hat family fails (13 = 1 mod 3) and
-        # the splitter answers; over F_17 the hat family certifies.
+        # once per prime.  Over F_13 the hat route is refused (13 = 1 mod 3)
+        # and the splitter answers; over F_17 the hat route answers.
         from idemlift import catalog
 
         calls = []
-        for name in ("hat_family", "frobenius_idempotents", "poly_crt_combine"):
+        for name in ("_hat_route", "_frobenius_route", "_poly_route"):
             real = getattr(catalog, name)
             monkeypatch.setattr(
                 catalog, name,
@@ -426,8 +426,24 @@ class TestCount:
         assert code == 0
         assert out == "|E(Z(221)[i]{C3})| = 1024 = 2^10\nprimitive count: 10\n"
         assert sorted(calls) == sorted(
-            ["poly_crt_combine"] * 2 + ["hat_family"] * 2 + ["frobenius_idempotents"]
+            ["_poly_route"] * 2 + ["_hat_route"] * 2 + ["_frobenius_route"]
         )
+
+    def test_one_certificate_bounds_the_products(self, capsys, monkeypatch):
+        # Z(936) has three primes: the answer's 21 primitives are certified
+        # once, in 2 * 21 - 1 products, and no base family is certified again
+        # (certifying each prime's family too made 129 products)
+        from idemlift.group_rings import PackedRing
+
+        products = []
+        real = PackedRing.mul
+        monkeypatch.setattr(
+            PackedRing, "mul", lambda self, a, b: products.append(1) or real(self, a, b)
+        )
+        code, out, _ = run(capsys, "count", "Z(936){C5xC5}")
+        assert code == 0
+        assert out == "|E(Z(936){C5xC5})| = 2097152 = 2^21\nprimitive count: 21\n"
+        assert len(products) <= 90
 
 
 class TestPrimitive:
