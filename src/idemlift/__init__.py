@@ -10,7 +10,6 @@ oracle.
 
 from .catalog import (
     IdempotentFamily,
-    base_field_idempotents,
     brute_force_idempotents,
     crt_combine,
     crt_combine_powerform,
@@ -89,7 +88,6 @@ __all__ = [
     "UnsupportedError",
     "VerificationError",
     "all_subgroups",
-    "base_field_idempotents",
     "berlekamp_factor",
     "binomial_lift",
     "brute_force_idempotents",

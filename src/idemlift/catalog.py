@@ -41,7 +41,7 @@ own, and each must equal the listing of the family it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import gcd
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
@@ -55,7 +55,7 @@ from .groups import (
 )
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import _null_space, _product, berlekamp_factor
+from .polynomials import _product, berlekamp_factor, frobenius_fixed_basis
 from .quotients import QuotientRing, ResidueRing
 from .rings import Ring, factorize, is_prime, modular_inverse
 
@@ -126,7 +126,7 @@ def _build_family(ring: Ring, primitive, components: int, provenance: str) -> Id
             "primitive family failed certification: "
             f"idempotent={check.all_idempotent}, nonzero={check.all_nonzero}, "
             f"orthogonal={check.orthogonal}, sum_to_one={check.sums_to_one}, "
-            f"size={check.size}, expected={check.expected_components}"
+            f"size={len(primitive)}, expected={check.expected_components}"
         )
     return IdempotentFamily(ring=ring, primitive=primitive, provenance=provenance)
 
@@ -228,10 +228,11 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     orbit count of g -> g^(p^d) on the p'-part of G, which does not look
     at B.
     """
-    return _build_family(*_frobenius_route(ring))
+    count = partial(_component_count, ring.group, ring.coefficient_modulus, ring.base.dimension)
+    return _build_family(*_frobenius_route(ring, count))
 
 
-def _frobenius_route(ring: GroupRing):
+def _frobenius_route(ring: GroupRing, components):
     p = ring.coefficient_modulus
     if not is_prime(p):
         raise ValueError(f"frobenius_idempotents requires a prime modulus, got {p}")
@@ -240,25 +241,19 @@ def _frobenius_route(ring: GroupRing):
         raise SizeLimitError(
             f"Frobenius splitting capped at dimension {FROBENIUS_DIMENSION_CAP}, got {n}"
         )
-    base, group = ring.base, ring.group
-    d = base.dimension
-    # Frob sends x^k g to (x^k)^p g^p: column (g, k) holds (x^k)^p in block g^p
-    xps = [(base.from_coeffs([int(j == k) for j in range(d)]) ** p).coeff_vector() for k in range(d)]
-    rows = [[-int(r == c) % p for c in range(n)] for r in range(n)]
-    for g in range(group.order):
-        gp = group.power(g, p)
-        for k, xk in enumerate(xps):
-            for j, v in enumerate(xk):
-                rows[gp * d + j][g * d + k] += v
-    basis = _null_space(rows, p)
-    k = len(basis)
+    group = ring.group
+    images = [group.power(g, p) for g in range(group.order)]
+    basis = frobenius_fixed_basis(ring.base._tail, p, images)
     # a scalar (packed value below p) is constant on every component
     hs = [h for v in basis if (h := ring.from_coeffs(v)).value >= p]
-    primitive = _refine(ring, _splitting_families(ring, hs, p), k)
-    # the p'-part of G: each cyclic factor without its p-part
-    coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]
-    expected = frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=d)
-    return ring, primitive, expected, "factorization"
+    primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
+    return ring, primitive, components(), "factorization"
+
+
+def _component_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
+    """Simple components of F_{p^degree} G: orbits of g -> g^(p^degree) on its p'-part."""
+    coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]  # without p-parts
+    return frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=degree)
 
 
 def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
@@ -268,10 +263,10 @@ def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
     over the q + 1 subgroups H of order q of C_q x C_q.  The family is certified
     against the Frobenius orbit count or rejected outright.
     """
-    return _build_family(*_hat_route(group, p))
+    return _build_family(*_hat_route(group, p, partial(frobenius_orbit_count, group, p)))
 
 
-def _hat_route(group: AbelianGroup, p: int):
+def _hat_route(group: AbelianGroup, p: int, components):
     if not is_prime(p):
         raise ValueError(f"hat_family requires a prime modulus, got {p}")
     if not group.is_elementary_abelian() or group.rank > 2:
@@ -285,7 +280,7 @@ def _hat_route(group: AbelianGroup, p: int):
         )
     ring = GroupRing(ResidueRing(p), group)
     size = 2 if group.rank == 1 else group.factors[0] + 2  # q + 1 subgroups of C_q^2
-    expected = frobenius_orbit_count(group, p)
+    expected = components()
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
     # count.  That number is compared before any subgroup or candidate is
@@ -300,16 +295,6 @@ def _hat_route(group: AbelianGroup, p: int):
     return ring, [g_hat] + [x - g_hat for x in parts], expected, "hat-family"
 
 
-def base_field_idempotents(ring: Ring) -> IdempotentFamily:
-    """E(ring) for a carrier whose coefficient modulus is prime.
-
-    Dispatch: Z_p has {0, 1}; a quotient base goes to ``poly_crt_combine``;
-    a group ring over F_p takes the hat family when it certifies and
-    ``frobenius_idempotents`` otherwise.
-    """
-    return _build_family(*_base_route(ring))
-
-
 def _base_route(ring: Ring):
     p = ring.coefficient_modulus
     if not is_prime(p):
@@ -322,10 +307,12 @@ def _base_route(ring: Ring):
         if isinstance(ring.base, QuotientRing):
             return _poly_route(p, ring.base.q, ring.group)
         if isinstance(ring.base, ResidueRing):
+            # F_p G's component count, walked once, by the first route to need it
+            count = cache(partial(_component_count, ring.group, p))
             try:
-                return _hat_route(ring.group, p)
+                return _hat_route(ring.group, p, count)
             except UnsupportedError:
-                return _frobenius_route(ring)
+                return _frobenius_route(ring, count)
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
@@ -362,7 +349,8 @@ def _poly_route(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP):
             linear = linear or _base_route(GroupRing(ResidueRing(p), group))[1:3]
             parts.append(linear)
         else:
-            parts.append(_frobenius_route(GroupRing(QuotientRing(p, q), group))[1:3])
+            count = partial(_component_count, group, p, len(q) - 1)
+            parts.append(_frobenius_route(GroupRing(QuotientRing(p, q), group), count)[1:3])
     return _combine(carrier, weights=weights, alphas=alphas, parts=parts)
 
 

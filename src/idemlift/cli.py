@@ -36,19 +36,10 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .lifting import (
-    NILPOTENCY_CAP,
-    CncChain,
-    chain_lift,
-    standard_chain,
-    verify_family,
-    verify_idempotent,
-)
+from .lifting import NILPOTENCY_CAP, PAIR_CAP, CncChain, chain_lift, standard_chain, verify_family
 from .oracle import DEFAULT_BRUTE_CAP
 from .parsing import build_ring, parse_element
 from .rings import FACTORIZATION_BOUND, Ring
-
-VERIFY_PAIR_CAP = 64
 
 _EXIT_CODES = {
     ParseError: 2,
@@ -212,7 +203,7 @@ def _cmd_lift(args) -> int:
         chain = CncChain(ring, (s,) * count, (2,) * count)
     else:
         chain = standard_chain(ring)
-    report = chain_lift(f, chain, checked=True)
+    report = chain_lift(f, chain)
     if args.json:
         _print_json(report.to_json_dict(ring))
     else:
@@ -228,22 +219,18 @@ def _cmd_lift(args) -> int:
 def _cmd_verify(args) -> int:
     ring = build_ring(args.ring)
     elems = [parse_element(text, ring) for text in args.elements]
-    idem = [verify_idempotent(x) for x in elems]
-    if len(elems) > VERIFY_PAIR_CAP and not all(idem):  # every pair would be multiplied
+    check = verify_family(elems, ring)
+    if check.orthogonal is None:  # too many pairs: none was multiplied
         raise SizeLimitError(f"verify checks every pair of a family with a non-idempotent "
-                             f"element, at most {VERIFY_PAIR_CAP} elements; got {len(elems)}")
+                             f"element, at most {PAIR_CAP} elements; got {len(elems)}")
     results: dict = {
         "ring": ring.expression(),
         "elements": [list(x.coeff_vector()) for x in elems],
-        "idempotent": idem,
+        "idempotent": check.idempotent,
     }
-    failures = [
-        f"not idempotent: {ring.element_text(x)}"
-        for x, ok in zip(elems, idem)
-        if not ok
-    ]
+    failures = [f"not idempotent: {ring.element_text(x)}"
+                for x, ok in zip(elems, check.idempotent) if not ok]
     if len(elems) > 1:
-        check = verify_family(elems, ring)
         results["orthogonal"] = check.orthogonal
         results["sums_to_one"] = check.sums_to_one
         if not check.orthogonal:
@@ -256,7 +243,7 @@ def _cmd_verify(args) -> int:
         _print_json(results)
         return _EXIT_CODES[VerificationError] if failures else 0
     print(f"ring: {ring.expression()}")
-    for x, ok in zip(elems, idem):
+    for x, ok in zip(elems, check.idempotent):
         print(f"idempotent: {'yes' if ok else 'NO'}  {ring.element_text(x)}")
     if len(elems) > 1:
         print(f"orthogonal: {'yes' if results['orthogonal'] else 'NO'}")

@@ -25,6 +25,7 @@ from .errors import UnsupportedError, VerificationError
 from .rings import Ring, factorize, pow_mults
 
 NILPOTENCY_CAP = 64
+PAIR_CAP = 64
 
 
 def verify_idempotent(x) -> bool:
@@ -160,24 +161,19 @@ def binomial_lift(f, n: int | None = None):
     return e
 
 
-def power_lift(f, s: int, checked: bool = True):
-    """f**s, the chain-step lift; in checked mode the result must be idempotent."""
+def power_lift(f, s: int):
+    """f**s, the chain-step lift; the result must be idempotent."""
     if s < 1:
         raise ValueError(f"power lift exponent must be >= 1, got {s}")
     e = f**s
-    if checked and not verify_idempotent(e):
-        raise VerificationError(
-            f"power lift by s = {s} failed: the result is not idempotent"
-        )
+    if not verify_idempotent(e):
+        raise VerificationError(f"power lift by s = {s} failed: the result is not idempotent")
     return e
 
 
-def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
-    """Lift f along the whole chain and report what was verified.
-
-    In checked mode a failed verification raises; unchecked callers get
-    the report with the failure bits set.
-    """
+def chain_lift(f, chain: CncChain) -> LiftReport:
+    """Lift f along the whole chain and report what was verified; a failed
+    verification raises."""
     if f * f == f:
         # already idempotent: the tower would be a no-op
         return LiftReport(
@@ -205,7 +201,7 @@ def chain_lift(f, chain: CncChain, checked: bool = True) -> LiftReport:
         verified_congruent=ok_congruent,
         multiplications=mults,
     )
-    if checked and not report.verified:
+    if not report.verified:
         raise VerificationError(
             "chain lift failed verification: "
             f"idempotent={ok_idem}, congruent={ok_congruent}"
@@ -283,14 +279,18 @@ def standard_chain(ring: Ring) -> CncChain:
 
 @dataclass
 class FamilyCheck:
-    """Joint verification flags for a would-be orthogonal decomposition of 1."""
+    """Joint verification flags for a would-be orthogonal decomposition of 1:
+    one idempotency flag per member, and ``orthogonal`` None when unchecked."""
 
-    size: int
-    all_idempotent: bool
+    idempotent: tuple[bool, ...]
     all_nonzero: bool
-    orthogonal: bool
+    orthogonal: bool | None
     sums_to_one: bool
     expected_components: int | None = None
+
+    @property
+    def all_idempotent(self) -> bool:
+        return all(self.idempotent)
 
     @property
     def complete_orthogonal(self) -> bool:
@@ -308,7 +308,7 @@ class FamilyCheck:
             self.complete_orthogonal
             and self.all_nonzero
             and self.expected_components is not None
-            and self.size == self.expected_components
+            and len(self.idempotent) == self.expected_components
         )
 
 
@@ -319,11 +319,12 @@ def verify_family(members: Sequence, ring: Ring, expected_components: int | None
     when e_i * (e_1 + ... + e_{i-1}) = 0 for every i, so a family of
     idempotents costs k squarings and k - 1 products against the running
     sum, which is also the total compared with 1.  When some member is not
-    idempotent the lemma does not apply and every pair is multiplied.
+    idempotent the lemma does not apply and every pair is multiplied, for
+    at most ``PAIR_CAP`` members; above that orthogonality is left None.
     """
     members = list(members)
-    all_idem = all(verify_idempotent(x) for x in members)
-    all_nonzero = all(not x.is_zero() for x in members)
+    idempotent = tuple(verify_idempotent(x) for x in members)
+    all_idem = all(idempotent)
     orthogonal = True
     total = ring.zero
     for i, x in enumerate(members):
@@ -331,11 +332,12 @@ def verify_family(members: Sequence, ring: Ring, expected_components: int | None
             orthogonal = verify_orthogonal(x, total)
         total = total + x
     if not all_idem:
-        orthogonal = all(verify_orthogonal(x, y) for x, y in combinations(members, 2))
+        orthogonal = None if len(members) > PAIR_CAP else all(
+            verify_orthogonal(x, y) for x, y in combinations(members, 2)
+        )
     return FamilyCheck(
-        size=len(members),
-        all_idempotent=all_idem,
-        all_nonzero=all_nonzero,
+        idempotent=idempotent,
+        all_nonzero=all(not x.is_zero() for x in members),
         orthogonal=orthogonal,
         sums_to_one=total == ring.one,
         expected_components=expected_components,

@@ -11,13 +11,15 @@ factorization require a prime modulus and say so.
 
 The factorizer is Berlekamp's method: squarefree reduction through gcd
 with the derivative (p-th powers handled by coefficient-wise p-th roots,
-which are trivial over F_p), null space of the Frobenius matrix by
-Gaussian elimination, and splitting by the quadratic character of each
-basis element b(x): gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the
-shifts a = 0, 1, 2, ... (Berlekamp 1970; Cantor & Zassenhaus 1981), or
-gcd(u, b(x) mod u) over F_2.  Each split costs O(log p) products, not the
-O(p) gcds of trying every constant.  The shifts are fixed, not random:
-identical input gives identical output.
+which are trivial over F_p), null space of Q - I by Gaussian elimination,
+and splitting by the quadratic character of each basis element b(x):
+gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the shifts a = 0, 1, 2, ...
+(Berlekamp 1970; Cantor & Zassenhaus 1981), or gcd(u, b(x) mod u) over
+F_2.  Each split costs O(log p) products, not the O(p) gcds of trying
+every constant; the shifts are fixed, so identical input gives identical
+output.  Q - I is the trivial-group case of ``frobenius_fixed_basis``,
+Frob - I on (F_p[x]/(u)) G, which the group-ring splitter of ``catalog``
+reads too; a factor re-checks as irreducible when its nullity is 1.
 """
 
 from __future__ import annotations
@@ -137,50 +139,44 @@ def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
     return result
 
 
-def _null_space(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the null space of a square matrix over F_p (row vectors)."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    pivot_col_of_row: list[int] = []
-    rank = 0
+def frobenius_fixed_basis(tail, p: int, images) -> list[list[int]]:
+    """Basis of the null space of Frob - I on K G, K = F_p[x]/(x^d + tail) with
+    d = len(tail) and images[g] the index of g^p, coordinate g*d + k holding
+    x^k g.  Frob sends x^k g to (x^p)^k g^p, so column (g, k) holds (x^p)^k in
+    block g^p, all from one x^p (none when d = 1); images = (0,) is Berlekamp's."""
+    d = len(tail)
+    n = d * len(images)
+    xp = _powmod([0, 1], p, tail, p) if d > 1 else []
+    powers = [[1]]
+    while len(powers) < d:
+        powers.append(poly_mulmod(powers[-1], xp, tail, p))
+    m = [[-int(r == c) % p for c in range(n)] for r in range(n)]
+    for g, gp in enumerate(images):
+        for k, xk in enumerate(powers):
+            for j, v in enumerate(xk):
+                m[gp * d + j][g * d + k] += v
+    # Gauss-Jordan elimination; each free column gives one null vector
+    pivots: list[int] = []
     for col in range(n):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, n) if m[r][col] % p), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = modular_inverse(m[rank][col], p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
+        m[rank] = [v * inv % p for v in m[rank]]
         for r in range(n):
-            if r != rank and m[r][col] % p != 0:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
-        pivot_col_of_row.append(col)
-        rank += 1
-    pivots = set(pivot_col_of_row)
+            if r != rank and (c := m[r][col] % p):
+                m[r] = [(a - c * b) % p for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
     basis = []
-    for free in (col for col in range(n) if col not in pivots):
+    for free in sorted(set(range(n)).difference(pivots)):
         vec = [0] * n
         vec[free] = 1
-        for row_idx, col in enumerate(pivot_col_of_row):
-            vec[col] = (-m[row_idx][free]) % p
+        for row, col in enumerate(pivots):
+            vec[col] = -m[row][free] % p
         basis.append(vec)
     return basis
-
-
-def _frobenius_nullity_basis(f: list[int], p: int) -> list[list[int]]:
-    """Basis of {h : h^p == h mod f}, f monic squarefree, as trimmed lists."""
-    tail = f[:-1]
-    n = len(tail)
-    xp = _powmod([0, 1], p, tail, p)
-    # Q[i] = coefficient vector of x^{i*p} mod f
-    q_rows = []
-    current = [1]
-    for i in range(n):
-        q_rows.append(current + [0] * (n - len(current)))
-        current = poly_mulmod(current, xp, tail, p)
-    # h = sum a_i x^i is fixed by Frobenius iff a * (Q - I) == 0
-    mt = [[(q_rows[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
-    return [_trim(vec) for vec in _null_space(mt, p)]
 
 
 def _split_by(u: list[int], h: list[int], p: int) -> list[list[int]]:
@@ -223,7 +219,7 @@ def _split_squarefree(f: list[int], p: int) -> list[list[int]]:
     """All monic irreducible factors of a monic squarefree f over F_p."""
     if len(f) <= 2:
         return [f] if len(f) == 2 else []
-    basis = _frobenius_nullity_basis(f, p)
+    basis = [_trim(h) for h in frobenius_fixed_basis(f[:-1], p, (0,))]
     want = len(basis)
     factors = [f]
     for h in basis:
@@ -310,7 +306,7 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
     check = [unit]
     for q, qe in zip(distinct, powers):
         check = [c % p for c in _product(check, qe)]
-        if len(q) > 2 and len(_split_squarefree(q, p)) != 1:
+        if len(q) > 2 and len(frobenius_fixed_basis(q[:-1], p, (0,))) != 1:
             raise ArithmeticError(f"factor {q} failed irreducibility re-check")
     if check != f:
         raise ArithmeticError("factor product does not reproduce the input")

@@ -10,7 +10,6 @@ import re
 import pytest
 
 from idemlift.catalog import (
-    base_field_idempotents,
     brute_force_idempotents,
     crt_combine,
     crt_combine_powerform,
@@ -295,38 +294,34 @@ class TestHatFamily:
 
 class TestBaseFieldDispatch:
     def test_residue_field(self):
-        fam = base_field_idempotents(ResidueRing(7))
+        fam = enumerate_idempotents(ResidueRing(7))
         assert _vectors(fam.members) == [(0,), (1,)]
 
     def test_hat_preferred_when_certified(self):
         ring = GroupRing(ResidueRing(3), AbelianGroup((2, 2)))
-        fam = base_field_idempotents(ring)
+        fam = enumerate_idempotents(ring)
         assert fam.provenance == "hat-family"
         assert fam.count == 16
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring))
 
     def test_cyclic_fallback_when_hat_fails(self):
         ring = GroupRing(ResidueRing(2), AbelianGroup((7,)))
-        fam = base_field_idempotents(ring)
+        fam = enumerate_idempotents(ring)
         assert fam.provenance == "factorization"
         assert fam.count == 8
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring))
 
     def test_cyclic_non_prime_order(self):
         ring = GroupRing(ResidueRing(3), AbelianGroup((4,)))
-        fam = base_field_idempotents(ring)
+        fam = enumerate_idempotents(ring)
         assert fam.provenance == "factorization"
         assert fam.count == 8
 
     def test_frobenius_fallback_non_semisimple(self):
         ring = GroupRing(ResidueRing(2), AbelianGroup((2,)))
-        fam = base_field_idempotents(ring)
+        fam = enumerate_idempotents(ring)
         assert fam.provenance == "factorization"
         assert _vectors(fam.members) == [(0, 0), (1, 0)]
-
-    def test_composite_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            base_field_idempotents(ResidueRing(6))
 
 
 class TestPolyCrtCombine:

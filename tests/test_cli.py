@@ -48,6 +48,17 @@ def lift_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """One entry per ring product (``PackedRing.mul``) made while the test runs."""
+    from idemlift.group_rings import PackedRing
+
+    calls = []
+    real = PackedRing.mul
+    monkeypatch.setattr(PackedRing, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    return calls
+
+
 class TestList:
     def test_z12_text(self, capsys):
         code, out, err = run(capsys, "list", "Z(12)")
@@ -383,16 +394,9 @@ class TestCount:
         assert len(builds) == 1
         assert _layout.cache_info().misses == 1
 
-    def test_unit_components_lift_without_products(self, capsys, monkeypatch):
+    def test_unit_components_lift_without_products(self, capsys, products):
         # each field factor's primitive is its own 1, so its lift is the
         # weight w itself: no w * embed(1)^alpha for any of the seven
-        from idemlift.group_rings import PackedRing
-
-        products = []
-        real = PackedRing.mul
-        monkeypatch.setattr(
-            PackedRing, "mul", lambda self, a, b: products.append(1) or real(self, a, b)
-        )
         code, out, err = run(capsys, "count", "Z(1009)[x]/(1008+x^7)")
         assert (code, err) == (0, "")
         assert out == "|E(Z(1009)[x]/(1008 + x^7))| = 128 = 2^7\nprimitive count: 7\n"
@@ -429,21 +433,36 @@ class TestCount:
             ["_poly_route"] * 2 + ["_hat_route"] * 2 + ["_frobenius_route"]
         )
 
-    def test_one_certificate_bounds_the_products(self, capsys, monkeypatch):
+    def test_one_certificate_bounds_the_products(self, capsys, products):
         # Z(936) has three primes: the answer's 21 primitives are certified
         # once, in 2 * 21 - 1 products, and no base family is certified again
         # (certifying each prime's family too made 129 products)
-        from idemlift.group_rings import PackedRing
-
-        products = []
-        real = PackedRing.mul
-        monkeypatch.setattr(
-            PackedRing, "mul", lambda self, a, b: products.append(1) or real(self, a, b)
-        )
         code, out, _ = run(capsys, "count", "Z(936){C5xC5}")
         assert code == 0
         assert out == "|E(Z(936){C5xC5})| = 2097152 = 2^21\nprimitive count: 21\n"
         assert len(products) <= 90
+
+    def test_frobenius_matrix_built_in_the_list_kernel(self, capsys, products):
+        # the F_{1009^d} C3 splitter's Frob - I comes from one x^p of the
+        # list kernel, not from d ring powers (593 products when it did)
+        code, out, _ = run(capsys, "count", "Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3}")
+        assert code == 0
+        assert out == ("|E(Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3})| = 512 = 2^9\n"
+                       "primitive count: 9\n")
+        assert len(products) <= 473
+
+    @pytest.mark.parametrize("ring, walks", [("Z(2){C7}", 1), ("Z(1000){C7xC7}", 2)])
+    def test_orbits_walked_once_per_prime(self, capsys, monkeypatch, ring, walks):
+        # a refused hat route hands its orbit count on to the splitter; over
+        # F_5 the hat family of C7xC7 certifies, over F_2 it is refused
+        from idemlift import catalog
+
+        calls = []
+        real = catalog.frobenius_orbit_count
+        monkeypatch.setattr(catalog, "frobenius_orbit_count",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, _, err = run(capsys, "count", ring)
+        assert (code, err, len(calls)) == (0, "", walks)
 
 
 class TestPrimitive:
@@ -603,19 +622,31 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["verified"] is False
 
-    def test_pair_cap_refuses_before_any_pair(self, capsys, monkeypatch):
+    def test_pair_cap_refuses_before_any_pair(self, capsys, products):
         # 2 is not idempotent in Z(6), so the family is checked pair by pair:
-        # 64 elements (2,016 pairs) are checked, 65 refused before any pair
-        from idemlift import cli
-
+        # 64 elements (2,016 pairs) are checked, 65 refused before any pair,
+        # after the 65 squarings
         code, out, err = run(capsys, "verify", "Z(6)", "2", *["0"] * 63)
         assert code == 5 and "orthogonal: yes\nsums to one: NO\n" in out
         assert err == "error: failed checks: not idempotent: 2, sum equal to 1\n"
-        monkeypatch.setattr(cli, "verify_family", None)
+        assert len(products) == 64 + 64 * 63 // 2
+        products.clear()
         code, out, err = run(capsys, "verify", "Z(6)", "2", *["0"] * 64)
         assert (code, out) == (3, "")
         assert err == ("error: verify checks every pair of a family with a non-idempotent "
                        "element, at most 64 elements; got 65\n")
+        assert len(products) <= 65
+
+    def test_each_element_squared_once(self, capsys, products):
+        # k squarings and k - 1 products against the running sum: the CLI
+        # reads the family check's own idempotency flags
+        code, out, _ = run(capsys, "verify", "Z(6)", "1", "0", "0", "0")
+        assert code == 0 and out.endswith("orthogonal: yes\nsums to one: yes\n")
+        assert len(products) == 7
+        products.clear()
+        code, out, _ = run(capsys, "verify", "Z(6)", "1", *["0"] * 127)
+        assert code == 0 and out.endswith("orthogonal: yes\nsums to one: yes\n")
+        assert len(products) == 255
 
     def test_idempotent_family_has_no_pair_cap(self, capsys):
         code, out, err = run(capsys, "verify", "Z(6)", "1", *["0"] * 127)

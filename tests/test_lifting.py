@@ -118,10 +118,6 @@ class TestPowerLift:
         with pytest.raises(VerificationError):
             power_lift(ResidueRing(7).from_int(3), 2)
 
-    def test_unchecked_passthrough(self):
-        out = power_lift(ResidueRing(7).from_int(3), 2, checked=False)
-        assert out.coeff_vector() == (2,)
-
 
 class TestChainValidation:
     def test_prime_factor_condition(self):
@@ -280,12 +276,6 @@ class TestChainLift:
         with pytest.raises(VerificationError):
             chain_lift(ring.from_int(2) + ring.one, chain)
 
-    def test_unchecked_reports_failure_without_raising(self):
-        ring = ResidueRing(8)
-        chain = CncChain(ring, (3,), (2,))
-        report = chain_lift(ring.from_int(3), chain, checked=False)
-        assert not report.verified_idempotent
-
     def test_agreement_with_binomial(self):
         rng = random.Random(555)
         rings = [
@@ -424,6 +414,25 @@ class TestVerifyFamily:
         monkeypatch.setattr(GroupRing, "mul", counting)
         assert verify_family(fam.primitive, ring, k).primitive_certified
         assert len(calls) == 2 * k - 1
+
+    def test_pairs_above_the_cap_are_left_unchecked(self, monkeypatch):
+        # 2 is not idempotent in Z(6), so the family is checked pair by pair,
+        # and above PAIR_CAP members no pair is multiplied: only the squarings
+        from idemlift.catalog import _build_family
+        from idemlift.group_rings import PackedRing
+
+        ring = ResidueRing(6)
+        family = [ring.from_int(2)] + [ring.zero] * lifting.PAIR_CAP
+        calls = []
+        real = PackedRing.mul
+        monkeypatch.setattr(PackedRing, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+        check = verify_family(family, ring, 1)
+        assert check.idempotent == (False,) + (True,) * lifting.PAIR_CAP
+        assert check.orthogonal is None and not check.primitive_certified
+        assert len(calls) == len(family)
+        assert verify_family(family[:-1], ring).orthogonal is True
+        with pytest.raises(VerificationError, match="orthogonal=None"):
+            _build_family(ring, family, 1, "factorization")
 
     def test_orthogonal_helpers(self):
         z12 = ResidueRing(12)

@@ -10,11 +10,14 @@ is missing).
 """
 
 import random
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 
 from idemlift.errors import SizeLimitError, UnsupportedError
+from idemlift.group_rings import GroupRing
+from idemlift.groups import TRIVIAL_GROUP, AbelianGroup
+from idemlift.quotients import QuotientRing, ResidueRing
 from idemlift.polynomials import (
     _divmod,
     _ext_gcd,
@@ -23,6 +26,7 @@ from idemlift.polynomials import (
     _split_by,
     _trim,
     berlekamp_factor,
+    frobenius_fixed_basis,
     poly_gcd,
     poly_mulmod,
     poly_text,
@@ -278,6 +282,48 @@ class TestBerlekamp:
         fact = berlekamp_factor((p - 1,) + (0,) * 6 + (1,), p)
         assert [len(q) - 1 for q, _ in fact.factors] == [1] * 7
         assert calls == [p]
+
+
+# (p, monic q or None for F_p itself, groups): irreducible and reducible
+# squarefree q, and groups of order prime to p and divisible by it
+_FIXED_SPACE_GRID = [
+    (p, q, group)
+    for p, qs, groups in [
+        (2, [None, (1, 1, 1), (1, 1, 0, 1), (0, 1, 1)], [(), (2,), (3,), (4,), (7,), (2, 2), (3, 3)]),
+        (3, [None, (1, 0, 1), (2, 0, 1)], [(), (2,), (3,), (4,), (6,), (2, 2)]),
+        (5, [None, (2, 0, 1)], [(), (3,), (4,), (5,), (2, 2)]),
+    ]
+    for q, group in product(qs, groups)
+]
+
+
+class TestFrobeniusFixedBasis:
+    """The one builder of Frob - I, for Berlekamp's split (trivial group) and
+    the group-ring splitter, held against the null space that sympy computes
+    over GF(p) from the ring's own p-th power of every basis vector."""
+
+    @pytest.mark.parametrize("p, q, factors", _FIXED_SPACE_GRID)
+    def test_spans_the_fixed_space_of_the_p_th_power(self, p, q, factors):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        group = AbelianGroup(factors) if factors else TRIVIAL_GROUP
+        ring = GroupRing(ResidueRing(p) if q is None else QuotientRing(p, q), group)
+        n, field = ring.dimension, sympy.GF(p)
+
+        def matrix(rows):
+            return DomainMatrix([[field(int(v)) for v in row] for row in rows], (len(rows), n), field)
+
+        powers = [(ring.from_coeffs([int(i == j) for j in range(n)]) ** p).coeff_vector()
+                  for i in range(n)]
+        # Frob - I: column c is the p-th power of unit vector c, less that vector
+        frob = matrix([[powers[c][r] - (r == c) for c in range(n)] for r in range(n)])
+        expected = frob.nullspace().to_list()
+        images = [group.power(g, p) for g in range(group.order)]
+        got = frobenius_fixed_basis((0,) if q is None else q[:-1], p, images)
+        assert all(len(v) == n for v in got)
+        assert matrix(got).rank() == len(got) == len(expected)
+        assert matrix(got + expected).rank() == len(got)
 
 
 def _sympy_factorization(f, p: int):
