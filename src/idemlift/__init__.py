@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .group_rings import GroupRing, GroupRingElement, pow_tower
+from .group_rings import GroupRing, GroupRingElement
 from .groups import (
     AbelianGroup,
     Subgroup,
@@ -112,7 +112,6 @@ __all__ = [
     "parse_ring",
     "poly_crt_combine",
     "poly_gcd",
-    "pow_tower",
     "power_lift",
     "standard_chain",
     "subgroup_generated",

@@ -45,7 +45,7 @@ from functools import cache, cached_property, partial
 from math import gcd
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
-from .group_rings import GroupRing, pow_tower
+from .group_rings import GroupRing
 from .groups import (
     AbelianGroup,
     Subgroup,
@@ -338,9 +338,7 @@ def _poly_route(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP):
     weights, alphas, parts = [], [], []
     linear = ()  # E(F_p G)'s primitives and count, shared by every linear factor
     for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
-        # the weight s_i(x) m_i(x) sits at the group identity, block 0
-        w = quotient.from_polynomial(_product(inv, cof)).coeff_vector()
-        weights.append(carrier.from_coeffs(w + (0,) * (carrier.dimension - len(w))))
+        weights.append(carrier.embed(quotient.from_polynomial(_product(inv, cof))))
         alphas.append(p ** (e - 1))
         if group.is_trivial:
             parts.append(((carrier.one,), 1))
@@ -354,19 +352,6 @@ def _poly_route(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP):
     return _combine(carrier, weights=weights, alphas=alphas, parts=parts)
 
 
-def _embed(x, carrier: Ring):
-    """Read x into a carrier over the same group whose coefficient blocks
-    are at least as long, padding each block with zeros (a residue or a
-    factor-quotient coefficient read into the full quotient)."""
-    order = carrier.group.order if isinstance(carrier, GroupRing) else 1
-    cs = x.coeff_vector()
-    src = len(cs) // order
-    pad = (0,) * (carrier.dimension // order - src)
-    return carrier.from_coeffs(
-        tuple(c for g in range(order) for c in cs[g * src : (g + 1) * src] + pad)
-    )
-
-
 def _combine(carrier: Ring, *, weights, alphas, parts):
     """Glue per-component primitives: e = sum_i w_i * embed(f_i)^{alpha_i}.
 
@@ -378,7 +363,7 @@ def _combine(carrier: Ring, *, weights, alphas, parts):
     one raised to a power, "factorization" for one as it is.
     """
     primitive = [
-        w if f.value == 1 else w * _embed(f, carrier) ** alpha  # 1 lifts to 1
+        w if f.value == 1 else w * carrier.embed(f) ** alpha  # 1 lifts to 1
         for w, alpha, (fam, _) in zip(weights, alphas, parts)
         for f in fam
     ]
@@ -443,19 +428,18 @@ def crt_combine_powerform(m: int, group: AbelianGroup) -> IdempotentFamily:
             f"power-form enumeration materializes all {count} members; "
             f"that exceeds the cap {DEFAULT_LIST_CAP}"
         )
-    radical = fact.radical
-    k = fact.max_exponent
+    radical, k = fact.radical, fact.max_exponent
     # t_i c_i for c_i = rad(m)/p_i and t_i its inverse mod p_i
     coeffs = [modular_inverse(radical // pp.prime, pp.prime) * (radical // pp.prime)
               for pp in fact.factors]
     choices = [ring.zero]
     for c, (base, candidates, _, _) in zip(coeffs, bases):
         sums = _subset_sums([e.value for e in candidates], base)
-        embedded = [c * ring.from_coeffs(base.unpack(v)) for v in sums]
+        embedded = [c * ring.embed(base.element(base, v)) for v in sums]
         choices = [x + y for x in choices for y in embedded]
-    members = [pow_tower(u, radical, k - 1) for u in choices]
+    members = [u ** radical ** (k - 1) for u in choices]
     primitive = [
-        pow_tower(coeff * ring.from_coeffs(f.coeff_vector()), radical, k - 1)
+        (coeff * ring.embed(f)) ** radical ** (k - 1)
         for coeff, (_, candidates, _, _) in zip(coeffs, bases)
         for f in candidates
     ]

@@ -10,6 +10,7 @@ a register") program then takes every slot mod m at once, a quotient base
 reduces every block by its monic q, and the same steps reduce 256 squares
 side by side.  A sum is one addition and one guarded subtraction of m, as
 is a negation m - a.  Z_m[x]/(q) alone is the layout of the trivial group.
+Carriers cross by ``PackedRing.embed`` and are equal by their expressions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class PackedRing(Ring):
     - ``order_key(v)``, an int that orders packed values as their
       coefficient tuples, that ``add`` sums as it sums the values and
       that holds v, which ``key_values`` reads back;
-    - ``unpack_many`` and ``square_mismatch``, a listing a block at a time.
+    - ``unpack_many`` and ``square_mismatch``, a listing a block at a time;
+    - ``embed(x)``, x read into this carrier, and identity by ``expression()``.
     """
 
     _shape: tuple
@@ -104,6 +106,27 @@ class PackedRing(Ring):
         """m - a in every slot, then ``add``'s guarded subtraction of m."""
         return self.add(self._layout.m_all - a, 0)
 
+    def embed(self, x):
+        """x read into this carrier: block g of x's coefficients, zero-padded,
+        is block g here (block 0 for a source without a group), mod m."""
+        (src, tail, n), (factors, own, m) = x.ring._shape, self._shape
+        have, lay, ds, dt = x.ring._layout, self._layout, len(tail), len(own)
+        if src not in ((), factors) or ds > dt:
+            raise ValueError(f"cannot read {x.ring!r} into {self!r}")
+        slots = _split(x.value, have.count, have.slot)
+        slots = [c % m for c in slots] if n > m else slots
+        if (src, ds) != (factors, dt):  # pad every block; equal blocks move no slot
+            slots, old = [0] * lay.count, slots
+            for i, p in enumerate(have.positions):
+                slots[lay.positions[i // ds * dt + i % ds]] = old[p]
+        return self.element(self, _join(slots, lay.slot))
+
+    def __eq__(self, other):
+        return isinstance(other, PackedRing) and other.expression() == self.expression()
+
+    def __hash__(self):
+        return hash(self.expression())
+
 
 class GroupRingElement(Element):
     # The benchmark's span tracer (perfbench/spans.py) wraps these through
@@ -131,8 +154,7 @@ class GroupRing(PackedRing):
         """|H|^{-1} * sum of the subgroup's elements; |H| must be invertible."""
         if sub.group != self.group:
             raise ValueError("subgroup belongs to a different group")
-        m = self.coefficient_modulus
-        inv = modular_inverse(sub.order, m) if m > 1 else 0
+        inv = modular_inverse(sub.order, self.coefficient_modulus)  # 0 over Z_1
         coeffs = [0] * self.dimension
         for idx in sub.members:
             coeffs[idx * self.base.dimension] = inv
@@ -174,16 +196,6 @@ class GroupRing(PackedRing):
                     row += [zeros[:k] + v + zeros[k + bd :] for v in base_sc[bi]]
                 table.append(row)
         return table
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRing)
-            and other.base == self.base
-            and other.group == self.group
-        )
-
-    def __hash__(self):
-        return hash(("GroupRing", self.base, self.group))
 
     def __repr__(self):
         return f"GroupRing({self.base!r}, {self.group!r})"
@@ -350,15 +362,3 @@ def _layout(factors: tuple[int, ...], tail: tuple[int, ...], m: int) -> SimpleNa
         m_all=m * ones,
     )
 
-
-def pow_tower(x, s: int, count: int):
-    """x**(s**count) as count successive s-th powers.
-
-    This is how exponents beyond 2**63 stay feasible: the flat value is
-    never materialized.
-    """
-    if s < 0 or count < 0:
-        raise ValueError("tower exponents must be non-negative")
-    for _ in range(count):
-        x = x**s
-    return x

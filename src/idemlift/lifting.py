@@ -92,7 +92,7 @@ class CncChain:
     def reduce(self, x):
         if self.base_ring is None:
             raise UnsupportedError("this chain carries no base ring")
-        return self.ring.reduce(x, self.base_ring)
+        return self.base_ring.embed(x)
 
 
 @dataclass

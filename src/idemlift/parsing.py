@@ -213,14 +213,18 @@ def _parse_group_element(cur: _Cursor, ring: GroupRing):
     base, group = ring.base, ring.group
     bd, m = base.dimension, base.coefficient_modulus
     names = group.generator_names()
-    starts = {"e", "("} | {name[0] for name in names}
+    heads = {name[0] for name in names}
+    starts = {"e", "("} | heads
     quotient = isinstance(base, QuotientRing)
     flat = [0] * ring.dimension
     while True:
-        if quotient and cur.take("("):
+        start = cur.pos
+        # "(" opens a coefficient unless a generator follows: "(a b)" is a basis symbol
+        if quotient and cur.take("(") and cur.peek() not in heads:
             coeff = base.from_polynomial(_parse_poly_body(cur, m, base._var_name)).coeff_vector()
             cur.expect(")")
         else:
+            cur.pos = start
             value = cur.int_or_none()
             coeff = None if value is None else (value,)
         starred = coeff is not None and cur.take("*")

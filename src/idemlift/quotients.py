@@ -51,7 +51,7 @@ class QuotientRing(PackedRing):
     def from_polynomial(self, coeffs) -> PolyQuotientElement:
         """The residue of a coefficient sequence of any length."""
         cs = reduce_mod(list(coeffs), self._tail, self.coefficient_modulus)
-        return self.element(self, self.pack(cs + [0] * (self.dimension - len(cs))))
+        return self.element(self, self.pack(cs))  # pack pads with zeros
 
     def reduce_to(self, c: int) -> "QuotientRing":
         return QuotientRing(c, self.q)
@@ -90,16 +90,6 @@ class QuotientRing(PackedRing):
             xs.append(tuple((a - s[n] * c) % m for a, c in zip(s[:n], q)))
         return [[xs[i + j] for j in range(n)] for i in range(n)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientRing)
-            and other.coefficient_modulus == self.coefficient_modulus
-            and other.q == self.q
-        )
-
-    def __hash__(self):
-        return hash(("QuotientRing", self.coefficient_modulus, self.q))
-
     def __repr__(self):
         return f"QuotientRing({self.coefficient_modulus}, {self.q!r})"
 
@@ -131,15 +121,6 @@ class ResidueRing(PackedRing):
 
     def structure_constants(self) -> list[list[tuple[int, ...]]]:
         return [[(1 % self.coefficient_modulus,)]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueRing)
-            and other.coefficient_modulus == self.coefficient_modulus
-        )
-
-    def __hash__(self):
-        return hash(("ResidueRing", self.coefficient_modulus))
 
     def __repr__(self):
         return f"ResidueRing({self.coefficient_modulus})"

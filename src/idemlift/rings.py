@@ -7,10 +7,11 @@ over either (length multiplied by the group order, group index major, base
 coefficient minor).  Every element is an ``Element`` holding one int, that
 vector packed in the one Kronecker layout of ``group_rings`` with every
 coefficient reduced below m; a Z_m residue packs as itself.  Products,
-sums, negation, scaling, equality and hashing are whole-int operations;
-coefficient tuples appear only at the boundary (``from_coeffs``,
-``coeff_vector``, text, JSON and the brute-force scan, which multiplies
-through the structure constants).
+sums, negation, scaling, equality, hashing and ``PackedRing.embed``, the
+one crossing between carriers, are whole-int operations; coefficient
+tuples appear only at the boundary (``from_coeffs``, ``coeff_vector``,
+text, JSON and the brute-force scan, which multiplies through the
+structure constants).  Carriers are equal when their expressions are.
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -215,7 +216,7 @@ class Element:
         if isinstance(other, Element):
             return type(self)(self.ring, self.ring.mul(self.value, self._value_of(other)))
         if isinstance(other, int):
-            return type(self)(self.ring, self.ring.scale(self.value, other))
+            return type(self)(self.ring, self.ring.mul(self.value, other % self.ring.coefficient_modulus))
         return NotImplemented
 
     __rmul__ = __mul__  # only ever reached with a non-element on the left
@@ -271,11 +272,12 @@ class Ring:
     (the coefficient-vector length), may set ``element`` (the Element
     subclass they hand out), and implement ``row_text`` of a coefficient
     tuple, ``reduce_to(c)`` (the ring over Z_c), ``expression`` and
-    ``structure_constants``; every carrier's whole-int kernel is
-    ``group_rings.PackedRing``'s.  A group ring's base also has ``_tail``
-    (its modulus is the monic x^d + tail; Z_m is Z_m[x]/(x)) and
-    ``coefficient_texts`` (each block's text, "0" if zero), at most one
-    call per group-ring element.  Everything else is generic.
+    ``structure_constants``; every carrier's whole-int kernel, its crossing
+    ``embed`` and its identity are ``group_rings.PackedRing``'s.  A group
+    ring's base also has ``_tail`` (its modulus is the monic x^d + tail;
+    Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's text, "0"
+    if zero), at most one call per group-ring element.  Everything else is
+    generic.
     """
 
     coefficient_modulus: int
@@ -304,10 +306,6 @@ class Ring:
         """The scalar v * 1: v at flat index 0 (identity, constant term)."""
         return self.element(self, v % self.coefficient_modulus)
 
-    def scale(self, a: int, c: int) -> int:
-        """a times the integer c: the product with the scalar c * 1."""
-        return self.mul(a, c % self.coefficient_modulus)
-
     def element_text(self, x) -> str:
         return self.row_text(self.unpack(x.value))
 
@@ -317,8 +315,3 @@ class Ring:
             range(self.coefficient_modulus), repeat=self.dimension
         ):
             yield self.from_coeffs(coeffs)
-
-    def reduce(self, x, target: "Ring"):
-        """Push x from this ring onto a reduced twin (coefficients mod c)."""
-        return target.from_coeffs(x.coeff_vector())
-

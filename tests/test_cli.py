@@ -34,17 +34,18 @@ def run(capsys, *argv):
 @pytest.fixture
 def lift_calls(monkeypatch):
     """Elements that ``catalog._combine`` lifts while the test runs: it reads
-    each through ``_embed`` before raising it to its prime-power exponent."""
-    from idemlift import catalog
+    each through ``PackedRing.embed`` before raising it to its prime-power
+    exponent."""
+    from idemlift.group_rings import PackedRing
 
     calls = []
-    real = catalog._embed
+    real = PackedRing.embed
 
-    def counting(x, carrier):
+    def counting(self, x):
         calls.append(x)
-        return real(x, carrier)
+        return real(self, x)
 
-    monkeypatch.setattr(catalog, "_embed", counting)
+    monkeypatch.setattr(PackedRing, "embed", counting)
     return calls
 
 

@@ -1,11 +1,12 @@
-"""Group-ring convolution, hat elements, and power towers."""
+"""Group-ring convolution, hat elements, power towers, and the packed
+carriers' one crossing (``embed``) and one identity (``__eq__``/``__hash__``)."""
 
 import random
 
 import pytest
 
 from idemlift.groups import AbelianGroup, all_subgroups, subgroup_generated
-from idemlift.group_rings import GroupRing, PackedRing, _split, pow_tower
+from idemlift.group_rings import GroupRing, PackedRing, _split
 from idemlift.parsing import build_ring
 from idemlift.quotients import QuotientRing, ResidueRing
 
@@ -213,8 +214,131 @@ class TestPackedContract:
 def test_every_carrier_runs_the_one_packed_kernel(cls):
     # a carrier that defined its own kernel would bypass the checks above
     for name in ["mul", "add", "neg", "pack", "unpack", "unpack_many", "order_key",
-                 "key_values", "square_mismatch"]:
+                 "key_values", "square_mismatch", "embed", "__eq__", "__hash__"]:
         assert getattr(cls, name) is getattr(PackedRing, name), f"{cls.__name__}.{name}"
+
+
+def embed_reference(x, target):
+    """Block g of x's coefficients, padded with zeros, as block g of target,
+    by ``from_coeffs``; a source without a group has one block."""
+    cs = x.coeff_vector()
+    order = x.ring.group.order if isinstance(x.ring, GroupRing) else 1
+    ds = len(cs) // order
+    dt = target.base.dimension if isinstance(target, GroupRing) else target.dimension
+    flat = [0] * target.dimension
+    for i, c in enumerate(cs):
+        flat[i // ds * dt + i % ds] = c
+    return target.from_coeffs(flat)
+
+
+class TestEmbed:
+    """``PackedRing.embed``, the one crossing between carriers, against a
+    reference padded by hand and packed by ``from_coeffs``."""
+
+    CASES = [
+        # residue to residue of a smaller m, with and without a group
+        (ResidueRing(200), ResidueRing(8)),
+        (ResidueRing(7**16), ResidueRing(7)),
+        (GroupRing(ResidueRing(200), AbelianGroup((3,))), GroupRing(ResidueRing(5), AbelianGroup((3,)))),
+        (GroupRing(ResidueRing(7**16), AbelianGroup((32,))), GroupRing(ResidueRing(7), AbelianGroup((32,)))),
+        (GroupRing(ResidueRing(3), AbelianGroup((2, 3))), GroupRing(ResidueRing(3**5), AbelianGroup((2, 3)))),
+        # F_p[x]/(q) G to Z_m[x]/(f) G with deg q < deg f (a residue base has degree 1)
+        (GroupRing(QuotientRing(5, (2, 1)), AbelianGroup((3, 2))),
+         GroupRing(QuotientRing(25, (1, 1, 0, 1)), AbelianGroup((3, 2)))),
+        (GroupRing(QuotientRing(5, (2, 0, 1)), AbelianGroup((4,))),
+         GroupRing(QuotientRing(5, (1, 1, 0, 0, 1)), AbelianGroup((4,)))),
+        (GroupRing(ResidueRing(3), AbelianGroup((3, 3))),
+         GroupRing(QuotientRing(9, (2, 1, 1)), AbelianGroup((3, 3)))),
+        (GroupRing(QuotientRing(49, (3, 1)), AbelianGroup((2, 2, 2))),
+         GroupRing(QuotientRing(7, (1, 0, 1)), AbelianGroup((2, 2, 2)))),
+        # a quotient or residue without a group to a group ring: block 0 only
+        (QuotientRing(5, (1, 1, 1)), GroupRing(QuotientRing(5, (1, 0, 1, 0, 1)), AbelianGroup((3, 3)))),
+        (QuotientRing(25, (1, 0, 1)), GroupRing(QuotientRing(5, (1, 0, 1)), AbelianGroup((5,)))),
+        (ResidueRing(5), GroupRing(ResidueRing(25), AbelianGroup((4,)))),
+        (ResidueRing(5), QuotientRing(25, (1, 0, 1))),
+        # an equal ring (the identity), and the zero ring
+        (GroupRing(QuotientRing(9, (1, 0, 1)), AbelianGroup((3, 2))),
+         GroupRing(QuotientRing(9, (1, 0, 1)), AbelianGroup((3, 2)))),
+        (GroupRing(ResidueRing(6), AbelianGroup((4,))), GroupRing(ResidueRing(1), AbelianGroup((4,)))),
+    ]
+
+    @pytest.mark.parametrize("source, target", CASES, ids=repr)
+    def test_matches_the_padded_reference(self, source, target):
+        rng = random.Random(f"embed:{source!r}:{target!r}")
+        m = source.coefficient_modulus
+        top = source.from_coeffs((m - 1,) * source.dimension)
+        for x in [source.zero, source.one, top] + [_random_element(rng, source) for _ in range(8)]:
+            got = target.embed(x)
+            assert got.ring is target
+            assert got == embed_reference(x, target)
+            assert_canonical(got)
+
+    def test_equal_blocks_build_no_coefficient_tuple(self, monkeypatch):
+        source = GroupRing(ResidueRing(7**16), AbelianGroup((32,)))
+        target = GroupRing(ResidueRing(7), AbelianGroup((32,)))
+        x = _random_element(random.Random(2), source)
+        want = embed_reference(x, target)
+
+        def forbidden(*args):
+            raise AssertionError("coefficient tuple built")
+
+        for name in ("pack", "unpack", "from_coeffs"):
+            monkeypatch.setattr(PackedRing, name, forbidden)
+        assert target.embed(x).value == want.value
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            # another group, or longer blocks than the target's
+            (GroupRing(ResidueRing(5), AbelianGroup((3,))), GroupRing(ResidueRing(5), AbelianGroup((2,)))),
+            (GroupRing(ResidueRing(5), AbelianGroup((3,))), ResidueRing(5)),
+            (QuotientRing(5, (1, 0, 1)), ResidueRing(5)),
+            (GroupRing(QuotientRing(5, (1, 0, 1)), AbelianGroup((3,))), GroupRing(ResidueRing(5), AbelianGroup((3,)))),
+        ],
+        ids=repr,
+    )
+    def test_unreadable_source_rejected(self, source, target):
+        with pytest.raises(ValueError):
+            target.embed(source.one)
+
+
+class TestCarrierIdentity:
+    """Carriers are equal exactly when their canonical expressions are."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Z(12)", "Z(1)", "Z(25)[i]", "Z(1)[x]/(x)", "Z(8)[x]/(1 + x + x^2)", "Z(200){C3}",
+         "Z(8)[x]/(1 + x + x^2){C5xC5}", "Z(7){C2xC3xC5}", "Z(2)[i]{C3}"],
+    )
+    def test_built_twice_equal_and_hash_equal(self, text):
+        a, b = build_ring(text), build_ring(text)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.one + b.one == b.from_int(2)  # elements of equal rings mix
+
+    def test_gaussian_sugar_is_the_same_ring(self):
+        a, b = build_ring("Z(5)[i]"), build_ring("Z(5)[x]/(1 + x^2)")
+        assert a == b and hash(a) == hash(b)
+        assert QuotientRing(5, (6, 5, 1)) == QuotientRing(5, (1, 0, 1))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [("Z(5){C3}", "Z(5)[x]/(x){C3}"), ("Z(5)", "Z(5)[x]/(x)"), ("Z(5){C6}", "Z(5){C2xC3}"),
+         ("Z(5)[i]", "Z(25)[i]"), ("Z(5){C3}", "Z(5){C4}")],
+    )
+    def test_different_texts_are_different_rings(self, left, right):
+        a, b = build_ring(left), build_ring(right)
+        assert a != b and not a == b
+        assert a.zero != b.zero  # equal ints, unequal rings
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError):
+                op(a.one, b.one)
+
+    def test_not_equal_to_other_objects(self):
+        ring = build_ring("Z(5)")
+        assert ring != "Z(5)" and ring != 5 and ring != ring.one
 
 
 class TestSubtraction:
@@ -274,21 +398,10 @@ class TestHat:
 
 
 class TestPowTower:
-    def test_tower_equals_flat_exponentiation(self):
-        rng = random.Random(333)
-        ring = GroupRing(ResidueRing(200), AbelianGroup((3,)))
-        for _ in range(30):
-            x = _random_element(rng, ring)
-            s = rng.choice([2, 3, 5])
-            count = rng.randrange(0, 5)
-            if s**count > 2**20:
-                continue
-            assert pow_tower(x, s, count) == x ** (s**count)
-
     def test_tower_z125c7_example(self):
         ring = GroupRing(ResidueRing(125), AbelianGroup((7,)))
         f = ring.from_coeffs((3,) * 7)
-        lifted = pow_tower(f, 5, 2)
+        lifted = f ** 5**2
         assert lifted.coeff_vector() == (18,) * 7
 
 
@@ -315,7 +428,7 @@ class TestText:
         assert small.coefficient_modulus == 5
         assert small.group == ring.group
         x = ring.from_coeffs((59, 83, 83))
-        assert ring.reduce(x, small).coeff_vector() == (4, 3, 3)
+        assert small.embed(x).coeff_vector() == (4, 3, 3)
 
 
 def structure_product(ring, a, b):
@@ -370,7 +483,7 @@ class TestWholeElementHooks:
 
         hook = base.coefficient_texts
         monkeypatch.setattr(base, "coefficient_texts", lambda *args: calls.append(1) or hook(*args))
-        for name in ("mul", "add", "neg", "scale", "pack", "unpack", "element",
+        for name in ("mul", "add", "neg", "pack", "unpack", "element",
                      "element_text", "from_coeffs"):
             monkeypatch.setattr(base, name, forbidden)
         assert x * y == naive_convolution(ring, x, y)

@@ -1,16 +1,17 @@
-"""The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 2,994.
+"""The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 2,955.
 
-2,994 lines is the size of the package once each check is built once and
-run once: one builder of Frob - I serves Berlekamp's split and the
-group-ring splitter, and one family check squares each verified element
-once; code that grows it past the cap pays for the lines by deleting
-others.
+2,955 lines is the size of the package once every carrier has one
+crossing and one identity: ``PackedRing.embed`` reads an element into
+another carrier for the congruence check, the CRT glue, the weights and
+the power form, and ``PackedRing`` alone defines carrier equality by the
+canonical expression; code that grows it past the cap pays for the lines
+by deleting others.
 """
 
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "idemlift"
-LINE_CAP = 2994
+LINE_CAP = 2955
 
 
 def test_package_within_line_cap():

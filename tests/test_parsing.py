@@ -157,6 +157,27 @@ class TestParseElement:
         x = parse_element("(1 + x)*e + 0*g + (x)*g^2", ring)
         assert x.coeff_vector() == (1, 1, 0, 0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "ring_text, bare, spelled",
+        [
+            ("Z(5)[i]{C2xC2}", "(a b) + e", "(1)*(a b) + (1)*e"),
+            ("Z(5)[i]{C2xC2}", "( b ) + 2*(a)", "(1)*(b) + (2)*(a)"),
+            ("Z(5)[i]{C2xC2xC2}", "(g1 g2)", "(1)*(g1 g2)"),
+            ("Z(5)[i]{C2xC2xC2}", "(1 + i)*(g3) + (g1 g2 g3)", "(1 + i)*(g3) + (1)*(g1 g2 g3)"),
+            ("Z(7)[x]/(1 + x + x^3){C3xC3}", "(a b^2) + (2 + x)*(b)", "(1)*(a b^2) + (2 + x)*(b)"),
+            ("Z(7)[x]/(1 + x + x^3){C2xC3xC5}", "(g1 g3^4) + 3*(g2)", "(1)*(g1 g3^4) + (3)*(g2)"),
+        ],
+    )
+    def test_bare_basis_symbol_over_a_quotient_base(self, ring_text, bare, spelled):
+        # "(" opens a coefficient only when no generator follows it
+        ring = build_ring(ring_text)
+        assert parse_element(bare, ring) == parse_element(spelled, ring)
+
+    def test_bare_basis_symbol_coefficients(self):
+        ring = build_ring("Z(5)[i]{C2xC2xC2}")
+        x = parse_element("(g1 g2) + e", ring)
+        assert x.coeff_vector() == (1,) + (0,) * 11 + (1,) + (0,) * 3
+
     def test_unicode_whitespace_anywhere(self):
         ring = build_ring("Z(5)[i]{C3}")
         text = "\t(3\u2003+ i)\n*\u00a0g ^\t2 +\r1 \u2003"

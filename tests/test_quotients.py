@@ -94,7 +94,7 @@ class TestTupleContract:
         assert small.dimension == ring.dimension
         assert small.coefficient_modulus == 5
         x = ring.from_coeffs((13, 16))
-        assert ring.reduce(x, small).coeff_vector() == (3, 1)
+        assert small.embed(x).coeff_vector() == (3, 1)
 
     def test_elements_iteration_lexicographic(self):
         ring = QuotientRing(2, (1, 1, 1))
