@@ -18,12 +18,14 @@ check, never a provider.
 The idempotents form a Boolean algebra whose atoms are the primitive
 idempotents, and the gluing is additive over the prime parts.  So each
 internal route (``_base_route``, the routes it dispatches to, and the
-glue of ``_poly_route`` and ``_crt_route``) hands on uncertified candidate
-primitives, one lift per primitive, with a component count computed
-without looking at them: 1 per field factor, the Frobenius orbit count of
-a group ring (its number of simple components, Perlis & Walker 1950), and
-for the glue the sum of its components' counts over Berlekamp's factor
-list or the primes of m.  Only the public function the caller invoked
+glue of ``_poly_route`` and ``_crt_route``) takes the carrier it answers
+for and hands on uncertified candidate primitives, one lift per
+primitive, with a component count computed without looking at them: 1
+per field factor, a group ring's ``_components`` (its number of simple
+components, the Frobenius orbit count of Perlis & Walker 1950, walked at
+most once per ring), and for the glue the sum of its components' counts
+over Berlekamp's factor list or the primes of m.  Only the public
+function the caller invoked checks that its modulus is prime and
 certifies, once (``_build_family``): the primitives it returns are checked
 for idempotency, orthogonality, their sum, and their number against that
 count.  A family that cannot be certified is an error, never a silent
@@ -41,21 +43,15 @@ own, and each must equal the listing of the family it certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from math import gcd
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
 from .group_rings import GroupRing
-from .groups import (
-    AbelianGroup,
-    Subgroup,
-    TRIVIAL_GROUP,
-    frobenius_orbit_count,
-    order_q_subgroups,
-)
+from .groups import AbelianGroup, Subgroup, TRIVIAL_GROUP, order_q_subgroups
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import _product, berlekamp_factor, frobenius_fixed_basis
+from .polynomials import _product, _require_prime, berlekamp_factor, frobenius_fixed_basis
 from .quotients import QuotientRing, ResidueRing
 from .rings import Ring, factorize, is_prime, modular_inverse
 
@@ -180,9 +176,10 @@ def brute_force_idempotents(ring: Ring, cap: int = DEFAULT_BRUTE_CAP) -> Idempot
 
 
 def cyclic_base_idempotents(n: int, p: int) -> IdempotentFamily:
-    """E(F_p C_n), p dividing n or not, by ``frobenius_idempotents``."""
-    group = AbelianGroup((n,)) if n != 1 else TRIVIAL_GROUP
-    return frobenius_idempotents(GroupRing(ResidueRing(p), group))
+    """E(F_p C_n), p dividing n or not, by the Frobenius splitter."""
+    group = AbelianGroup((n,))  # n = 1 is refused here, before any ring is built
+    _require_prime(p, "cyclic_base_idempotents")
+    return _build_family(*_frobenius_route(GroupRing(ResidueRing(p), group)))
 
 
 def _splitting_families(ring: GroupRing, hs, p: int):
@@ -228,32 +225,22 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     orbit count of g -> g^(p^d) on the p'-part of G, which does not look
     at B.
     """
-    count = partial(_component_count, ring.group, ring.coefficient_modulus, ring.base.dimension)
-    return _build_family(*_frobenius_route(ring, count))
+    _require_prime(ring.coefficient_modulus, "frobenius_idempotents")
+    return _build_family(*_frobenius_route(ring))
 
 
-def _frobenius_route(ring: GroupRing, components):
-    p = ring.coefficient_modulus
-    if not is_prime(p):
-        raise ValueError(f"frobenius_idempotents requires a prime modulus, got {p}")
-    n = ring.dimension
-    if n > FROBENIUS_DIMENSION_CAP:
+def _frobenius_route(ring: GroupRing):
+    if (n := ring.dimension) > FROBENIUS_DIMENSION_CAP:
         raise SizeLimitError(
             f"Frobenius splitting capped at dimension {FROBENIUS_DIMENSION_CAP}, got {n}"
         )
-    group = ring.group
+    p, group = ring.coefficient_modulus, ring.group
     images = [group.power(g, p) for g in range(group.order)]
     basis = frobenius_fixed_basis(ring.base._tail, p, images)
     # a scalar (packed value below p) is constant on every component
     hs = [h for v in basis if (h := ring.from_coeffs(v)).value >= p]
     primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
-    return ring, primitive, components(), "factorization"
-
-
-def _component_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
-    """Simple components of F_{p^degree} G: orbits of g -> g^(p^degree) on its p'-part."""
-    coprime = [f // gcd(f, p**f.bit_length()) for f in group.factors]  # without p-parts
-    return frobenius_orbit_count(AbelianGroup(tuple(f for f in coprime if f > 1)), p, degree=degree)
+    return ring, primitive, ring._components, "factorization"
 
 
 def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
@@ -263,12 +250,12 @@ def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
     over the q + 1 subgroups H of order q of C_q x C_q.  The family is certified
     against the Frobenius orbit count or rejected outright.
     """
-    return _build_family(*_hat_route(group, p, partial(frobenius_orbit_count, group, p)))
+    _require_prime(p, "hat_family")
+    return _build_family(*_hat_route(GroupRing(ResidueRing(p), group)))
 
 
-def _hat_route(group: AbelianGroup, p: int, components):
-    if not is_prime(p):
-        raise ValueError(f"hat_family requires a prime modulus, got {p}")
+def _hat_route(ring: GroupRing):
+    group, p = ring.group, ring.coefficient_modulus
     if not group.is_elementary_abelian() or group.rank > 2:
         raise UnsupportedError(
             "hat family needs an elementary abelian group of rank <= 2, "
@@ -278,41 +265,32 @@ def _hat_route(group: AbelianGroup, p: int, components):
         raise UnsupportedError(
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
-    ring = GroupRing(ResidueRing(p), group)
     size = 2 if group.rank == 1 else group.factors[0] + 2  # q + 1 subgroups of C_q^2
-    expected = components()
     # The hat candidates always form an orthogonal decomposition of 1, so
     # they are the primitive family exactly when their number is the orbit
     # count.  That number is compared before any subgroup or candidate is
     # built; the answer's one certificate then verifies them.
-    if size != expected:
+    if size != ring._components:
         raise UnsupportedError(
             "hat family certification failed for "
-            f"{ring.expression()}: size {size} vs {expected} components"
+            f"{ring.expression()}: size {size} vs {ring._components} components"
         )
     g_hat = ring.hat(Subgroup(group, tuple(range(1, group.order)), tuple(range(group.order))))
     parts = [ring.one] if group.rank == 1 else [ring.hat(sub) for sub in order_q_subgroups(group)]
-    return ring, [g_hat] + [x - g_hat for x in parts], expected, "hat-family"
+    return ring, [g_hat] + [x - g_hat for x in parts], size, "hat-family"
 
 
 def _base_route(ring: Ring):
-    p = ring.coefficient_modulus
-    if not is_prime(p):
-        raise ValueError(f"base enumeration needs a prime modulus, got {p}")
+    base = getattr(ring, "base", ring)
     if isinstance(ring, ResidueRing):
         return ring, (ring.one,), 1, "factorization"
-    if isinstance(ring, QuotientRing):
-        return _poly_route(p, ring.q)
-    if isinstance(ring, GroupRing):
-        if isinstance(ring.base, QuotientRing):
-            return _poly_route(p, ring.base.q, ring.group)
-        if isinstance(ring.base, ResidueRing):
-            # F_p G's component count, walked once, by the first route to need it
-            count = cache(partial(_component_count, ring.group, p))
-            try:
-                return _hat_route(ring.group, p, count)
-            except UnsupportedError:
-                return _frobenius_route(ring, count)
+    if isinstance(base, QuotientRing):
+        return _poly_route(ring)
+    if isinstance(ring, GroupRing) and isinstance(base, ResidueRing):
+        try:  # a refused hat route leaves the count it walked to the splitter
+            return _hat_route(ring)
+        except UnsupportedError:
+            return _frobenius_route(ring)
     raise UnsupportedError(f"unsupported carrier {ring!r}")
 
 
@@ -326,30 +304,29 @@ def poly_crt_combine(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP) -> Idem
     gives F_p G, whose family is found once, and a factor of degree > 1
     gives F_{p^d} G, split by ``frobenius_idempotents``.
     """
-    return _build_family(*_poly_route(p, mpoly, group))
-
-
-def _poly_route(p: int, mpoly, group: AbelianGroup = TRIVIAL_GROUP):
-    if not is_prime(p):
-        raise ValueError(f"poly_crt_combine requires a prime modulus, got {p}")
+    _require_prime(p, "poly_crt_combine")
     quotient = QuotientRing(p, mpoly)
-    carrier: Ring = quotient if group.is_trivial else GroupRing(quotient, group)
+    return _build_family(*_poly_route(quotient if group.is_trivial else GroupRing(quotient, group)))
+
+
+def _poly_route(ring: Ring):
+    p, quotient = ring.coefficient_modulus, getattr(ring, "base", ring)
+    group = getattr(ring, "group", TRIVIAL_GROUP)
     fact = berlekamp_factor(quotient.q, p)
     weights, alphas, parts = [], [], []
     linear = ()  # E(F_p G)'s primitives and count, shared by every linear factor
     for (q, e), cof, inv in zip(fact.factors, fact.cofactors, fact.inverses):
-        weights.append(carrier.embed(quotient.from_polynomial(_product(inv, cof))))
+        weights.append(ring.embed(quotient.from_polynomial(_product(inv, cof))))
         alphas.append(p ** (e - 1))
         if group.is_trivial:
-            parts.append(((carrier.one,), 1))
+            parts.append(((ring.one,), 1))
         elif len(q) == 2:
             # F_p[x]/(x - a) is F_p
             linear = linear or _base_route(GroupRing(ResidueRing(p), group))[1:3]
             parts.append(linear)
         else:
-            count = partial(_component_count, group, p, len(q) - 1)
-            parts.append(_frobenius_route(GroupRing(QuotientRing(p, q), group), count)[1:3])
-    return _combine(carrier, weights=weights, alphas=alphas, parts=parts)
+            parts.append(_frobenius_route(GroupRing(QuotientRing(p, q), group))[1:3])
+    return _combine(ring, weights=weights, alphas=alphas, parts=parts)
 
 
 def _combine(carrier: Ring, *, weights, alphas, parts):

@@ -16,11 +16,11 @@ Carriers cross by ``PackedRing.embed`` and are equal by their expressions.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .groups import AbelianGroup, Subgroup
+from .groups import AbelianGroup, Subgroup, frobenius_orbit_count
 from .rings import Element, Ring, modular_inverse
 
 
@@ -163,6 +163,15 @@ class GroupRing(PackedRing):
     def reduce_to(self, c: int) -> "GroupRing":
         return GroupRing(self.base.reduce_to(c), self.group)
 
+    @cached_property
+    def _components(self) -> int:
+        """Simple components of F_{p^d} G, over a field base only: orbits of
+        g -> g^(p^d) on the p'-part of G, walked on first read."""
+        p = self.coefficient_modulus
+        coprime = [f // gcd(f, p**f.bit_length()) for f in self.group.factors]  # without p-parts
+        group = AbelianGroup(tuple(f for f in coprime if f > 1))
+        return frobenius_orbit_count(group, p, degree=self.base.dimension)
+
     def expression(self) -> str:
         return self.base.expression() + self.group.expression()
 
@@ -183,19 +192,6 @@ class GroupRing(PackedRing):
         if self.base.dimension > 1:
             coeffs = self.base.coefficient_texts(coeffs)
         return self._dense_row(*coeffs)
-
-    def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        base_sc, bd = self.base.structure_constants(), self.base.dimension
-        zeros, order = (0,) * self.dimension, self.group.order
-        table = []
-        for gi in range(order):
-            for bi in range(bd):
-                row = []
-                for gj in range(order):
-                    k = self.group.mul(gi, gj) * bd
-                    row += [zeros[:k] + v + zeros[k + bd :] for v in base_sc[bi]]
-                table.append(row)
-        return table
 
     def __repr__(self):
         return f"GroupRing({self.base!r}, {self.group!r})"

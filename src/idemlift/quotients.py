@@ -81,15 +81,6 @@ class QuotientRing(PackedRing):
             text = poly_text(coeffs[k : k + n], var)
             yield text if n == 1 or text == "0" else f"({text})"
 
-    def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        # x^k mod q by shift and subtract, apart from the product kernel
-        n, m, q = self.dimension, self.coefficient_modulus, self.q
-        xs = [tuple(int(i == k) % m for i in range(n)) for k in range(n)]
-        for _ in range(n - 1):
-            s = (0,) + xs[-1]
-            xs.append(tuple((a - s[n] * c) % m for a, c in zip(s[:n], q)))
-        return [[xs[i + j] for j in range(n)] for i in range(n)]
-
     def __repr__(self):
         return f"QuotientRing({self.coefficient_modulus}, {self.q!r})"
 
@@ -118,9 +109,6 @@ class ResidueRing(PackedRing):
 
     def row_text(self, coeffs) -> str:
         return str(coeffs[0])
-
-    def structure_constants(self) -> list[list[tuple[int, ...]]]:
-        return [[(1 % self.coefficient_modulus,)]]
 
     def __repr__(self):
         return f"ResidueRing({self.coefficient_modulus})"

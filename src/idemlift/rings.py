@@ -10,8 +10,9 @@ coefficient reduced below m; a Z_m residue packs as itself.  Products,
 sums, negation, scaling, equality, hashing and ``PackedRing.embed``, the
 one crossing between carriers, are whole-int operations; coefficient
 tuples appear only at the boundary (``from_coeffs``, ``coeff_vector``,
-text, JSON and the brute-force scan, which multiplies through the
-structure constants).  Carriers are equal when their expressions are.
+text, JSON and the brute-force scan, which builds its own table of basis
+products from the carrier's shape).  Carriers are equal when their
+expressions are.
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -271,13 +272,12 @@ class Ring:
     Subclasses set ``coefficient_modulus`` (the m above) and ``dimension``
     (the coefficient-vector length), may set ``element`` (the Element
     subclass they hand out), and implement ``row_text`` of a coefficient
-    tuple, ``reduce_to(c)`` (the ring over Z_c), ``expression`` and
-    ``structure_constants``; every carrier's whole-int kernel, its crossing
-    ``embed`` and its identity are ``group_rings.PackedRing``'s.  A group
-    ring's base also has ``_tail`` (its modulus is the monic x^d + tail;
-    Z_m is Z_m[x]/(x)) and ``coefficient_texts`` (each block's text, "0"
-    if zero), at most one call per group-ring element.  Everything else is
-    generic.
+    tuple, ``reduce_to(c)`` (the ring over Z_c) and ``expression``; every
+    carrier's whole-int kernel, its crossing ``embed`` and its identity
+    are ``group_rings.PackedRing``'s.  A group ring's base also has
+    ``_tail`` (its modulus is the monic x^d + tail; Z_m is Z_m[x]/(x)) and
+    ``coefficient_texts`` (each block's text, "0" if zero), at most one
+    call per group-ring element.  Everything else is generic.
     """
 
     coefficient_modulus: int

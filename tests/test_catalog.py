@@ -124,6 +124,15 @@ class TestCyclicBase:
         with pytest.raises(ValueError):
             cyclic_base_idempotents(3, 4)
 
+    def test_trivial_group_rejected_before_any_ring(self, monkeypatch):
+        # C_1 is no cyclic factor: Z(p){} is no ring expression build_ring reads
+        import idemlift.catalog as catalog
+
+        monkeypatch.setattr(catalog, "GroupRing", None)
+        monkeypatch.setattr(catalog, "ResidueRing", None)
+        with pytest.raises(ValueError, match=r"^cyclic factors must be >= 2, got \(1,\)$"):
+            cyclic_base_idempotents(1, 5)
+
 
 def _over(p, q, *factors):
     """(F_p[x]/(q)) G, or F_p G when q is None."""
@@ -551,6 +560,48 @@ class TestEnumerate:
         fam = enumerate_idempotents(ring)
         assert fam.count == 2**21
         assert len(fam.primitive) == 21
+
+    @pytest.mark.parametrize(
+        "text, provenance",
+        [
+            ("Z(7)", "factorization"),
+            ("Z(7)[i]", "factorization"),
+            ("Z(5){C3xC3}", "hat-family"),
+            ("Z(2){C7}", "factorization"),
+            ("Z(7)[i]{C3}", "factorization"),
+            ("Z(5)[i]{C3}", "crt-combined"),
+            ("Z(12){C2}", "crt-combined"),
+        ],
+    )
+    def test_answers_for_the_carrier_it_was_handed(self, text, provenance):
+        ring = build_ring(text)
+        fam = enumerate_idempotents(ring)
+        assert fam.ring is ring
+        assert fam.provenance == provenance
+
+    def test_component_count_walked_once_per_ring(self, monkeypatch):
+        import idemlift.group_rings as group_rings
+
+        calls = []
+        real = group_rings.frobenius_orbit_count
+        monkeypatch.setattr(group_rings, "frobenius_orbit_count",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        ring = GroupRing(ResidueRing(2), AbelianGroup((7,)))  # hat refused, then split
+        assert enumerate_idempotents(ring).count == enumerate_idempotents(ring).count == 8
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "name, m, call",
+        [
+            ("hat_family", 4, lambda: hat_family(AbelianGroup((3,)), 4)),
+            ("poly_crt_combine", 6, lambda: poly_crt_combine(6, (1, 0, 1), AbelianGroup((3,)))),
+            ("frobenius_idempotents", 9, lambda: frobenius_idempotents(_over(9, None, 2))),
+            ("cyclic_base_idempotents", 4, lambda: cyclic_base_idempotents(3, 4)),
+        ],
+    )
+    def test_public_providers_refuse_a_composite_modulus(self, name, m, call):
+        with pytest.raises(ValueError, match=rf"^{name} requires a prime modulus, got {m}$"):
+            call()
 
     def test_json_shape(self):
         fam = enumerate_idempotents(ResidueRing(12))

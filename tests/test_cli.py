@@ -454,13 +454,14 @@ class TestCount:
 
     @pytest.mark.parametrize("ring, walks", [("Z(2){C7}", 1), ("Z(1000){C7xC7}", 2)])
     def test_orbits_walked_once_per_prime(self, capsys, monkeypatch, ring, walks):
-        # a refused hat route hands its orbit count on to the splitter; over
-        # F_5 the hat family of C7xC7 certifies, over F_2 it is refused
-        from idemlift import catalog
+        # a refused hat route leaves the ring's cached orbit count to the
+        # splitter; over F_5 the hat family of C7xC7 certifies, over F_2 it
+        # is refused
+        from idemlift import group_rings
 
         calls = []
-        real = catalog.frobenius_orbit_count
-        monkeypatch.setattr(catalog, "frobenius_orbit_count",
+        real = group_rings.frobenius_orbit_count
+        monkeypatch.setattr(group_rings, "frobenius_orbit_count",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         code, _, err = run(capsys, "count", ring)
         assert (code, err, len(calls)) == (0, "", walks)
@@ -683,6 +684,13 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "Z(2){C20000}")
         assert code == 3
         assert err == "error: ring has 2^20000 elements, above the scan cap 1048576\n"
+
+    def test_scan_beyond_int64_exits_3(self, capsys):
+        # the scan indexes and multiplies in int64: a larger cap is not honoured
+        m = "18446744073709551557"  # 2^64 - 59
+        code, out, err = run(capsys, "oracle", f"Z({m})", "--cap", m)
+        assert (code, out) == (3, "")
+        assert err == f"error: ring has {m}^1 elements, above the scan cap {2**63 - 1}\n"
 
 
 class TestErrors:

@@ -7,6 +7,7 @@ import pytest
 
 from idemlift.groups import AbelianGroup, all_subgroups, subgroup_generated
 from idemlift.group_rings import GroupRing, PackedRing, _split
+from idemlift.oracle import _structure_tensor
 from idemlift.parsing import build_ring
 from idemlift.quotients import QuotientRing, ResidueRing
 
@@ -432,8 +433,8 @@ class TestText:
 
 
 def structure_product(ring, a, b):
-    """sum_ij a_i b_j e_i e_j from the ring's structure constants, mod m."""
-    m, table = ring.coefficient_modulus, ring.structure_constants()
+    """sum_ij a_i b_j e_i e_j from the oracle's structure constants, mod m."""
+    m, table = ring.coefficient_modulus, _structure_tensor(ring).tolist()
     out = [0] * ring.dimension
     for i, x in enumerate(a):
         if x:
