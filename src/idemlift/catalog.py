@@ -42,7 +42,7 @@ own, and each must equal the listing of the family it certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -59,8 +59,7 @@ DEFAULT_LIST_CAP = 2**16
 FROBENIUS_DIMENSION_CAP = 64
 
 
-@dataclass(frozen=True)
-class IdempotentFamily:
+class IdempotentFamily(namedtuple("IdempotentFamily", "ring primitive provenance")):
     """E(ring), given by its certified primitive idempotents.
 
     ``primitive`` is the orthogonal primitive decomposition of 1 (empty
@@ -70,11 +69,8 @@ class IdempotentFamily:
     packed ints: the subset sums of ``primitive``, canonically sorted by
     coefficient vector, each squared once more (a block at a time, by
     ``ring.square_mismatch``) and none listed twice; ``members`` wraps them.
+    No ``__slots__``: the two listings are cached in the instance ``__dict__``.
     """
-
-    ring: Ring
-    primitive: tuple
-    provenance: str
 
     @property
     def count(self) -> int:
@@ -148,12 +144,11 @@ def _refine(ring: Ring, families, k: int) -> list:
 
 
 def _subset_sums(values, ring: Ring) -> list[int]:
-    # All 2^k subset sums of k order keys or packed ints: one addition and
-    # one guarded subtraction of m per sum, doubling one list in place.
-    add = ring.add
+    # All 2^k subset sums of k order keys or packed ints, doubling one list
+    # in place: each step adds one of them to every sum so far at once.
     out = [0]
     for e in values:
-        out.extend([add(x, e) for x in out])
+        out += ring.add_to_each(out, e)
     return out
 
 

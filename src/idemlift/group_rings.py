@@ -33,7 +33,8 @@ class PackedRing(Ring):
     - ``pack``/``unpack`` between a tuple of reduced coefficients and the
       packed int.  Flat index 0 sits in the low bits, below every other
       slot, so the scalar v * 1 is the int v mod m;
-    - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)``;
+    - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)``, and
+      ``add_to_each(values, b)``, one addend for a whole list;
     - ``order_key(v)``, an int that orders packed values as their
       coefficient tuples, that ``add`` sums as it sums the values and
       that holds v, which ``key_values`` reads back;
@@ -101,6 +102,12 @@ class PackedRing(Ring):
         lay = self._layout
         z = a + b
         return z - (((z + lay.add_m) & lay.guard) >> lay.top) * self.coefficient_modulus
+
+    def add_to_each(self, values: list[int], b: int) -> list[int]:
+        """``[self.add(a, b) for a in values]``, in one comprehension."""
+        lay, m = self._layout, self.coefficient_modulus
+        guard, top, add_m = lay.guard, lay.top, lay.add_m + b
+        return [a + b - (((a + add_m) & guard) >> top) * m for a in values]
 
     def neg(self, a: int) -> int:
         """m - a in every slot, then ``add``'s guarded subtraction of m."""

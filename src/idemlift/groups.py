@@ -8,7 +8,7 @@ their generator as ``g``, rank-2 groups as ``a`` and ``b``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from .errors import SizeLimitError, UnsupportedError
@@ -98,11 +98,8 @@ def group_from_factors(factors) -> AbelianGroup:
 TRIVIAL_GROUP = AbelianGroup(())
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    group: AbelianGroup
-    generators: tuple[int, ...]
-    members: tuple[int, ...]
+class Subgroup(namedtuple("Subgroup", "group generators members")):
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -16,10 +16,10 @@ tests hold them to that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb, gcd
-from typing import Sequence
 
 from .errors import UnsupportedError, VerificationError
 from .rings import Ring, factorize, pow_mults
@@ -50,8 +50,7 @@ def nilpotency_index(x) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class CncChain:
+class CncChain(namedtuple("CncChain", "ring ss ts base_ring", defaults=(None,))):
     """Descriptor for a chain of nilpotent ideals R > N_1 > ... > N_k = 0.
 
     ``ss[i]``/``ts[i]`` describe step i.  When the chain is principal and
@@ -60,15 +59,12 @@ class CncChain:
     congruence checks are skipped.
     """
 
-    ring: Ring
-    ss: tuple[int, ...]
-    ts: tuple[int, ...]
-    base_ring: Ring | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.ss) != len(self.ts):
+    def __new__(cls, ring: Ring, ss: tuple[int, ...], ts: tuple[int, ...], base_ring: Ring | None = None):
+        if len(ss) != len(ts):
             raise ValueError("step lists must have equal length")
-        for s, t in dict.fromkeys(zip(self.ss, self.ts)):
+        for s, t in dict.fromkeys(zip(ss, ts)):
             if t < 2:
                 raise ValueError(f"nilpotency exponent t must be >= 2, got {t}")
             if s < 1:
@@ -80,6 +76,10 @@ class CncChain:
                         raise ValueError(
                             f"prime factor {pp.prime} of s = {s} is below t = {t}"
                         )
+        return super().__new__(cls, ring, ss, ts, base_ring)
+
+    # ``_replace`` builds through ``_make``: send it through the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def exponent_tower(self) -> tuple[int, int] | tuple[int, ...]:
         """(s, count) when the s_i coincide, else the explicit step list."""
@@ -95,16 +95,12 @@ class CncChain:
         return self.base_ring.embed(x)
 
 
-@dataclass
-class LiftReport:
+class LiftReport(
+    namedtuple("LiftReport", "input lifted tower verified_idempotent verified_congruent multiplications")
+):
     """Outcome of a chain lift, with its verification bits and work counter."""
 
-    input: object
-    lifted: object
-    tower: tuple
-    verified_idempotent: bool
-    verified_congruent: bool | None
-    multiplications: int
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -277,16 +273,17 @@ def standard_chain(ring: Ring) -> CncChain:
     return chain_for_nilpotent_ideal(ring, a)
 
 
-@dataclass
-class FamilyCheck:
+class FamilyCheck(
+    namedtuple(
+        "FamilyCheck",
+        "idempotent all_nonzero orthogonal sums_to_one expected_components",
+        defaults=(None,),
+    )
+):
     """Joint verification flags for a would-be orthogonal decomposition of 1:
     one idempotency flag per member, and ``orthogonal`` None when unchecked."""
 
-    idempotent: tuple[bool, ...]
-    all_nonzero: bool
-    orthogonal: bool | None
-    sums_to_one: bool
-    expected_components: int | None = None
+    __slots__ = ()
 
     @property
     def all_idempotent(self) -> bool:

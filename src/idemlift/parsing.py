@@ -17,7 +17,7 @@ everywhere.  All failures raise ParseError with the offending position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import ParseError, SizeLimitError
@@ -82,13 +82,10 @@ class _Cursor:
         return value
 
 
-@dataclass(frozen=True)
-class RingExpression:
+class RingExpression(namedtuple("RingExpression", "modulus poly_coeffs group_factors")):
     """Parsed ring tower: base modulus, optional quotient, optional group."""
 
-    modulus: int
-    poly_coeffs: tuple[int, ...] | None
-    group_factors: tuple[int, ...] | None
+    __slots__ = ()
 
     def build(self) -> Ring:
         base: Ring = ResidueRing(self.modulus)

@@ -24,7 +24,7 @@ reads too; a factor re-checks as irreducible when its nullity is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, zip_longest
 
 from .errors import SizeLimitError
@@ -256,8 +256,7 @@ def _distinct_irreducible_factors(f: list[int], p: int) -> list[tuple[int, ...]]
     return sorted(result, key=lambda q: (len(q), q))
 
 
-@dataclass(frozen=True)
-class PolyFactorization:
+class PolyFactorization(namedtuple("PolyFactorization", "unit factors cofactors inverses")):
     """f = unit * prod q_i^{e_i} over F_p, with Bezout data per factor.
 
     factors[i] is (q_i, e_i) with q_i monic irreducible; cofactors[i] is
@@ -266,10 +265,7 @@ class PolyFactorization:
     coefficient tuple, lowest degree first.
     """
 
-    unit: int
-    factors: tuple[tuple[tuple[int, ...], int], ...]
-    cofactors: tuple[tuple[int, ...], ...]
-    inverses: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def berlekamp_factor(coeffs, p: int) -> PolyFactorization:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .errors import SizeLimitError, UnsupportedError
 
@@ -110,29 +110,26 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"Pollard-Brent rho found no factor of {n}")
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    prime: int
-    exponent: int
+class PrimePower(namedtuple("PrimePower", "prime exponent")):
+    __slots__ = ()
 
     @property
     def value(self) -> int:
         return self.prime**self.exponent
 
 
-@dataclass(frozen=True)
-class PrimePowerFactorization:
+class PrimePowerFactorization(
+    namedtuple("PrimePowerFactorization", "modulus factors cofactors inverses")
+):
     """m = prod p_i^{r_i} together with the CRT data the combiners need.
 
-    cofactors[i] is m_i = m / p_i^{r_i}; inverses[i] is the least positive
-    s_i with s_i * m_i == 1 (mod p_i^{r_i}).  The weights s_i * m_i are the
-    coefficients of the idempotent decomposition of 1 in Z_m.
+    factors[i] is the PrimePower p_i^{r_i}; cofactors[i] is m_i = m /
+    p_i^{r_i}; inverses[i] is the least positive s_i with s_i * m_i == 1
+    (mod p_i^{r_i}).  The weights s_i * m_i are the coefficients of the
+    idempotent decomposition of 1 in Z_m.
     """
 
-    modulus: int
-    factors: tuple[PrimePower, ...]
-    cofactors: tuple[int, ...]
-    inverses: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def crt_weights(self) -> tuple[int, ...]:

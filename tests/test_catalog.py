@@ -620,10 +620,15 @@ class TestEnumerate:
         monkeypatch.setattr(
             catalog, "_subset_sums", lambda *args: calls.append(args) or real(*args)
         )
-        fam = enumerate_idempotents(ResidueRing(12))
+        made, ring = [], ResidueRing(12)
+        element = ring.element
+        monkeypatch.setattr(ring, "element", lambda *args: made.append(args) or element(*args))
+        fam = enumerate_idempotents(ring)
         assert calls == []
-        assert fam.members is fam.members
+        before = len(made)
+        assert fam.values is fam.values and fam.members is fam.members
         assert len(calls) == 1  # keys that hold their members: one pass
+        assert len(made) - before == fam.count == 4  # one element per member, once
 
     @pytest.mark.parametrize(
         "last, message",

@@ -789,6 +789,24 @@ class TestProcess:
         assert "|E(Z(200){C3})| = 16 = 2^4" in proc.stdout
         assert "E(Z(2){C2}): 2 elements" in proc.stdout
 
+    def test_cli_loads_no_introspection_modules(self):
+        # measured against the child's own start set, since `site` may
+        # preload some of these modules before any idemlift code runs
+        code = (
+            "import sys\n"
+            "start = set(sys.modules)\n"
+            "from idemlift.cli import main\n"
+            "for argv in (['count', 'Z(200){C3}'], ['list', 'Z(200){C3}'],\n"
+            "             ['lift', 'Z(25)[i]', '3 + i'], ['verify', 'Z(6)', '3']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "watched = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'} - start\n"
+            "assert not watched & set(sys.modules), sorted(watched & set(sys.modules))\n"
+        )
+        proc = _child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert "|E(Z(200){C3})| = 16 = 2^4" in proc.stdout
+        assert "E(Z(200){C3}): 16 elements" in proc.stdout
+
     def test_closed_pipe_exits_quietly(self):
         # 16,384 members, far more than a pipe buffer holds
         proc = subprocess.Popen(

@@ -114,6 +114,11 @@ class TestParseRing:
 
     def test_expression_value_semantics(self):
         assert RingExpression(12, None, None) == parse_ring("Z(12)")
+        expr = parse_ring("Z(12)[x]/(1 + x^2){C2}")
+        assert expr == RingExpression(modulus=12, poly_coeffs=(1, 0, 1), group_factors=(2,))
+        assert hash(expr) == hash(RingExpression(12, (1, 0, 1), (2,)))
+        for other in ("Z(13)[x]/(1 + x^2){C2}", "Z(12){C2}", "Z(12)[x]/(1 + x^2)"):
+            assert parse_ring(other) != expr, other
 
 
 class TestParseElement:
