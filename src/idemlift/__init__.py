@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .group_rings import GroupRing, GroupRingElement
+from .group_rings import GroupRing, GroupRingElement, Ring
 from .groups import (
     AbelianGroup,
     Subgroup,
@@ -59,7 +59,6 @@ from .polynomials import (
 from .quotients import QuotientRing, ResidueRing, gaussian_ring
 from .rings import (
     PrimePowerFactorization,
-    Ring,
     factorize,
     is_prime,
     modular_inverse,

@@ -47,13 +47,13 @@ from functools import cached_property
 from math import gcd
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
-from .group_rings import GroupRing
+from .group_rings import GroupRing, Ring
 from .groups import AbelianGroup, Subgroup, TRIVIAL_GROUP, order_q_subgroups
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
 from .polynomials import _product, _require_prime, berlekamp_factor, frobenius_fixed_basis
 from .quotients import QuotientRing, ResidueRing
-from .rings import Ring, factorize, is_prime, modular_inverse
+from .rings import factorize, is_prime, modular_inverse
 
 DEFAULT_LIST_CAP = 2**16
 FROBENIUS_DIMENSION_CAP = 64
@@ -231,9 +231,9 @@ def _frobenius_route(ring: GroupRing):
         )
     p, group = ring.coefficient_modulus, ring.group
     images = [group.power(g, p) for g in range(group.order)]
-    basis = frobenius_fixed_basis(ring.base._tail, p, images)
-    # a scalar (packed value below p) is constant on every component
-    hs = [h for v in basis if (h := ring.from_coeffs(v)).value >= p]
+    basis = frobenius_fixed_basis(ring._shape[1], p, images)
+    # a scalar is constant on every component
+    hs = [h for v in basis if ring.scalar_of(h := ring.from_coeffs(v)) is None]
     primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
     return ring, primitive, ring._components, "factorization"
 
@@ -335,7 +335,7 @@ def _combine(carrier: Ring, *, weights, alphas, parts):
     one raised to a power, "factorization" for one as it is.
     """
     primitive = [
-        w if f.value == 1 else w * carrier.embed(f) ** alpha  # 1 lifts to 1
+        w if f.ring.scalar_of(f) == 1 else w * carrier.embed(f) ** alpha  # 1 lifts to 1
         for w, alpha, (fam, _) in zip(weights, alphas, parts)
         for f in fam
     ]

@@ -36,10 +36,11 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
+from .group_rings import Ring
 from .lifting import NILPOTENCY_CAP, PAIR_CAP, CncChain, chain_lift, standard_chain, verify_family
 from .oracle import DEFAULT_BRUTE_CAP
 from .parsing import build_ring, parse_element
-from .rings import FACTORIZATION_BOUND, Ring
+from .rings import FACTORIZATION_BOUND
 
 _EXIT_CODES = {
     ParseError: 2,

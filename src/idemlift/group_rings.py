@@ -1,5 +1,6 @@
-"""Group rings RG for a finite abelian group G, and the packed layout and
-kernel that every carrier shares: RG, Z_m[x]/(q) and Z_m = Z_m[x]/(x).
+"""Every carrier's one class, ``Ring``, and the packed layout and kernel it
+runs on, for group rings RG of a finite abelian group G, Z_m[x]/(q) and
+Z_m = Z_m[x]/(x).
 
 An element of RG is one block of ``base.dimension`` coefficients per group
 element, in the group's canonical index order, held as one int: Kronecker
@@ -10,29 +11,35 @@ a register") program then takes every slot mod m at once, a quotient base
 reduces every block by its monic q, and the same steps reduce 256 squares
 side by side.  A sum is one addition and one guarded subtraction of m, as
 is a negation m - a.  Z_m[x]/(q) alone is the layout of the trivial group.
-Carriers cross by ``PackedRing.embed`` and are equal by their expressions.
+Carriers cross by ``Ring.embed`` and are equal by their expressions.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator, Sequence
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import itemgetter
 from types import SimpleNamespace
 
 from .groups import AbelianGroup, Subgroup, frobenius_orbit_count
-from .rings import Element, Ring, modular_inverse
+from .rings import Element, modular_inverse
 
 
-class PackedRing(Ring):
-    """A carrier held in the Kronecker layout of its ``_shape`` = (group
-    factors, base tail, m): RG, and Z_m[x]/(q) and Z_m as the trivial
-    group's.  The layout is built on first use, so a ring refused by a size
-    cap builds none of its masks.  This is every carrier's kernel:
+class Ring:
+    """A finite commutative carrier held in the Kronecker layout of its
+    ``_shape`` = (group factors, base tail, m): RG, and Z_m[x]/(q) and Z_m
+    as the trivial group's, where q is the monic x^d + tail and Z_m is
+    Z_m[x]/(x).  ``Ring(shape)`` sets the shape, ``coefficient_modulus``
+    (m) and ``dimension`` (|G| * d, the coefficient-vector length).  The
+    layout is built on first use, so a ring refused by a size cap builds
+    none of its masks.  This is every carrier's kernel:
 
     - ``pack``/``unpack`` between a tuple of reduced coefficients and the
       packed int.  Flat index 0 sits in the low bits, below every other
-      slot, so the scalar v * 1 is the int v mod m;
+      slot, so the scalar v * 1 is the int v mod m (``from_int``,
+      ``scalar_of``);
     - the whole-int ``mul(a, b)``, ``add(a, b)`` and ``neg(a)``, and
       ``add_to_each(values, b)``, one addend for a whole list;
     - ``order_key(v)``, an int that orders packed values as their
@@ -40,9 +47,58 @@ class PackedRing(Ring):
       that holds v, which ``key_values`` reads back;
     - ``unpack_many`` and ``square_mismatch``, a listing a block at a time;
     - ``embed(x)``, x read into this carrier, and identity by ``expression()``.
+
+    A carrier may set ``element`` (the Element subclass it hands out) and
+    implements ``row_text`` of a coefficient tuple, ``reduce_to(c)`` (the
+    ring over Z_c) and ``expression``; a group ring's base also has
+    ``coefficient_texts`` (each block's text, "0" if zero), at most one
+    call per group-ring element.
     """
 
-    _shape: tuple
+    element = Element
+
+    def __init__(self, shape: tuple):
+        factors, tail, m = self._shape = shape
+        self.coefficient_modulus = m
+        self.dimension = prod(factors) * len(tail)
+
+    @property
+    def cardinality(self) -> int:
+        return self.coefficient_modulus**self.dimension
+
+    @property
+    def zero(self):
+        return self.element(self, 0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def from_coeffs(self, coeffs: Sequence[int]):
+        if len(coeffs) != self.dimension:
+            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
+        m = self.coefficient_modulus
+        return self.element(self, self.pack([c % m for c in coeffs]))
+
+    def from_int(self, v: int):
+        """The scalar v * 1: v at flat index 0 (identity, constant term)."""
+        return self.element(self, v % self.coefficient_modulus)
+
+    def scalar_of(self, x) -> int | None:
+        """c when x == c * 1 for an integer c, else None (always None over
+        Z_1, where 1 == 0)."""
+        v, m = x.value, self.coefficient_modulus
+        return v if m > 1 and v < m else None
+
+    def element_text(self, x) -> str:
+        return self.row_text(self.unpack(x.value))
+
+    def elements(self) -> Iterator:
+        """All elements, ascending in the lexicographic coefficient order."""
+        for coeffs in itertools.product(
+            range(self.coefficient_modulus), repeat=self.dimension
+        ):
+            yield self.from_coeffs(coeffs)
 
     @cached_property
     def _layout(self) -> SimpleNamespace:
@@ -129,7 +185,7 @@ class PackedRing(Ring):
         return self.element(self, _join(slots, lay.slot))
 
     def __eq__(self, other):
-        return isinstance(other, PackedRing) and other.expression() == self.expression()
+        return isinstance(other, Ring) and other.expression() == self.expression()
 
     def __hash__(self):
         return hash(self.expression())
@@ -144,17 +200,17 @@ class GroupRingElement(Element):
     __pow__ = Element.__pow__
 
 
-class GroupRing(PackedRing):
+class GroupRing(Ring):
     """RG for a base coefficient ring R (Z_m or Z_m[x]/(q)) and finite abelian G."""
 
     element = GroupRingElement
 
     def __init__(self, base: Ring, group: AbelianGroup):
+        if base._shape[0]:
+            raise ValueError(f"a group ring's base has no group, got {base!r}")
+        super().__init__((group.factors,) + base._shape[1:])
         self.base = base
         self.group = group
-        self.coefficient_modulus = base.coefficient_modulus
-        self.dimension = group.order * base.dimension
-        self._shape = (group.factors, base._tail, base.coefficient_modulus)
         self._names = self._dense_row = None
 
     def hat(self, sub: Subgroup) -> GroupRingElement:

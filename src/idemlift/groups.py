@@ -169,6 +169,8 @@ def frobenius_orbit_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
     Defined for gcd(|G|, p) = 1, where it equals the number of simple
     components of F_q G for q = p^degree, so |E(F_q G)| = 2**count.
     """
+    if degree < 1:
+        raise ValueError(f"frobenius_orbit_count requires a degree >= 1, got {degree}")
     if not is_prime(p):
         raise ValueError(f"frobenius_orbit_count requires a prime, got {p}")
     if gcd(group.order, p) != 1:

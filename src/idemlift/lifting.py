@@ -22,7 +22,8 @@ from itertools import combinations
 from math import comb, gcd
 
 from .errors import UnsupportedError, VerificationError
-from .rings import Ring, factorize, pow_mults
+from .group_rings import Ring
+from .rings import factorize, pow_mults
 
 NILPOTENCY_CAP = 64
 PAIR_CAP = 64
@@ -117,28 +118,20 @@ class LiftReport(
         }
 
 
-def binomial_lift(f, n: int | None = None):
+def binomial_lift(f):
     """Lift f to the idempotent congruent to it modulo the nil ideal.
 
-    Requires (f^2 - f)**n == 0; n is computed exactly when omitted and
-    verified when supplied.  The lift is
+    Requires (f^2 - f)**n == 0, and computes the least such n.  The lift is
     sum_{i=n}^{2n-1} C(2n-1, i) * f^i * (1-f)^{2n-1-i},
     the unique idempotent congruent to f modulo the ideal generated by
     f^2 - f.
     """
     ring = f.ring
-    w = f * f - f
+    n = nilpotency_index(f * f - f)
     if n is None:
-        n = nilpotency_index(w)
-        if n is None:
-            raise VerificationError(
-                f"f^2 - f is not nilpotent within exponent cap {NILPOTENCY_CAP}"
-            )
-    else:
-        if n < 1:
-            raise ValueError(f"nilpotency exponent must be >= 1, got {n}")
-        if not (w**n).is_zero():
-            raise VerificationError(f"(f^2 - f)^{n} != 0; binomial lift preconditions fail")
+        raise VerificationError(
+            f"f^2 - f is not nilpotent within exponent cap {NILPOTENCY_CAP}"
+        )
     if n == 1:
         return f
     g = ring.one - f
@@ -205,13 +198,6 @@ def chain_lift(f, chain: CncChain) -> LiftReport:
     return report
 
 
-def _scalar_of(ring: Ring, x) -> int | None:
-    """c when x == c*1 for some integer c, else None (always None over Z_1,
-    where 1 == 0)."""
-    v, m = x.value, ring.coefficient_modulus
-    return v if m > 1 and v < m else None
-
-
 def _scalar_nilpotency_index(c: int, m: int) -> int | None:
     """``nilpotency_index(c*1)`` without ring products.
 
@@ -221,31 +207,21 @@ def _scalar_nilpotency_index(c: int, m: int) -> int | None:
     return next((k for k in range(1, NILPOTENCY_CAP + 1) if pow(c, k, m) == 0), None)
 
 
-def chain_for_nilpotent_ideal(
-    ring: Ring,
-    a,
-    index: int | None = None,
-    char: int | None = None,
-) -> CncChain:
+def chain_for_nilpotent_ideal(ring: Ring, a, char: int | None = None) -> CncChain:
     """Chain N > N^2 > ... > N^k = 0 for the principal ideal N = (a).
 
-    The generator's nilpotency index k is computed (or checked, when
-    supplied), and every step gets t_i = 2 and s_i = char, the
-    characteristic of R/N.  For a scalar generator a = c*1 the quotient
-    ring R/N is constructed; otherwise char must be supplied and the chain
-    carries no quotient.
+    The generator's nilpotency index k is computed, and every step gets
+    t_i = 2 and s_i = char, the characteristic of R/N.  For a scalar
+    generator a = c*1 the quotient ring R/N is constructed; otherwise char
+    must be supplied and the chain carries no quotient.
     """
-    scalar = _scalar_of(ring, a)
+    scalar = ring.scalar_of(a)
     if scalar is not None:
         k = _scalar_nilpotency_index(scalar, ring.coefficient_modulus)
     else:
         k = nilpotency_index(a)
     if k is None:
         raise VerificationError(f"chain generator is not nilpotent within cap {NILPOTENCY_CAP}")
-    if index is not None and index != k:
-        raise VerificationError(
-            f"claimed nilpotency index {index} but the exact index is {k}"
-        )
     if scalar is not None:
         d = gcd(scalar, ring.coefficient_modulus)
         quotient = ring.reduce_to(d)

@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import SizeLimitError
+from .group_rings import Ring
 from .groups import AbelianGroup
-from .rings import Ring
 
 DEFAULT_BRUTE_CAP = 2**20
 _CHUNK = 1 << 20

@@ -22,9 +22,8 @@ from functools import cache
 
 from .errors import ParseError, SizeLimitError
 from .groups import group_from_factors
-from .group_rings import GroupRing
+from .group_rings import GroupRing, Ring
 from .quotients import QuotientRing, ResidueRing
-from .rings import Ring
 
 MAX_INPUT_BYTES = 1024
 MAX_EXPONENT = 1024  # x^k in a literal expands to k + 1 coefficients

@@ -1,18 +1,18 @@
 """Quotient rings Z_m[x]/(q) for monic q, including the Gaussian case
 q = x^2 + 1, and the residue ring Z_m as Z_m[x]/(x).
 
-Elements are residue polynomials of degree below deg q, coefficients
-lowest degree first, packed in the layout of ``group_rings`` for the
-trivial group: a product is one integer product, one SWAR pass mod m, one
-reduction by q of every slot at or above deg q, and a second pass.  A
-residue of Z_m fills the one slot, so its packed int is itself.  When
-q = x^2 + 1 the ring prints with ``i`` instead of ``x`` so Z_p[i] elements
-read as a + b*i.
+Both are ``group_rings.Ring``s of the trivial group's shape.  Elements
+are residue polynomials of degree below deg q, coefficients lowest degree
+first, packed in that layout: a product is one integer product, one SWAR
+pass mod m, one reduction by q of every slot at or above deg q, and a
+second pass.  A residue of Z_m fills the one slot, so its packed int is
+itself.  When q = x^2 + 1 the ring prints with ``i`` instead of ``x`` so
+Z_p[i] elements read as a + b*i.
 """
 
 from __future__ import annotations
 
-from .group_rings import PackedRing
+from .group_rings import Ring
 from .polynomials import _trim, poly_text, reduce_mod
 from .rings import Element
 
@@ -24,7 +24,7 @@ class PolyQuotientElement(Element):
     __mul__ = Element.__mul__
 
 
-class QuotientRing(PackedRing):
+class QuotientRing(Ring):
     """Z_m[x]/(q) with q monic of degree >= 1.
 
     q is a coefficient sequence, lowest degree first; it is stored as the
@@ -38,19 +38,17 @@ class QuotientRing(PackedRing):
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         q = tuple(_trim([c % modulus for c in q]))
         # the zero ring (m = 1) keeps one coefficient, as if q were x
-        self._tail = q[:-1] if modulus > 1 else (0,)
+        tail = q[:-1] if modulus > 1 else (0,)
         if modulus > 1 and q[-1:] != (1,):
             raise ValueError(f"quotient modulus must be monic, got {poly_text(q, 'x')}")
-        if not self._tail:
+        if not tail:
             raise ValueError("quotient modulus must have degree >= 1")
-        self.coefficient_modulus = modulus
+        super().__init__(((), tail, modulus))
         self.q = q
-        self.dimension = len(self._tail)
-        self._shape = ((), self._tail, modulus)
 
     def from_polynomial(self, coeffs) -> PolyQuotientElement:
         """The residue of a coefficient sequence of any length."""
-        cs = reduce_mod(list(coeffs), self._tail, self.coefficient_modulus)
+        cs = reduce_mod(list(coeffs), self._shape[1], self.coefficient_modulus)
         return self.element(self, self.pack(cs))  # pack pads with zeros
 
     def reduce_to(self, c: int) -> "QuotientRing":
@@ -85,18 +83,14 @@ class QuotientRing(PackedRing):
         return f"QuotientRing({self.coefficient_modulus}, {self.q!r})"
 
 
-class ResidueRing(PackedRing):
+class ResidueRing(Ring):
     """The ring Z_m of integers modulo m >= 1 (m = 1 is the zero ring, where
     0 == 1): Z_m[x]/(x) in that layout, printed as its integers."""
-
-    _tail = (0,)
 
     def __init__(self, modulus: int):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        self.coefficient_modulus = modulus
-        self.dimension = 1
-        self._shape = ((), self._tail, modulus)
+        super().__init__(((), (0,), modulus))
 
     def coefficient_texts(self, coeffs):
         return map(str, coeffs)

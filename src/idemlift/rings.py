@@ -1,18 +1,18 @@
-"""Integer helpers, factorization, the one element type, the carrier interface.
+"""Integer helpers, factorization, and the one element type.
 
 Every carrier in this package is a finite commutative ring whose elements
 are fixed-length vectors of integers modulo m: the residue ring Z_m itself
 (length 1), polynomial quotients Z_m[x]/(q) (length deg q), and group rings
 over either (length multiplied by the group order, group index major, base
-coefficient minor).  Every element is an ``Element`` holding one int, that
-vector packed in the one Kronecker layout of ``group_rings`` with every
-coefficient reduced below m; a Z_m residue packs as itself.  Products,
-sums, negation, scaling, equality, hashing and ``PackedRing.embed``, the
-one crossing between carriers, are whole-int operations; coefficient
-tuples appear only at the boundary (``from_coeffs``, ``coeff_vector``,
-text, JSON and the brute-force scan, which builds its own table of basis
-products from the carrier's shape).  Carriers are equal when their
-expressions are.
+coefficient minor).  Each is a ``group_rings.Ring``.  Every element is an
+``Element`` holding one int, that vector packed in the one Kronecker layout
+of ``group_rings`` with every coefficient reduced below m; a Z_m residue
+packs as itself.  Products, sums, negation, scaling, equality, hashing and
+``Ring.embed``, the one crossing between carriers, are whole-int
+operations; coefficient tuples appear only at the boundary
+(``from_coeffs``, ``coeff_vector``, text, JSON and the brute-force scan,
+which builds its own table of basis products from the carrier's shape).
+Carriers are equal when their expressions are.
 
 All arithmetic is exact; Python integers are unbounded, so no operation here
 can overflow.
@@ -20,10 +20,8 @@ can overflow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
 
 from .errors import SizeLimitError, UnsupportedError
 
@@ -262,53 +260,3 @@ def pow_mults(e: int) -> int:
     one multiply per set bit after the first (the first is free)."""
     return e.bit_length() + e.bit_count() - 2 if e else 0
 
-
-class Ring:
-    """Interface shared by the concrete carriers.
-
-    Subclasses set ``coefficient_modulus`` (the m above) and ``dimension``
-    (the coefficient-vector length), may set ``element`` (the Element
-    subclass they hand out), and implement ``row_text`` of a coefficient
-    tuple, ``reduce_to(c)`` (the ring over Z_c) and ``expression``; every
-    carrier's whole-int kernel, its crossing ``embed`` and its identity
-    are ``group_rings.PackedRing``'s.  A group ring's base also has
-    ``_tail`` (its modulus is the monic x^d + tail; Z_m is Z_m[x]/(x)) and
-    ``coefficient_texts`` (each block's text, "0" if zero), at most one
-    call per group-ring element.  Everything else is generic.
-    """
-
-    coefficient_modulus: int
-    dimension: int
-    element = Element
-
-    @property
-    def cardinality(self) -> int:
-        return self.coefficient_modulus**self.dimension
-
-    @property
-    def zero(self):
-        return self.element(self, 0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def from_coeffs(self, coeffs: Sequence[int]):
-        if len(coeffs) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coefficients, got {len(coeffs)}")
-        m = self.coefficient_modulus
-        return self.element(self, self.pack([c % m for c in coeffs]))
-
-    def from_int(self, v: int):
-        """The scalar v * 1: v at flat index 0 (identity, constant term)."""
-        return self.element(self, v % self.coefficient_modulus)
-
-    def element_text(self, x) -> str:
-        return self.row_text(self.unpack(x.value))
-
-    def elements(self) -> Iterator:
-        """All elements, ascending in the lexicographic coefficient order."""
-        for coeffs in itertools.product(
-            range(self.coefficient_modulus), repeat=self.dimension
-        ):
-            yield self.from_coeffs(coeffs)

@@ -20,7 +20,7 @@ from idemlift.catalog import (
     poly_crt_combine,
 )
 from idemlift.errors import SizeLimitError, UnsupportedError, VerificationError
-from idemlift.group_rings import GroupRing, PackedRing
+from idemlift.group_rings import GroupRing, Ring
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
@@ -198,13 +198,13 @@ class TestFrobeniusIdempotents:
         # products each; telling them apart only where h + a is 0 would
         # walk hundreds of shifts
         calls = []
-        real = PackedRing.mul
+        real = Ring.mul
 
         def counting(self, a, b):
             calls.append(None)
             return real(self, a, b)
 
-        monkeypatch.setattr(PackedRing, "mul", counting)
+        monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(1009, None, 16)).primitive) == 16
         assert len(calls) < 4000
 
@@ -214,13 +214,13 @@ class TestFrobeniusIdempotents:
         # other members of f, and the scalar null vector splits nothing;
         # multiplying every piece by every member took 10,499 products
         calls = []
-        real = PackedRing.mul
+        real = Ring.mul
 
         def counting(self, a, b):
             calls.append(None)
             return real(self, a, b)
 
-        monkeypatch.setattr(PackedRing, "mul", counting)
+        monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(193, None, 64)).primitive) == 64
         assert len(calls) < 6200
 
@@ -284,7 +284,7 @@ class TestHatFamily:
         monkeypatch.setattr(catalog, "verify_family", forbidden)
         monkeypatch.setattr(catalog, "_subset_sums", forbidden)
         monkeypatch.setattr(catalog, "order_q_subgroups", forbidden)
-        monkeypatch.setattr(PackedRing, "mul", forbidden)
+        monkeypatch.setattr(Ring, "mul", forbidden)
         with pytest.raises(UnsupportedError, match="size 7 vs 25 components"):
             hat_family(AbelianGroup((5, 5)), 11)
         with pytest.raises(UnsupportedError, match="size 2 vs 3 components"):
@@ -663,7 +663,7 @@ class TestEnumerate:
 
 class TestListingBlockCheck:
     """``members`` squares its values 256 at a time in one SWAR reduction
-    (``PackedRing.square_mismatch``) and finds duplicates as equal sorted
+    (``Ring.square_mismatch``) and finds duplicates as equal sorted
     neighbours.  A value planted into the listing after the sort, or a sum
     duplicated, must be named wherever it sits: at the first, a middle or
     the last member, or inside a short final block (the sums cut to
@@ -693,14 +693,14 @@ class TestListingBlockCheck:
         else:
             named = ring.add(value, ring.from_int(2).value)
             assert ring.mul(named, named) != named
-            real = PackedRing.key_values
+            real = Ring.key_values
 
             def planted(self, keys):
                 values = real(self, keys)
                 values[at] = named
                 return values
 
-            monkeypatch.setattr(PackedRing, "key_values", planted)
+            monkeypatch.setattr(Ring, "key_values", planted)
         monkeypatch.setattr(catalog, "_subset_sums", lambda values, r: list(sums))
         return ring.element_text(ring.element(ring, named))
 

@@ -34,29 +34,29 @@ def run(capsys, *argv):
 @pytest.fixture
 def lift_calls(monkeypatch):
     """Elements that ``catalog._combine`` lifts while the test runs: it reads
-    each through ``PackedRing.embed`` before raising it to its prime-power
+    each through ``Ring.embed`` before raising it to its prime-power
     exponent."""
-    from idemlift.group_rings import PackedRing
+    from idemlift.group_rings import Ring
 
     calls = []
-    real = PackedRing.embed
+    real = Ring.embed
 
     def counting(self, x):
         calls.append(x)
         return real(self, x)
 
-    monkeypatch.setattr(PackedRing, "embed", counting)
+    monkeypatch.setattr(Ring, "embed", counting)
     return calls
 
 
 @pytest.fixture
 def products(monkeypatch):
-    """One entry per ring product (``PackedRing.mul``) made while the test runs."""
-    from idemlift.group_rings import PackedRing
+    """One entry per ring product (``Ring.mul``) made while the test runs."""
+    from idemlift.group_rings import Ring
 
     calls = []
-    real = PackedRing.mul
-    monkeypatch.setattr(PackedRing, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
+    real = Ring.mul
+    monkeypatch.setattr(Ring, "mul", lambda self, a, b: calls.append(1) or real(self, a, b))
     return calls
 
 
@@ -182,11 +182,11 @@ class TestList:
         # embeddings and JSON).  The block pass squares every listed member
         # once, in listing order, and nothing squares one again.
         from idemlift import catalog
-        from idemlift.group_rings import PackedRing
+        from idemlift.group_rings import Ring
 
         unpacks, rows, squared, again = [], [], [], []
-        real_unpack, real_many = PackedRing.unpack, PackedRing.unpack_many
-        real_block, real_verify = PackedRing.square_mismatch, catalog.verify_idempotent
+        real_unpack, real_many = Ring.unpack, Ring.unpack_many
+        real_block, real_verify = Ring.square_mismatch, catalog.verify_idempotent
 
         def many(self, values):
             for row in real_many(self, values):
@@ -194,11 +194,11 @@ class TestList:
                 yield row
 
         monkeypatch.setattr(
-            PackedRing, "unpack", lambda self, v: unpacks.append(1) or real_unpack(self, v)
+            Ring, "unpack", lambda self, v: unpacks.append(1) or real_unpack(self, v)
         )
-        monkeypatch.setattr(PackedRing, "unpack_many", many)
+        monkeypatch.setattr(Ring, "unpack_many", many)
         monkeypatch.setattr(
-            PackedRing, "square_mismatch", lambda self, v: squared.extend(v) or real_block(self, v)
+            Ring, "square_mismatch", lambda self, v: squared.extend(v) or real_block(self, v)
         )
         monkeypatch.setattr(
             catalog, "verify_idempotent", lambda x: again.append(x) or real_verify(x)

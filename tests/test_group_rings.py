@@ -1,12 +1,15 @@
 """Group-ring convolution, hat elements, power towers, and the packed
 carriers' one crossing (``embed``) and one identity (``__eq__``/``__hash__``)."""
 
+import dis
 import random
 
 import pytest
 
+import idemlift
+from idemlift import rings
 from idemlift.groups import AbelianGroup, all_subgroups, subgroup_generated
-from idemlift.group_rings import GroupRing, PackedRing, _split
+from idemlift.group_rings import GroupRing, Ring, _split
 from idemlift.oracle import _structure_tensor
 from idemlift.parsing import build_ring
 from idemlift.quotients import QuotientRing, ResidueRing
@@ -215,8 +218,32 @@ class TestPackedContract:
 def test_every_carrier_runs_the_one_packed_kernel(cls):
     # a carrier that defined its own kernel would bypass the checks above
     for name in ["mul", "add", "neg", "pack", "unpack", "unpack_many", "order_key",
-                 "key_values", "square_mismatch", "embed", "__eq__", "__hash__"]:
-        assert getattr(cls, name) is getattr(PackedRing, name), f"{cls.__name__}.{name}"
+                 "key_values", "square_mismatch", "embed", "__eq__", "__hash__",
+                 "from_int", "scalar_of"]:
+        assert getattr(cls, name) is getattr(Ring, name), f"{cls.__name__}.{name}"
+    # m and the dimension are read from the shape that Ring.__init__ is given
+    stored = {i.argval for i in dis.get_instructions(cls.__init__) if i.opname == "STORE_ATTR"}
+    assert not stored & {"_shape", "coefficient_modulus", "dimension"}, cls.__name__
+    # one carrier class: rings keeps the element type and no ring class
+    assert idemlift.Ring is Ring
+    defined = {n for n, v in vars(rings).items() if isinstance(v, type) and v.__module__ == rings.__name__}
+    assert defined == {"Element", "PrimePower", "PrimePowerFactorization"}
+
+
+def test_group_ring_base_has_no_group():
+    inner = GroupRing(ResidueRing(5), AbelianGroup((3,)))
+    with pytest.raises(ValueError, match="base has no group"):
+        GroupRing(inner, AbelianGroup((2,)))
+
+
+def test_scalar_of_reads_the_packed_scalar():
+    gaussian, group_ring = QuotientRing(12, (1, 0, 1)), GroupRing(ResidueRing(12), AbelianGroup((3,)))
+    for ring in (ResidueRing(12), gaussian, group_ring):
+        assert [ring.scalar_of(ring.from_int(c)) for c in (0, 1, 11, 13)] == [0, 1, 11, 1]
+        assert ring.scalar_of(-ring.one) == 11
+    assert gaussian.scalar_of(gaussian.from_coeffs((3, 1))) is None
+    assert group_ring.scalar_of(group_ring.from_coeffs((0, 1, 0))) is None
+    assert ResidueRing(1).scalar_of(ResidueRing(1).one) is None  # 1 == 0 over Z_1
 
 
 def embed_reference(x, target):
@@ -233,7 +260,7 @@ def embed_reference(x, target):
 
 
 class TestEmbed:
-    """``PackedRing.embed``, the one crossing between carriers, against a
+    """``Ring.embed``, the one crossing between carriers, against a
     reference padded by hand and packed by ``from_coeffs``."""
 
     CASES = [
@@ -284,7 +311,7 @@ class TestEmbed:
             raise AssertionError("coefficient tuple built")
 
         for name in ("pack", "unpack", "from_coeffs"):
-            monkeypatch.setattr(PackedRing, name, forbidden)
+            monkeypatch.setattr(Ring, name, forbidden)
         assert target.embed(x).value == want.value
 
     @pytest.mark.parametrize(
@@ -362,7 +389,7 @@ class TestSubtraction:
         def forbidden(*args):
             raise AssertionError("a product in a subtraction")
 
-        monkeypatch.setattr(PackedRing, "mul", forbidden)
+        monkeypatch.setattr(Ring, "mul", forbidden)
         monkeypatch.setattr(ResidueRing, "mul", forbidden)
         for (a, b), want in zip(pairs, wants):
             assert a - b == want

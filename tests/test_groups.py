@@ -138,6 +138,13 @@ class TestFrobeniusOrbits:
         assert frobenius_orbit_count(TRIVIAL_GROUP, 2, degree=3) == 1
         with pytest.raises(UnsupportedError):
             frobenius_orbit_count(AbelianGroup((6,)), 3, degree=2)
+        # degree 0 would make the step 1 (|G| orbits), a negative one an inverse
+        assert frobenius_orbit_count(AbelianGroup((5,)), 2, degree=1) == 2
+        for degree in (0, -1, -2):
+            with pytest.raises(ValueError, match=f"degree >= 1, got {degree}"):
+                frobenius_orbit_count(AbelianGroup((5,)), 2, degree=degree)
+            with pytest.raises(ValueError, match="degree >= 1"):
+                frobenius_orbit_count(TRIVIAL_GROUP, 2, degree=degree)
 
     def test_trivial_group_single_orbit(self):
         assert frobenius_orbit_count(TRIVIAL_GROUP, 5) == 1
