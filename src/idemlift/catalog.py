@@ -10,10 +10,10 @@ component).
 Over a prime there is one route per carrier kind: {0, 1} for Z_p, the
 factorization of the quotient polynomial for a quotient base, and for
 F_p G the paper's hat family where it certifies, else the splitting of
-the Frobenius-fixed subalgebra B, which also serves F_{p^d} G.  B is
-F_p^k as an algebra, so it is split by idempotents made of ring products
-alone, in the ring's own kernel.  The brute-force scan is the independent
-check, never a provider.
+the Frobenius-fixed subalgebra B, spanned by orbit sums of the p'-elements
+of G, which also serves F_{p^d} G.  B is F_p^k as an algebra, so it is
+split by idempotents made of ring products alone, in the ring's own
+kernel.  The brute-force scan is the independent check, never a provider.
 
 The idempotents form a Boolean algebra whose atoms are the primitive
 idempotents, and the gluing is additive over the prime parts.  So each
@@ -22,14 +22,14 @@ glue of ``_poly_route`` and ``_crt_route``) takes the carrier it answers
 for and hands on uncertified candidate primitives, one lift per
 primitive, with a component count computed without looking at them: 1
 per field factor, a group ring's ``_components`` (its number of simple
-components, the Frobenius orbit count of Perlis & Walker 1950, walked at
-most once per ring), and for the glue the sum of its components' counts
-over Berlekamp's factor list or the primes of m.  Only the public
-function the caller invoked checks that its modulus is prime and
-certifies, once (``_build_family``): the primitives it returns are checked
-for idempotency, orthogonality, their sum, and their number against that
-count.  A family that cannot be certified is an error, never a silent
-downgrade.
+components, the Frobenius orbit count of Perlis & Walker 1950, in closed
+form and at most once per ring), and for the glue the sum of its
+components' counts over Berlekamp's factor list or the primes of m.  Only
+the public function the caller invoked checks that its modulus is prime
+and certifies, once (``_build_family``): the primitives it returns are
+checked for idempotency, orthogonality, their sum, and their number
+against that count.  A family that cannot be certified is an error,
+never a silent downgrade.
 
 A family is its certified primitives and nothing more: E(ring) is listed
 from it only when ``values`` is first read, as the subset sums of the
@@ -210,15 +210,14 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
 
     Frobenius a -> a^p is F_p-linear on the commutative algebra A = KG, and
     its fixed space B is the F_p-span of A's primitive idempotents, whether
-    or not A is semisimple (Berlekamp's Q-matrix lifted to algebras; Friedl
-    & Ronyai 1985).  B is the null space of Frob - I, read as ring
-    elements h; the scalars among them split nothing and are dropped.
-    Starting from the one piece 1, every piece e is refined into the
-    nonzero e*f over the idempotent families f that the h give
-    (``_splitting_families``), all products in A's own kernel, until there
-    are dim B pieces (``_refine``).  The family is certified against the
-    orbit count of g -> g^(p^d) on the p'-part of G, which does not look
-    at B.
+    or not A is semisimple (Friedl & Ronyai 1985).  Over F_p it sends
+    sum a_g g to sum a_g g^p, and E(F_p G) = E(F_p G_p') (Passman 1977), so
+    the orbit sums of the p'-elements are a basis of B (``_orbit_sums``);
+    over F_{p^d}, d > 1, B is the null space of Frob - I.  These h, less
+    the scalars, refine 1 into dim B pieces (``_splitting_families``,
+    ``_refine``), all products in A's own kernel.  The family is certified
+    against the closed-form count of the orbits of g -> g^(p^d) on G_p',
+    which shares no code with the basis.
     """
     _require_prime(ring.coefficient_modulus, "frobenius_idempotents")
     return _build_family(*_frobenius_route(ring))
@@ -230,12 +229,32 @@ def _frobenius_route(ring: GroupRing):
             f"Frobenius splitting capped at dimension {FROBENIUS_DIMENSION_CAP}, got {n}"
         )
     p, group = ring.coefficient_modulus, ring.group
-    images = [group.power(g, p) for g in range(group.order)]
-    basis = frobenius_fixed_basis(ring._shape[1], p, images)
+    if ring.base.dimension == 1:
+        basis = _orbit_sums(ring, p)
+    else:
+        images = [group.power(g, p) for g in range(group.order)]
+        basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
     # a scalar is constant on every component
-    hs = [h for v in basis if ring.scalar_of(h := ring.from_coeffs(v)) is None]
+    hs = [h for h in basis if ring.scalar_of(h) is None]
     primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
     return ring, primitive, ring._components, "factorization"
+
+
+def _orbit_sums(ring: GroupRing, p: int) -> list:
+    """B's basis over F_p: the orbit sums of g -> g^p on the p'-elements, the g
+    with g^n = e for n the p'-part of |G|, by largest element, as in Frob - I."""
+    group = ring.group
+    n = group.order // gcd(group.order, p ** group.order.bit_length())
+    seen, orbits = set(), []
+    for g in range(group.order):
+        if g not in seen and group.power(g, n) == 0:
+            orbits.append(orbit := set())
+            while g not in seen:
+                seen.add(g)
+                orbit.add(g)
+                g = group.power(g, p)
+    return [ring.from_coeffs([int(g in orbit) for g in range(group.order)])
+            for orbit in sorted(orbits, key=max)]
 
 
 def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
@@ -256,15 +275,10 @@ def _hat_route(ring: GroupRing):
             "hat family needs an elementary abelian group of rank <= 2, "
             f"got {group.expression()}"
         )
-    if gcd(group.order, p) != 1:
-        raise UnsupportedError(
-            f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
-        )
     size = 2 if group.rank == 1 else group.factors[0] + 2  # q + 1 subgroups of C_q^2
-    # The hat candidates always form an orthogonal decomposition of 1, so
-    # they are the primitive family exactly when their number is the orbit
-    # count.  That number is compared before any subgroup or candidate is
-    # built; the answer's one certificate then verifies them.
+    # For p != q the candidates are an orthogonal decomposition of 1, primitive
+    # exactly when their number is the orbit count (1 for p = q, the trivial
+    # p'-part's).  It is compared before any subgroup or candidate is built.
     if size != ring._components:
         raise UnsupportedError(
             "hat family certification failed for "
@@ -282,7 +296,7 @@ def _base_route(ring: Ring):
     if isinstance(base, QuotientRing):
         return _poly_route(ring)
     if isinstance(ring, GroupRing) and isinstance(base, ResidueRing):
-        try:  # a refused hat route leaves the count it walked to the splitter
+        try:  # a refused hat route leaves the count it computed to the splitter
             return _hat_route(ring)
         except UnsupportedError:
             return _frobenius_route(ring)

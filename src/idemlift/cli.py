@@ -71,14 +71,10 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def _print_json(payload: dict) -> None:
-    print(_json_text(payload))
-
-
 def _emit_error(exc: IdemliftError, json_mode: bool) -> int:
     code = _EXIT_CODES.get(type(exc), 1)
     if json_mode:
-        _print_json({"error": {"code": code, "type": type(exc).__name__, "message": str(exc)}})
+        print(_json_text({"error": {"code": code, "type": type(exc).__name__, "message": str(exc)}}))
     else:
         print(f"error: {exc}", file=sys.stderr)
     return code
@@ -129,7 +125,7 @@ def _emit_family(fam: IdempotentFamily, ring: Ring, args, golden: set | None) ->
                 "unexpected": sorted(got - golden)}
     if args.json:
         listing = {"complete": True, "members": list(ring.unpack_many(values))}
-        _print_json(fam.to_json_dict() | listing | ({} if diff is None else {"golden": diff}))
+        print(_json_text(fam.to_json_dict() | listing | ({} if diff is None else {"golden": diff})))
     else:
         print(f"E({ring.expression()}): {fam.count} elements [{fam.provenance}]")
         sys.stdout.writelines(ring.row_text(c) + "\n" for c in ring.unpack_many(values))
@@ -157,8 +153,8 @@ def _cmd_count(args) -> int:
     fam = enumerate_idempotents(ring)
     log2 = len(fam.primitive)
     if args.json:
-        _print_json({"ring": ring.expression(), "count": fam.count, "log2": log2,
-                     "primitive_count": log2, "provenance": fam.provenance})
+        print(_json_text({"ring": ring.expression(), "count": fam.count, "log2": log2,
+                          "primitive_count": log2, "provenance": fam.provenance}))
     else:
         print(f"|E({ring.expression()})| = {fam.count} = 2^{log2}")
         print(f"primitive count: {log2}")
@@ -172,7 +168,7 @@ def _cmd_primitive(args) -> int:
     if args.json:
         payload = fam.to_json_dict()
         payload["complete"] = fam.count <= cap  # whether `list --cap` would list E
-        _print_json(payload)
+        print(_json_text(payload))
     else:
         print(
             f"primitive idempotents of {ring.expression()}: "
@@ -206,7 +202,7 @@ def _cmd_lift(args) -> int:
         chain = standard_chain(ring)
     report = chain_lift(f, chain)
     if args.json:
-        _print_json(report.to_json_dict(ring))
+        print(_json_text(report.to_json_dict(ring)))
     else:
         print(f"ring:     {ring.expression()}")
         print(f"input:    {ring.element_text(report.input)}")
@@ -241,7 +237,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         # a single JSON document; the verified flag carries the outcome
         results["verified"] = not failures
-        _print_json(results)
+        print(_json_text(results))
         return _EXIT_CODES[VerificationError] if failures else 0
     print(f"ring: {ring.expression()}")
     for x, ok in zip(elems, check.idempotent):

@@ -229,7 +229,7 @@ class GroupRing(Ring):
     @cached_property
     def _components(self) -> int:
         """Simple components of F_{p^d} G, over a field base only: orbits of
-        g -> g^(p^d) on the p'-part of G, walked on first read."""
+        g -> g^(p^d) on the p'-part of G, in closed form, on first read."""
         p = self.coefficient_modulus
         coprime = [f // gcd(f, p**f.bit_length()) for f in self.group.factors]  # without p-parts
         group = AbelianGroup(tuple(f for f in coprime if f > 1))

@@ -9,7 +9,7 @@ their generator as ``g``, rank-2 groups as ``a`` and ``b``.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import SizeLimitError, UnsupportedError
 from .rings import is_prime
@@ -164,10 +164,13 @@ def order_q_subgroups(group: AbelianGroup) -> list[Subgroup]:
 
 
 def frobenius_orbit_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
-    """Number of orbits of g -> g^(p^degree) on the group.
+    """Number of orbits of g -> g^q, q = p^degree, on the group.
 
     Defined for gcd(|G|, p) = 1, where it equals the number of simple
-    components of F_q G for q = p^degree, so |E(F_q G)| = 2**count.
+    components of F_q G, so |E(F_q G)| = 2**count.  In closed form, with no
+    element visited: the sum over e | exp(G) of N_e / ord_e(q), N_e the
+    number of elements of order e, from the prod_i gcd(e, n_i) of order
+    dividing e by Moebius inversion (Perlis & Walker 1950).
     """
     if degree < 1:
         raise ValueError(f"frobenius_orbit_count requires a degree >= 1, got {degree}")
@@ -177,15 +180,14 @@ def frobenius_orbit_count(group: AbelianGroup, p: int, degree: int = 1) -> int:
         raise UnsupportedError(
             f"F_{p}G is not semisimple: p = {p} divides |G| = {group.order}"
         )
-    step = pow(p, degree, group.order)
-    visited = [False] * group.order
-    count = 0
-    for start in range(group.order):
-        if visited[start]:
-            continue
-        count += 1
-        x = start
-        while not visited[x]:
-            visited[x] = True
-            x = group.power(x, step)
+    exponent = lcm(*group.factors)
+    divisors = [e for e in range(1, exponent + 1) if exponent % e == 0]
+    primes = [r for r in divisors if is_prime(r)]
+    phi = exponent // prod(primes) * prod(r - 1 for r in primes)
+    orders = [t for t in range(1, phi + 1) if phi % t == 0]  # ord_e(q) | phi(e) | phi
+    q, exact, count = pow(p, degree, exponent), [], 0
+    for e in divisors:  # ascending: N_d is known for every d < e
+        exact.append(prod(gcd(e, n) for n in group.factors)
+                     - sum(n for d, n in zip(divisors, exact) if e % d == 0))
+        count += exact[-1] // next(t for t in orders if pow(q, t, e) == 1 % e)
     return count

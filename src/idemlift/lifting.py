@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import UnsupportedError, VerificationError
+from .errors import VerificationError
 from .group_rings import Ring
 from .rings import factorize, pow_mults
 
@@ -56,7 +56,7 @@ class CncChain(namedtuple("CncChain", "ring ss ts base_ring", defaults=(None,)))
 
     ``ss[i]``/``ts[i]`` describe step i.  When the chain is principal and
     scalar-generated, ``base_ring`` is R/N_1 (R with a smaller coefficient
-    modulus) and ``reduce`` maps R onto it; otherwise it is None and
+    modulus), which ``embed`` maps R onto; otherwise it is None and
     congruence checks are skipped.
     """
 
@@ -89,11 +89,6 @@ class CncChain(namedtuple("CncChain", "ring ss ts base_ring", defaults=(None,)))
         if all(s == self.ss[0] for s in self.ss):
             return (self.ss[0], len(self.ss))
         return tuple(self.ss)
-
-    def reduce(self, x):
-        if self.base_ring is None:
-            raise UnsupportedError("this chain carries no base ring")
-        return self.base_ring.embed(x)
 
 
 class LiftReport(
@@ -163,25 +158,18 @@ def power_lift(f, s: int):
 def chain_lift(f, chain: CncChain) -> LiftReport:
     """Lift f along the whole chain and report what was verified; a failed
     verification raises."""
-    if f * f == f:
-        # already idempotent: the tower would be a no-op
-        return LiftReport(
-            input=f,
-            lifted=f,
-            tower=chain.exponent_tower(),
-            verified_idempotent=True,
-            verified_congruent=True,
-            multiplications=1,
-        )
-    e = f
-    for s in chain.ss:
-        e = e**s
-    ok_idem = e * e == e
-    # the two idempotency checks and the products of each step's power
-    mults = 2 + sum(pow_mults(s) for s in chain.ss)
-    ok_congruent: bool | None = None
-    if chain.base_ring is not None:
-        ok_congruent = chain.reduce(e) == chain.reduce(f)
+    if f * f == f:  # already idempotent: the tower would be a no-op
+        e, ok_idem, ok_congruent, mults = f, True, True, 1
+    else:
+        e = f
+        for s in chain.ss:
+            e = e**s
+        ok_idem = e * e == e
+        # the two idempotency checks and the products of each step's power
+        mults = 2 + sum(pow_mults(s) for s in chain.ss)
+        ok_congruent: bool | None = None
+        if (base := chain.base_ring) is not None:
+            ok_congruent = base.embed(e) == base.embed(f)
     report = LiftReport(
         input=f,
         lifted=e,

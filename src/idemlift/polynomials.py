@@ -18,8 +18,8 @@ gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the shifts a = 0, 1, 2, ...
 F_2.  Each split costs O(log p) products, not the O(p) gcds of trying
 every constant; the shifts are fixed, so identical input gives identical
 output.  Q - I is the trivial-group case of ``frobenius_fixed_basis``,
-Frob - I on (F_p[x]/(u)) G, which the group-ring splitter of ``catalog``
-reads too; a factor re-checks as irreducible when its nullity is 1.
+Frob - I on (F_p[x]/(u)) G, which ``catalog`` reads to split F_{p^d} G for
+d > 1; a factor re-checks as irreducible when its nullity is 1.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ def frobenius_fixed_basis(tail, p: int, images) -> list[list[int]]:
     """Basis of the null space of Frob - I on K G, K = F_p[x]/(x^d + tail) with
     d = len(tail) and images[g] the index of g^p, coordinate g*d + k holding
     x^k g.  Frob sends x^k g to (x^p)^k g^p, so column (g, k) holds (x^p)^k in
-    block g^p, all from one x^p (none when d = 1); images = (0,) is Berlekamp's."""
+    block g^p, all from one x^p; images = (0,) is Berlekamp's."""
     d = len(tail)
     n = d * len(images)
-    xp = _powmod([0, 1], p, tail, p) if d > 1 else []
+    xp = _powmod([0, 1], p, tail, p)
     powers = [[1]]
     while len(powers) < d:
         powers.append(poly_mulmod(powers[-1], xp, tail, p))

@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+import idemlift.catalog as catalog
 from idemlift.catalog import (
     brute_force_idempotents,
     crt_combine,
@@ -24,6 +25,7 @@ from idemlift.group_rings import GroupRing, Ring
 from idemlift.groups import AbelianGroup, TRIVIAL_GROUP
 from idemlift.oracle import brute_force_scan
 from idemlift.parsing import build_ring
+from idemlift.polynomials import frobenius_fixed_basis
 from idemlift.quotients import QuotientRing, ResidueRing, gaussian_ring
 
 
@@ -140,6 +142,21 @@ def _over(p, q, *factors):
     return GroupRing(base, AbelianGroup(factors))
 
 
+def _rref(rows, p):
+    """The reduced row-echelon form of the rows mod p, zero rows dropped."""
+    rows, out = [[v % p for v in row] for row in rows], []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [v * pow(pivot[col], -1, p) % p for v in pivot]
+        rows, out = ([[(a - row[col] * b) % p for a, b in zip(row, pivot)] for row in block]
+                     for block in (rows, out))
+        out.append(pivot)
+    return out
+
+
 class TestFrobeniusIdempotents:
     @pytest.mark.parametrize(
         "ring",
@@ -223,6 +240,33 @@ class TestFrobeniusIdempotents:
         monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(193, None, 64)).primitive) == 64
         assert len(calls) < 6200
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            _over(2, None, 4),
+            _over(3, None, 6),
+            _over(2, None, 2, 6),
+            _over(3, None, 2, 2, 2, 2, 2, 2),
+            _over(2, None, 2, 2, 2, 2, 2, 2),
+            _over(5, None, 5, 5),
+            _over(7, None, 3, 7),
+            _over(2, None, 7, 7),
+            _over(2, None, 63),
+            _over(193, None, 64),
+        ],
+        ids=lambda r: r.expression(),
+    )
+    def test_orbit_sums_span_the_fixed_space(self, ring):
+        # over F_p, p dividing |G| or not, the orbit sums of g -> g^p on the
+        # p'-elements span the null space of Frob - I on F_p G, and they are
+        # the basis its elimination gives, in its order, so the splitter
+        # makes the products it made from that basis
+        p, group = ring.coefficient_modulus, ring.group
+        null = frobenius_fixed_basis((0,), p, [group.power(g, p) for g in range(group.order)])
+        sums = [list(h.coeff_vector()) for h in catalog._orbit_sums(ring, p)]
+        assert _rref(sums, p) == _rref(null, p)
+        assert sums == null
 
     def test_dimension_cap(self):
         assert frobenius_idempotents(_over(2, None, 64)).count == 2
@@ -579,7 +623,7 @@ class TestEnumerate:
         assert fam.ring is ring
         assert fam.provenance == provenance
 
-    def test_component_count_walked_once_per_ring(self, monkeypatch):
+    def test_component_count_computed_once_per_ring(self, monkeypatch):
         import idemlift.group_rings as group_rings
 
         calls = []
@@ -588,6 +632,11 @@ class TestEnumerate:
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         ring = GroupRing(ResidueRing(2), AbelianGroup((7,)))  # hat refused, then split
         assert enumerate_idempotents(ring).count == enumerate_idempotents(ring).count == 8
+        assert len(calls) == 1
+        # C65 is not elementary abelian and over the splitter's dimension
+        # cap: both routes refuse it before they need its count
+        with pytest.raises(SizeLimitError):
+            enumerate_idempotents(GroupRing(ResidueRing(2), AbelianGroup((65,))))
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

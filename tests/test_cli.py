@@ -339,12 +339,14 @@ class TestCount:
         assert "capped at dimension 64" in err
 
     @pytest.mark.parametrize(
-        "ring", ["Z(2){C1009}", "Z(2){C100003}", "Z(2)[x]/(1 + x^1024){C256xC256}"]
+        "ring",
+        ["Z(2){C1009}", "Z(2){" + "x".join(["C3"] * 10) + "}", "Z(2){C100003}",
+         "Z(2)[x]/(1 + x^1024){C256xC256}"],
     )
     def test_over_cap_exits_fast(self, capsys, ring):
-        # C1009 is over the Frobenius dimension cap, C100003 over the
-        # group-order cap, and the last ring (dimension 2^26) over the ring
-        # dimension cap
+        # C1009 and C3^10 are over the Frobenius dimension cap, C100003 over
+        # the group-order cap, and the last ring (dimension 2^26) over the
+        # ring dimension cap
         start = time.perf_counter()
         code, _, err = run(capsys, "count", ring)
         assert code == 3 and err.startswith("error: ")
@@ -452,19 +454,69 @@ class TestCount:
                        "primitive count: 9\n")
         assert len(products) <= 473
 
-    @pytest.mark.parametrize("ring, walks", [("Z(2){C7}", 1), ("Z(1000){C7xC7}", 2)])
-    def test_orbits_walked_once_per_prime(self, capsys, monkeypatch, ring, walks):
-        # a refused hat route leaves the ring's cached orbit count to the
-        # splitter; over F_5 the hat family of C7xC7 certifies, over F_2 it
-        # is refused
+    @pytest.mark.parametrize(
+        "ring, code, counts",
+        [("Z(2){C7}", 0, 1), ("Z(1000){C7xC7}", 0, 2), ("Z(2){" + "x".join(["C3"] * 10) + "}", 3, 0)],
+    )
+    def test_component_count_computed_once_per_prime(self, capsys, monkeypatch, ring, code, counts):
+        # a refused hat route leaves the ring's cached component count to
+        # the splitter; over F_5 the hat family of C7xC7 certifies, over F_2
+        # it is refused; C3^10 over F_2 is refused by both routes before
+        # either needs the count
         from idemlift import group_rings
 
         calls = []
         real = group_rings.frobenius_orbit_count
         monkeypatch.setattr(group_rings, "frobenius_orbit_count",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
-        code, _, err = run(capsys, "count", ring)
-        assert (code, err, len(calls)) == (0, "", walks)
+        got, _, err = run(capsys, "count", ring)
+        assert (got, err == "", len(calls)) == (code, code == 0, counts)
+
+    def test_component_count_visits_no_group_element(self, capsys, monkeypatch):
+        # the certificate's count is the closed form: while it runs, no group
+        # element is multiplied, powered or indexed.  Over F_2 the splitter's
+        # basis walks the orbits of C7xC7 itself, outside the count.
+        from idemlift import group_rings
+        from idemlift.groups import AbelianGroup
+
+        counting, visits = [False], []
+        for name in ("mul", "power", "exponents", "index"):
+            real = getattr(AbelianGroup, name)
+            monkeypatch.setattr(AbelianGroup, name, lambda self, *a, _name=name, _real=real:
+                                (counting[0] and visits.append(_name)) or _real(self, *a))
+        real_count = group_rings.frobenius_orbit_count
+
+        def count(*args, **kwargs):
+            counting[0] = True
+            try:
+                return real_count(*args, **kwargs)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(group_rings, "frobenius_orbit_count", count)
+        code, out, err = run(capsys, "count", "Z(1000){C7xC7}")
+        assert (code, err, visits) == (0, "", [])
+        assert out == "|E(Z(1000){C7xC7})| = 67108864 = 2^26\nprimitive count: 26\n"
+
+    def test_fixed_space_matrix_only_over_extension_bases(self, capsys, monkeypatch):
+        # over Z_p the splitter's basis is the orbit sums, and no Frob - I is
+        # built; F_{1009^d} C3 for d > 1 and Berlekamp still build theirs
+        from idemlift import catalog, polynomials
+
+        calls = []
+        for module in (catalog, polynomials):
+            real = module.frobenius_fixed_basis
+            monkeypatch.setattr(module, "frobenius_fixed_basis",
+                                lambda *a, _name=module.__name__, _real=real:
+                                calls.append(_name) or _real(*a))
+        code, _, err = run(capsys, "count", "Z(99){C16}")
+        assert (code, err, calls) == (0, "", [])
+        code, _, err = run(capsys, "count", "Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3}")
+        assert (code, err) == (0, "")
+        assert set(calls) == {"idemlift.catalog", "idemlift.polynomials"}
+        calls.clear()
+        code, _, err = run(capsys, "count", "Z(3)[i]")  # Berlekamp alone: x^2 + 1 is irreducible
+        assert (code, err, set(calls)) == (0, "", {"idemlift.polynomials"})
 
 
 class TestPrimitive:

@@ -1,6 +1,7 @@
 """Abelian groups, subgroup enumeration, and Frobenius orbit counting."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -167,16 +168,45 @@ class TestFrobeniusOrbits:
             p = rng.choice([2, 3, 5, 7, 11])
             if any(n % p == 0 for n in factors):
                 continue
-            count = frobenius_orbit_count(g, p)
-            # independent recount: follow g -> g^p from every start
-            seen = set()
-            orbits = 0
-            for idx in range(g.order):
-                if idx in seen:
-                    continue
-                orbits += 1
-                cur = idx
-                while cur not in seen:
-                    seen.add(cur)
-                    cur = g.power(cur, p)
-            assert count == orbits
+            assert frobenius_orbit_count(g, p) == _walked_orbits(g, p)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(2,) * 6, (4, 4, 4), (64,), (7, 7), (3, 9), (8, 8), (2, 6)],
+        ids=lambda fs: "x".join(f"C{n}" for n in fs),
+    )
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 193, 65537, 2**64 - 59])
+    def test_closed_form_matches_the_walk(self, factors, p):
+        # where p divides |G|, both count on the p'-part, as
+        # ``GroupRing._components`` does
+        group = _p_prime_part(factors, p)
+        for degree in (1, 2, 3):
+            assert frobenius_orbit_count(group, p, degree) == _walked_orbits(group, p**degree)
+
+    def test_closed_form_visits_no_group_element(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a group element was visited")
+
+        for name in ("mul", "power", "exponents", "index"):
+            monkeypatch.setattr(AbelianGroup, name, forbidden)
+        assert frobenius_orbit_count(AbelianGroup((251, 251)), 2) == 1261
+        assert frobenius_orbit_count(AbelianGroup((7, 7)), 2) == 17
+
+
+def _walked_orbits(group: AbelianGroup, q: int) -> int:
+    """Orbits of g -> g^q on the group, followed from every start."""
+    seen, orbits = set(), 0
+    for start in range(group.order):
+        if start not in seen:
+            orbits += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = group.power(x, q)
+    return orbits
+
+
+def _p_prime_part(factors, p: int) -> AbelianGroup:
+    """G_p': every cyclic factor without its p-part, the trivial ones dropped."""
+    coprime = [n // gcd(n, p**n.bit_length()) for n in factors]
+    return AbelianGroup(tuple(n for n in coprime if n > 1))

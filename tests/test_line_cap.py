@@ -1,9 +1,9 @@
 """The package's line cap: ``wc -l src/idemlift/*.py`` stays at most 2,891.
 
 2,891 lines is the size of the package once its carriers are one class,
-``group_rings.Ring``, each built from its shape, with the scalar test in
-one method and no claim arguments that only tests passed; code that grows
-it past the cap pays for the lines by deleting others.
+``group_rings.Ring``, each built from its shape, and its component count
+is a closed form beside an orbit-sum splitter over Z_p; code that grows it
+past the cap pays for the lines by deleting others.
 """
 
 from pathlib import Path
