@@ -66,55 +66,5 @@ from .rings import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "CncChain",
-    "FamilyCheck",
-    "GroupRing",
-    "GroupRingElement",
-    "IdemliftError",
-    "IdempotentFamily",
-    "LiftReport",
-    "ParseError",
-    "PolyFactorization",
-    "PrimePowerFactorization",
-    "QuotientRing",
-    "ResidueRing",
-    "Ring",
-    "RingExpression",
-    "SizeLimitError",
-    "Subgroup",
-    "UnsupportedError",
-    "VerificationError",
-    "all_subgroups",
-    "berlekamp_factor",
-    "binomial_lift",
-    "brute_force_idempotents",
-    "brute_force_scan",
-    "build_ring",
-    "chain_for_nilpotent_ideal",
-    "chain_lift",
-    "crt_combine",
-    "crt_combine_powerform",
-    "cyclic_base_idempotents",
-    "enumerate_idempotents",
-    "factorize",
-    "frobenius_idempotents",
-    "frobenius_orbit_count",
-    "gaussian_ring",
-    "group_from_factors",
-    "hat_family",
-    "is_prime",
-    "modular_inverse",
-    "nilpotency_index",
-    "parse_element",
-    "parse_ring",
-    "poly_crt_combine",
-    "poly_gcd",
-    "power_lift",
-    "standard_chain",
-    "subgroup_generated",
-    "verify_family",
-    "verify_idempotent",
-    "verify_orthogonal",
-]
+# every class and function imported above; no submodule has a __module__
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and hasattr(v, "__module__"))

@@ -51,7 +51,7 @@ from .group_rings import GroupRing, Ring
 from .groups import AbelianGroup, Subgroup, TRIVIAL_GROUP, order_q_subgroups
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import _product, _require_prime, berlekamp_factor, frobenius_fixed_basis
+from .polynomials import _product, _require_prime, berlekamp_factor, berlekamp_massey, frobenius_fixed_basis
 from .quotients import QuotientRing, ResidueRing
 from .rings import factorize, is_prime, modular_inverse
 
@@ -123,11 +123,13 @@ def _build_family(ring: Ring, primitive, components: int, provenance: str) -> Id
     return IdempotentFamily(ring=ring, primitive=primitive, provenance=provenance)
 
 
-def _refine(ring: Ring, families, k: int) -> list:
-    """Split 1 into k pieces: each piece e becomes the nonzero e*f over the
-    members f of the next family of orthogonal idempotents summing to 1,
-    and a piece with e*f = e is kept whole at once."""
-    primitive = [ring.one] if k else []  # k = 0 only in the zero ring, where 1 = 0
+def _refine(ring: Ring, families, k: int, primitive=None) -> list:
+    """Split 1, or the pieces ``primitive`` of it, into k pieces: each piece
+    e becomes the nonzero e*f over the members f of the next family of
+    orthogonal idempotents summing to 1, and a piece with e*f = e is kept
+    whole at once."""
+    if primitive is None:
+        primitive = [ring.one] if k else []  # k = 0 only in the zero ring, where 1 = 0
     while len(primitive) < k:
         family = next(families, None)
         if family is None:
@@ -178,9 +180,9 @@ def cyclic_base_idempotents(n: int, p: int) -> IdempotentFamily:
 
 
 def _splitting_families(ring: GroupRing, hs, p: int):
-    """Orthogonal idempotents of B that sum to 1, one family per basis
-    element h of B (over odd p, per shift a and h), each with at least two
-    nonzero members.
+    """Orthogonal idempotents of B that sum to 1, one family per h in hs,
+    basis elements of B or one combination of them (over odd p, per shift
+    a and h), each with at least two nonzero members.
 
     B is F_p^k as an algebra.  Over F_2 every h is idempotent and gives
     {h, 1 - h}.  Over odd p, w = (h + a)^((p - 1)/2) is 0 or +-1 on each
@@ -213,8 +215,10 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     or not A is semisimple (Friedl & Ronyai 1985).  Over F_p it sends
     sum a_g g to sum a_g g^p, and E(F_p G) = E(F_p G_p') (Passman 1977), so
     the orbit sums of the p'-elements are a basis of B (``_orbit_sums``);
-    over F_{p^d}, d > 1, B is the null space of Frob - I.  These h, less
-    the scalars, refine 1 into dim B pieces (``_splitting_families``,
+    over F_{p^d}, d > 1, B is the null space of Frob - I.  For p > (dim
+    B)^2 one combination h* of them splits 1 as far as it can, as counted
+    by Berlekamp-Massey (``_split_by_combined``); then these h, less the
+    scalars, refine the pieces into dim B (``_splitting_families``,
     ``_refine``), all products in A's own kernel.  The family is certified
     against the closed-form count of the orbits of g -> g^(p^d) on G_p',
     which shares no code with the basis.
@@ -235,9 +239,35 @@ def _frobenius_route(ring: GroupRing):
         images = [group.power(g, p) for g in range(group.order)]
         basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
     # a scalar is constant on every component
-    hs = [h for h in basis if ring.scalar_of(h) is None]
-    primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
+    hs, k = [h for h in basis if ring.scalar_of(h) is None], len(basis)
+    pieces = _split_by_combined(ring, hs, k, p) if 2 < k and k * k < p else None
+    primitive = _refine(ring, _splitting_families(ring, hs, p), k, pieces)
     return ring, primitive, ring._components, "factorization"
+
+
+def _split_by_combined(ring: GroupRing, hs, k: int, p: int) -> list:
+    """1 split into d pieces by h* = sum_i r^i h_i alone, over the non-scalar
+    basis h_i in order, r the first of 2^64/phi mod p (Knuth's multiplicative
+    hash), plus 1, ..., with r^|G| != 0, 1 mod p.  On a split cyclic G = <g>
+    the h_i are g, g^2, ..., and h* is a Moebius map of the value z of g,
+    ((r^|G| - 1)/(rz - 1) - 1)/r: one value per component.  (r = 2 has 2
+    values on F_257 C16, where 2^16 = 1, and puts two of F_p C6's four
+    components on one for every p = 5 mod 6.)  d is the linear complexity of
+    the identity coefficients of h*^i, i < 2k: at most the number of values
+    of h*, which the shifts of ``_splitting_families`` separate.  Tried for
+    2 < k and p > k^2, where a uniform h in B collides on C(k, 2)/p < 1/2
+    pairs of components on average; at k = 2, h* is a multiple of the one h,
+    and no k > 2 is admitted over F_2."""
+    n, start = ring.group.order, 0x9E3779B97F4A7C15 % p
+    r = next((r for r in range(start, start + p) if pow(r, n, p) > 1), 2)  # none if p - 1 | n
+    total = sum(pow(r, i, p) * h.value for i, h in enumerate(hs))
+    h = ring.from_coeffs(ring.unpack(total))  # slots stay under the product bound
+    powers = [1, h.value]
+    while len(powers) < 2 * k:
+        powers.append(ring.mul(powers[-1], h.value))
+    mask = (1 << ring._layout.slot) - 1
+    d = berlekamp_massey([v & mask for v in powers], p)
+    return _refine(ring, _splitting_families(ring, [h], p), d)
 
 
 def _orbit_sums(ring: GroupRing, p: int) -> list:
@@ -253,7 +283,8 @@ def _orbit_sums(ring: GroupRing, p: int) -> list:
                 seen.add(g)
                 orbit.add(g)
                 g = group.power(g, p)
-    return [ring.from_coeffs([int(g in orbit) for g in range(group.order)])
+    lay = ring._layout
+    return [ring.element(ring, sum(1 << lay.positions[g] * lay.slot for g in orbit))
             for orbit in sorted(orbits, key=max)]
 
 

@@ -179,10 +179,9 @@ def _cmd_primitive(args) -> int:
 
 
 def _render_tower(tower: tuple) -> str:
-    if len(tower) == 2:
-        s, count = tower
-        return f"{s}^{count}"
-    return " * ".join(str(s) for s in tower)
+    if isinstance(tower[0], int):  # one run of equal steps
+        return "{}^{}".format(*tower)
+    return " * ".join(f"{s}^{count}" if count > 1 else str(s) for s, count in tower)
 
 
 def _cmd_lift(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb, gcd
 
 from .errors import VerificationError
@@ -82,13 +82,11 @@ class CncChain(namedtuple("CncChain", "ring ss ts base_ring", defaults=(None,)))
     # ``_replace`` builds through ``_make``: send it through the checks too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def exponent_tower(self) -> tuple[int, int] | tuple[int, ...]:
-        """(s, count) when the s_i coincide, else the explicit step list."""
-        if not self.ss:
-            return (1, 0)
-        if all(s == self.ss[0] for s in self.ss):
-            return (self.ss[0], len(self.ss))
-        return tuple(self.ss)
+    def exponent_tower(self) -> tuple[int, int] | tuple[tuple[int, int], ...]:
+        """(s, count) when the s_i coincide, else the (s, count) runs of equal
+        steps in order: steps 2, 3 give ((2, 1), (3, 1)), not 2^3's (2, 3)."""
+        runs = tuple((s, len(list(g))) for s, g in groupby(self.ss)) or ((1, 0),)
+        return runs[0] if len(runs) == 1 else runs
 
 
 class LiftReport(

@@ -25,7 +25,7 @@ d > 1; a factor re-checks as irreducible when its nullity is 1.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 
 from .errors import SizeLimitError
 from .rings import is_prime, modular_inverse
@@ -126,6 +126,24 @@ def _ext_gcd(f, g, p: int) -> tuple[list[int], list[int]]:
         old_r, r, old_u, u = r, _trim(rem), u, _trim([(a - b) % p for a, b in diff])
     inv = pow(old_r[-1], -1, p)
     return [c * inv % p for c in old_r], [c * inv % p for c in old_u]
+
+
+def berlekamp_massey(seq, p: int) -> int:
+    """The linear complexity of seq over F_p, p prime: the least L with some
+    recurrence s_n + c_1 s_{n-1} + ... + c_L s_{n-L} = 0 (mod p) for every
+    L <= n < len(seq), by Berlekamp-Massey (Massey 1969)."""
+    c, b, length, shift, last = [1], [1], 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(ci * seq[n - i] for i, ci in enumerate(c)) % p  # c[i] = 0 where n < i
+        if d:
+            t, coef = c, d * pow(last, -1, p) % p
+            c = c + [0] * (len(b) + shift - len(c))
+            for i, bi in enumerate(b):
+                c[i + shift] = (c[i + shift] - coef * bi) % p
+            if 2 * length <= n:
+                length, b, last, shift = n + 1 - length, t, d, 0
+        shift += 1
+    return length
 
 
 def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
@@ -272,8 +290,10 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
     """Deterministic full factorization over F_p of the coefficient
     sequence ``coeffs``, lowest degree first.
 
-    Verifies its own output: the factors multiply back to the input, are
-    pairwise coprime, and each passes an irreducibility re-check.
+    Verifies its own output: the factors multiply back to the input, each
+    passes an irreducibility re-check, and each divides it at least once
+    with a cofactor invertible modulo its power, which makes them pairwise
+    coprime (the cofactor of q_i is the product of the other q_j^{e_j}).
     """
     _require_prime(p, "berlekamp_factor")
     f = _trim([c % p for c in coeffs])
@@ -295,6 +315,8 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
             if _trim(rem):
                 break
             rest, e, qe = quo, e + 1, [c % p for c in _product(qe, q)]
+        if not e:  # q listed twice: its cofactor check below would pass vacuously
+            raise ArithmeticError(f"factor {q} does not divide what is left of the input")
         factors.append((q, e))
         powers.append(qe)
     if rest != [1]:
@@ -306,9 +328,6 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
             raise ArithmeticError(f"factor {q} failed irreducibility re-check")
     if check != f:
         raise ArithmeticError("factor product does not reproduce the input")
-    for a, b in combinations(distinct, 2):
-        if len(_gcd(a, b, p)) != 1:
-            raise ArithmeticError("factors are not pairwise coprime")
     cofactors = []
     inverses = []
     for qe in powers:

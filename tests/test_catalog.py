@@ -223,7 +223,7 @@ class TestFrobeniusIdempotents:
 
         monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(1009, None, 16)).primitive) == 16
-        assert len(calls) < 4000
+        assert len(calls) <= 284  # 1,867 by the basis families alone
 
     def test_split_pieces_are_not_refined(self, monkeypatch):
         # F_193 C64 has 64 components (64 divides 192).  A piece e with
@@ -278,6 +278,98 @@ class TestFrobeniusIdempotents:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             frobenius_idempotents(_over(4, None, 3))
+
+
+class TestCombinedSplit:
+    """One combination h* of B's basis splits 1 first, as far as the linear
+    complexity d of its identity coefficients says, where 2 < k and p > k^2."""
+
+    @pytest.fixture
+    def complexities(self, monkeypatch):
+        seen = []
+        real = catalog.berlekamp_massey
+        monkeypatch.setattr(catalog, "berlekamp_massey", lambda s, p: seen.append(real(s, p)) or seen[-1])
+        return seen
+
+    @pytest.mark.parametrize(
+        "expr, admitted",
+        [
+            ("Z(13){C3}", True),  # k = 3 and 13 > 9
+            ("Z(7){C3}", False),  # k = 3 and 7 < 9
+            ("Z(17){C4}", True),
+            ("Z(13){C4}", False),
+            ("Z(257){C16}", True),  # 257 > 256, and 2^16 = 1 mod 257
+            ("Z(241){C16}", False),
+            ("Z(11){C3}", False),  # k = 2: h* is a multiple of the one h
+            ("Z(2){C7}", False),  # k = 3 over F_2
+            ("Z(3){C2xC2}", False),
+            ("Z(1019)[i]{C5}", True),  # F_{1019^2} C5, k = 5
+            ("Z(7)[i]{C5}", False),
+        ],
+    )
+    def test_admitted_where_p_exceeds_k_squared(self, complexities, expr, admitted):
+        ring = build_ring(expr)
+        k, p = ring._components, ring.coefficient_modulus
+        assert len(frobenius_idempotents(ring).primitive) == k
+        assert (2 < k and k * k < p) == admitted
+        assert len(complexities) == admitted
+
+    # from the d/k grid: admitted rings where h* takes fewer than k values
+    SHORT = [
+        ("Z(11)[i]{C3}", 2, 3),
+        ("Z(17){C6}", 3, 4),
+        ("Z(41){C9}", 2, 3),
+        ("Z(43){C2xC4}", 5, 6),
+        ("Z(67){C8}", 4, 5),
+        ("Z(79){C2xC2xC2}", 7, 8),
+        ("Z(103){C3xC3}", 8, 9),
+        ("Z(31)[i]{C4}", 3, 4),
+        ("Z(71)[x]/(2 + x^2){C6}", 4, 6),
+    ]
+
+    @pytest.mark.parametrize("expr, d, k", SHORT)
+    def test_basis_families_finish_what_h_star_cannot(self, monkeypatch, complexities, expr, d, k):
+        ring = build_ring(expr)
+        fam = frobenius_idempotents(ring)
+        assert complexities == [d] and len(fam.primitive) == k == ring._components
+        # the primitives are unique: the basis families alone give the same ones
+        monkeypatch.setattr(catalog, "_split_by_combined", lambda *args: None)
+        assert _vectors(frobenius_idempotents(ring).primitive) == _vectors(fam.primitive)
+
+    def test_short_combination_matches_oracle(self, complexities):
+        ring = build_ring("Z(11)[i]{C3}")
+        fam = frobenius_idempotents(ring)
+        assert complexities == [2] and len(fam.primitive) == 3
+        assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**21))
+
+    @pytest.mark.parametrize("expr", ["Z(1009){C7}", "Z(257){C16}", "Z(65537){C32}", "Z(1021){C5xC5}"])
+    def test_separating_combination_makes_no_basis_family(self, monkeypatch, complexities, expr):
+        # d = k: h*'s own shifts finish the split, and no h of the basis is
+        # raised to a power
+        ring = build_ring(expr)
+        made = []
+        real = catalog._splitting_families
+
+        def families(ring, hs, p):
+            for family in real(ring, hs, p):
+                made.append(len(hs))
+                yield family
+
+        monkeypatch.setattr(catalog, "_splitting_families", families)
+        assert len(frobenius_idempotents(ring).primitive) == ring._components
+        assert complexities == [ring._components] and set(made) == {1}
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(7, 1009), (8, 1049), (11, 1013), (16, 257), (16, 1009), (32, 65537),
+         (3, 31), (5, 71), (9, 163), (16, 3089)],
+    )
+    def test_one_value_per_component_of_a_split_cyclic_group(self, complexities, n, p):
+        # h* is a Moebius map of the value of g on each component, given
+        # r^n != 1: d = k whatever the order of 2 mod p.  In the last four
+        # the hash constant's own residue r has r^n = 1 and is passed over
+        fam = frobenius_idempotents(_over(p, None, n))
+        assert complexities == [n] == [len(fam.primitive)]
 
 
 class TestHatFamily:

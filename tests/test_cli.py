@@ -445,6 +445,21 @@ class TestCount:
         assert out == "|E(Z(936){C5xC5})| = 2097152 = 2^21\nprimitive count: 21\n"
         assert len(products) <= 90
 
+    def test_admitted_splitter_raises_no_basis_element(self, capsys, products):
+        # F_1049 C8 is admitted (8^2 < 1049): h* separates the 8 components,
+        # and no basis element is raised to a power (588 products when every
+        # basis element was, at every shift)
+        out = "|E(Z(1049){C8})| = 256 = 2^8\nprimitive count: 8\n"
+        assert run(capsys, "count", "Z(1049){C8}") == (0, out, "")
+        assert len(products) <= 143
+
+    def test_unadmitted_splitter_unchanged(self, capsys, products):
+        # F_3 C16 and F_11 C16 have 7 components each, and 7^2 exceeds both
+        # primes: the basis families alone split them, as before h*
+        out = "|E(Z(99){C16})| = 16384 = 2^14\nprimitive count: 14\n"
+        assert run(capsys, "count", "Z(99){C16}") == (0, out, "")
+        assert len(products) == 122
+
     def test_frobenius_matrix_built_in_the_list_kernel(self, capsys, products):
         # the F_{1009^d} C3 splitter's Frob - I comes from one x^p of the
         # list kernel, not from d ring powers (593 products when it did)

@@ -134,7 +134,22 @@ class TestChainValidation:
 
     def test_mixed_steps_explicit(self):
         chain = CncChain(ResidueRing(36), (2, 3), (2, 2))
-        assert chain.exponent_tower() == (2, 3)
+        assert chain.exponent_tower() == ((2, 1), (3, 1))
+        chain = CncChain(ResidueRing(36), (2, 2, 3), (2, 2, 2))
+        assert chain.exponent_tower() == ((2, 2), (3, 1))
+
+    def test_lift_by_2_times_3_reads_apart_from_2_cubed(self):
+        # 2 * 3 and 2^3 were both (2, 3); the report, its JSON and the text
+        # tower must tell them apart, and a uniform chain keeps its old form
+        ring = ResidueRing(36)
+        f = ring.from_int(15)
+        mixed = chain_lift(f, CncChain(ring, (2, 3), (2, 2)))
+        uniform = chain_lift(f, CncChain(ring, (2, 2, 2), (2, 2, 2)))
+        assert (mixed.tower, uniform.tower) == (((2, 1), (3, 1)), (2, 3))
+        assert mixed.to_json_dict(ring)["tower"] != uniform.to_json_dict(ring)["tower"]
+        assert uniform.to_json_dict(ring)["tower"] == [2, 3]
+        assert (cli._render_tower(mixed.tower), cli._render_tower(uniform.tower)) == ("2 * 3", "2^3")
+        assert cli._render_tower(CncChain(ring, (2, 2, 3), (2, 2, 2)).exponent_tower()) == "2^2 * 3"
 
     def test_each_distinct_step_factorized_once(self, factorize_calls):
         calls = factorize_calls

@@ -26,6 +26,7 @@ from idemlift.polynomials import (
     _split_by,
     _trim,
     berlekamp_factor,
+    berlekamp_massey,
     frobenius_fixed_basis,
     poly_gcd,
     poly_mulmod,
@@ -271,8 +272,21 @@ class TestBerlekamp:
         with pytest.raises(ValueError):
             berlekamp_factor((1, 0, 1), 6)
 
+    @pytest.mark.parametrize("f, p", [((4, 0, 1), 5), ((1, 0, 1), 3), ((4,) + (0,) * 6 + (1,), 29)])
+    def test_duplicated_factor_rejected(self, monkeypatch, f, p):
+        # a factor listed twice divides what the first copy leaves 0 times,
+        # and its cofactor check modulo q^0 = 1 would pass; no pairwise gcd
+        # is taken any more, so the exponent check must catch it
+        import idemlift.polynomials as polynomials
+
+        real = polynomials._distinct_irreducible_factors
+        monkeypatch.setattr(polynomials, "_distinct_irreducible_factors",
+                            lambda g, q: real(g, q)[:1] + real(g, q))
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            berlekamp_factor(f, p)
+
     def test_prime_checked_once(self, monkeypatch):
-        # the splitting, coprimality and Bezout gcds trust the entry check
+        # the splitting and Bezout gcds trust the entry check
         import idemlift.polynomials as polynomials
 
         calls = []
@@ -380,3 +394,76 @@ class TestBerlekampAgainstSympy:
     @pytest.mark.parametrize("n", [7, 12, 31, 64])
     def test_x_n_minus_1(self, p, n):
         self._check((p - 1,) + (0,) * (n - 1) + (1,), p)
+
+
+def _rank(rows, p: int) -> int:
+    rows, rank = [[v % p for v in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                c = rows[r][col] * inv
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _shortest_recurrence(seq, p: int) -> int:
+    """The least L for which c_1 s_{n-1} + ... + c_L s_{n-L} = -s_n (L <= n
+    < N) has a solution mod p: every c tried over F_2 and F_3, the ranks of
+    the system compared otherwise."""
+    for length in range(len(seq) + 1):
+        rows = [[seq[i - j] for j in range(1, length + 1)] + [-seq[i]] for i in range(length, len(seq))]
+        if p <= 3:
+            if any(all(sum(a * b for a, b in zip(c, row)) % p == row[-1] % p for row in rows)
+                   for c in product(range(p), repeat=length)):
+                return length
+        elif _rank([row[:-1] for row in rows], p) == _rank(rows, p):
+            return length
+    raise AssertionError("unreachable: L = N always fits")
+
+
+def _geometric_sum(terms, n: int, p: int) -> list[int]:
+    """s_i = sum_j c_j lam_j^i for i < n: its linear complexity is the number
+    of distinct lam_j whose c_j do not sum to 0."""
+    return [sum(c * pow(lam, i, p) for c, lam in terms) % p for i in range(n)]
+
+
+_BM_PRIMES = [1009, 2**64 - 59]
+
+
+def _bm_grid():
+    rng = random.Random(29)
+    for p in _BM_PRIMES:
+        for n in range(0, 13):
+            yield p, [rng.randrange(p) for _ in range(n)]
+        for k in range(1, 6):
+            lams = rng.sample(range(1, min(p, 10**6)), k)
+            yield p, _geometric_sum([(rng.randrange(1, p), lam) for lam in lams], 2 * k + 2, p)
+        yield p, [0, 0, 0, 1, 0, 0]
+        yield p, [0] * 6
+        yield p, [1] + [0] * 7
+        yield p, [1, 2, 4, 8, 16, 32, 64]
+        yield p, [5, 5, 3, 2, 7, 3, 1, 1, 9, 0][: 4 + p % 6]
+
+
+class TestBerlekampMassey:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_short_sequence_over_tiny_fields(self, p):
+        for n in range(8 if p == 2 else 6):
+            for seq in product(range(p), repeat=n):
+                assert berlekamp_massey(list(seq), p) == _shortest_recurrence(seq, p), seq
+
+    @pytest.mark.parametrize("p, seq", list(_bm_grid()))
+    def test_against_the_shortest_recurrence_by_linear_algebra(self, p, seq):
+        assert berlekamp_massey(seq, p) == _shortest_recurrence(seq, p)
+
+    @pytest.mark.parametrize("p", _BM_PRIMES)
+    def test_sum_of_geometric_terms(self, p):
+        # equal lam_j merge, and a term whose coefficients cancel drops out
+        seq = _geometric_sum([(1, 3), (2, 5), (7, 11), (1, 1000), (4, 5), (p - 1, 1000)], 10, p)
+        assert berlekamp_massey(seq, p) == 3
