@@ -3,48 +3,37 @@
 Enumeration follows one shape everywhere: find the idempotents of the
 residue ring mod each prime p dividing the coefficient modulus, raise each
 to p^{r-1} to lift it to the prime-power part, and glue the prime parts
-with the CRT weights s_i * m_i.  Completeness is multiplicative across
-primes; primitivity is additive (one embedded primitive per prime
-component).
+with the CRT weights s_i * m_i.  Over a prime there is one route per
+carrier kind: {0, 1} for Z_p, the factorization of the quotient
+polynomial for a quotient base, and for F_p G the paper's hat family
+where it certifies, else the Frobenius splitter, which also serves F_q G,
+q = p^d: the character idempotents where exp(G) divides q - 1, else
+idempotents of the Frobenius-fixed subalgebra B from ring products alone.
+The brute-force scan is the independent check, never a provider.
 
-Over a prime there is one route per carrier kind: {0, 1} for Z_p, the
-factorization of the quotient polynomial for a quotient base, and for
-F_p G the paper's hat family where it certifies, else the splitting of
-the Frobenius-fixed subalgebra B, spanned by orbit sums of the p'-elements
-of G, which also serves F_{p^d} G.  B is F_p^k as an algebra, so it is
-split by idempotents made of ring products alone, in the ring's own
-kernel.  The brute-force scan is the independent check, never a provider.
-
-The idempotents form a Boolean algebra whose atoms are the primitive
-idempotents, and the gluing is additive over the prime parts.  So each
-internal route (``_base_route``, the routes it dispatches to, and the
-glue of ``_poly_route`` and ``_crt_route``) takes the carrier it answers
-for and hands on uncertified candidate primitives, one lift per
-primitive, with a component count computed without looking at them: 1
-per field factor, a group ring's ``_components`` (its number of simple
-components, the Frobenius orbit count of Perlis & Walker 1950, in closed
-form and at most once per ring), and for the glue the sum of its
-components' counts over Berlekamp's factor list or the primes of m.  Only
-the public function the caller invoked checks that its modulus is prime
-and certifies, once (``_build_family``): the primitives it returns are
-checked for idempotency, orthogonality, their sum, and their number
-against that count.  A family that cannot be certified is an error,
-never a silent downgrade.
-
-A family is its certified primitives and nothing more: E(ring) is listed
-from it only when ``values`` is first read, as the subset sums of the
-primitives' order keys, each holding its packed value in its low bits, in
-one pass and one plain sort, and every listed member is squared, in the
-ring's own kernel and 256 at a time.  Capping a listing is the caller's
-choice.  The oracle's scan and the power form build members of their
-own, and each must equal the listing of the family it certifies.
+The idempotents form a Boolean algebra whose atoms are the primitives, and
+the glue is additive, so each internal route (``_base_route``, the routes
+it dispatches to, and the glue of ``_poly_route`` and ``_crt_route``) takes
+the carrier it answers for and hands on uncertified candidate primitives,
+one lift each, with a component count computed without looking at them: 1
+per field factor, a group ring's ``_components`` (the Frobenius orbit
+count of Perlis & Walker 1950, in closed form, once per ring), and for the
+glue the sum of its parts' counts.  Only the public function the caller
+invoked checks that its modulus is prime and certifies, once
+(``_build_family``): idempotency, orthogonality, the sum, and the number
+against that count.  A family that cannot be certified is an error, never
+a silent downgrade.  A family is its certified primitives and nothing
+more: ``values`` lists E(ring) from them on first read, and the oracle's
+scan and the power form, which build members of their own, must each
+equal that listing.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import SizeLimitError, UnsupportedError, VerificationError
 from .group_rings import GroupRing, Ring
@@ -180,17 +169,13 @@ def cyclic_base_idempotents(n: int, p: int) -> IdempotentFamily:
 
 
 def _splitting_families(ring: GroupRing, hs, p: int):
-    """Orthogonal idempotents of B that sum to 1, one family per h in hs,
-    basis elements of B or one combination of them (over odd p, per shift
-    a and h), each with at least two nonzero members.
-
-    B is F_p^k as an algebra.  Over F_2 every h is idempotent and gives
-    {h, 1 - h}.  Over odd p, w = (h + a)^((p - 1)/2) is 0 or +-1 on each
-    component, so u = w^2 and s = (u + w)/2 give {s, u - s, 1 - u}: the
-    components where h + a is a nonzero square, a non-square, and zero
-    (the equal-degree split of Cantor & Zassenhaus 1981).  Two components
-    where h differs fall apart at the shift that zeroes one of them, so the
-    shifts a = 0 .. p - 1 separate every pair.
+    """Orthogonal idempotents of B that sum to 1, at least two nonzero, one
+    family per h in hs and, over odd p, per shift a.  B is F_p^k as an
+    algebra: over F_2 each h is idempotent and gives {h, 1 - h}; over odd
+    p, w = (h + a)^((p - 1)/2) is 0 or +-1 on each component, so u = w^2
+    and s = (u + w)/2 give {s, u - s, 1 - u}, the components where h + a is
+    a nonzero square, a non-square, and zero (Cantor & Zassenhaus 1981).
+    The shifts a = 0 .. p - 1 separate every two components where h differs.
     """
     one = ring.one
     for a in range(p if p > 2 else 1):  # over F_2 a shift swaps h and 1 - h
@@ -208,56 +193,72 @@ def _splitting_families(ring: GroupRing, hs, p: int):
 
 
 def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
-    """E(KG) for K = F_p or F_p[x]/(q) with q irreducible, any G and any p.
-
-    Frobenius a -> a^p is F_p-linear on the commutative algebra A = KG, and
-    its fixed space B is the F_p-span of A's primitive idempotents, whether
-    or not A is semisimple (Friedl & Ronyai 1985).  Over F_p it sends
-    sum a_g g to sum a_g g^p, and E(F_p G) = E(F_p G_p') (Passman 1977), so
-    the orbit sums of the p'-elements are a basis of B (``_orbit_sums``);
-    over F_{p^d}, d > 1, B is the null space of Frob - I.  For p > (dim
-    B)^2 one combination h* of them splits 1 as far as it can, as counted
-    by Berlekamp-Massey (``_split_by_combined``); then these h, less the
-    scalars, refine the pieces into dim B (``_splitting_families``,
-    ``_refine``), all products in A's own kernel.  The family is certified
-    against the closed-form count of the orbits of g -> g^(p^d) on G_p',
-    which shares no code with the basis.
-    """
-    _require_prime(ring.coefficient_modulus, "frobenius_idempotents")
+    """E(KG) for K = F_q, q = p^d, as F_p or F_p[x]/(f), f irreducible, any G
+    and any p.  Where exp(G) divides q - 1, KG is K^|G|, split by its
+    characters (``_characters``).  Otherwise the fixed space B of a -> a^p on
+    A = KG is the F_p-span of A's primitives (Friedl & Ronyai 1985): over F_p
+    the orbit sums of g -> g^p on the p'-elements (``_orbit_sums``; E(F_p G)
+    = E(F_p G_p'), Passman 1977), else the null space of Frob - I, split by
+    one combination h* first where p > (dim B)^2 (``_split_by_combined``),
+    then by the basis less the scalars (``_splitting_families``)."""
+    _require_prime(p := ring.coefficient_modulus, "frobenius_idempotents")
+    if (f := getattr(ring.base, "q", None)) and berlekamp_factor(f, p).factors != ((f, 1),):
+        raise ValueError(f"frobenius_idempotents requires a field, got {ring.base.expression()}")
     return _build_family(*_frobenius_route(ring))
 
 
 def _frobenius_route(ring: GroupRing):
-    if (n := ring.dimension) > FROBENIUS_DIMENSION_CAP:
-        raise SizeLimitError(
-            f"Frobenius splitting capped at dimension {FROBENIUS_DIMENSION_CAP}, got {n}"
-        )
+    if (n := ring.dimension) > (cap := FROBENIUS_DIMENSION_CAP):
+        raise SizeLimitError(f"Frobenius splitting capped at dimension {cap}, got {n}")
     p, group = ring.coefficient_modulus, ring.group
-    if ring.base.dimension == 1:
-        basis = _orbit_sums(ring, p)
-    else:
-        images = [group.power(g, p) for g in range(group.order)]
-        basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
-    # a scalar is constant on every component
-    hs, k = [h for h in basis if ring.scalar_of(h) is None], len(basis)
-    pieces = _split_by_combined(ring, hs, k, p) if 2 < k and k * k < p else None
-    primitive = _refine(ring, _splitting_families(ring, hs, p), k, pieces)
+    if (primitive := _characters(ring)) is None:
+        if ring.base.dimension == 1:
+            basis = _orbit_sums(ring, p)
+        else:
+            images = [group.power(g, p) for g in range(group.order)]
+            basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
+        # a scalar is constant on every component
+        hs, k = [h for h in basis if ring.scalar_of(h) is None], len(basis)
+        pieces = _split_by_combined(ring, hs, k, p) if 2 < k and k * k < p else None
+        primitive = _refine(ring, _splitting_families(ring, hs, p), k, pieces)
     return ring, primitive, ring._components, "factorization"
+
+
+def _characters(ring: GroupRing) -> list | None:
+    """F_q G's primitives where exp(G) = e divides q - 1, else None: for each
+    a in G, |G|^-1 sum_b zeta^(-sum_i a_i b_i e / n_i) g_b (Perlis & Walker
+    1950), by an outer product over the cyclic factors, packed once.  zeta is
+    the first y^((q - 1)/e) of order e, y read from the base-p digits of c =
+    1, 2, ..., or of c = p, p + 1, ... (past F_p) when d > 1."""
+    base, p, factors = ring.base, ring.coefficient_modulus, ring.group.factors
+    d, q, e = base.dimension, p**base.dimension, lcm(*factors)
+    if (q - 1) % e:
+        return None
+    for c in itertools.count(1 if d == 1 else p):
+        y = base.pack([c // p**i % p for i in range(d)])  # c itself when d = 1
+        z = pow(y, (q - 1) // e, p) if d == 1 else (base.element(base, y) ** ((q - 1) // e)).value
+        powers = [modular_inverse(ring.group.order, p)]  # |G|^-1 z^t, t < e
+        while len(powers) < e:
+            powers.append(powers[-1] * z % p if d == 1 else base.mul(powers[-1], z))
+        if powers[0] not in powers[1:]:  # z has order e
+            break
+    blocks, rows = [base.unpack(v) for v in powers], [[0]]
+    for n in factors:  # rows[a][b] = -sum_i a_i b_i e / n_i, a and b in index order
+        rows = [[t - a * b * (e // n) for t in row for b in range(n)]
+                for row in rows for a in range(n)]
+    return [ring.element(ring, ring.pack([c for t in row for c in blocks[t % e]])) for row in rows]
 
 
 def _split_by_combined(ring: GroupRing, hs, k: int, p: int) -> list:
     """1 split into d pieces by h* = sum_i r^i h_i alone, over the non-scalar
     basis h_i in order, r the first of 2^64/phi mod p (Knuth's multiplicative
-    hash), plus 1, ..., with r^|G| != 0, 1 mod p.  On a split cyclic G = <g>
-    the h_i are g, g^2, ..., and h* is a Moebius map of the value z of g,
-    ((r^|G| - 1)/(rz - 1) - 1)/r: one value per component.  (r = 2 has 2
-    values on F_257 C16, where 2^16 = 1, and puts two of F_p C6's four
-    components on one for every p = 5 mod 6.)  d is the linear complexity of
-    the identity coefficients of h*^i, i < 2k: at most the number of values
-    of h*, which the shifts of ``_splitting_families`` separate.  Tried for
-    2 < k and p > k^2, where a uniform h in B collides on C(k, 2)/p < 1/2
-    pairs of components on average; at k = 2, h* is a multiple of the one h,
-    and no k > 2 is admitted over F_2."""
+    hash), plus 1, ..., with r^|G| != 0, 1 mod p, which on a split cyclic
+    <g> would make h* one-to-one in the value of g.  d, the linear complexity
+    of the identity coefficients of h*^i, i < 2k, is at most the number of
+    values of h*, which the shifts of ``_splitting_families`` separate.
+    Tried for 2 < k and p > k^2, where a uniform h in B collides on
+    C(k, 2)/p < 1/2 pairs of components on average; at k = 2, h* is a
+    multiple of the one h, and no k > 2 is admitted over F_2."""
     n, start = ring.group.order, 0x9E3779B97F4A7C15 % p
     r = next((r for r in range(start, start + p) if pow(r, n, p) > 1), 2)  # none if p - 1 | n
     total = sum(pow(r, i, p) * h.value for i, h in enumerate(hs))
@@ -271,30 +272,28 @@ def _split_by_combined(ring: GroupRing, hs, k: int, p: int) -> list:
 
 
 def _orbit_sums(ring: GroupRing, p: int) -> list:
-    """B's basis over F_p: the orbit sums of g -> g^p on the p'-elements, the g
-    with g^n = e for n the p'-part of |G|, by largest element, as in Frob - I."""
-    group = ring.group
-    n = group.order // gcd(group.order, p ** group.order.bit_length())
-    seen, orbits = set(), []
-    for g in range(group.order):
-        if g not in seen and group.power(g, n) == 0:
-            orbits.append(orbit := set())
-            while g not in seen:
-                seen.add(g)
-                orbit.add(g)
-                g = group.power(g, p)
+    """B's basis over F_p: the orbit sums of g -> g^p on the p'-elements, by
+    largest element, as in Frob - I, walked digit by digit on the cyclic factors."""
+    image, orbits = [(0, 0)], []  # (g, g^p) by index
+    for n in ring.group.factors:
+        step = gcd(n, p ** n.bit_length())  # a p'-element's digit is a multiple of n's p-part
+        image = [(g * n + b, h * n + b * p % n) for g, h in image for b in range(0, n, step)]
+    for g in list(image := dict(image)):
+        if g in image:
+            orbits.append(orbit := [])
+            while g in image:
+                orbit.append(g)
+                g = image.pop(g)
     lay = ring._layout
     return [ring.element(ring, sum(1 << lay.positions[g] * lay.slot for g in orbit))
             for orbit in sorted(orbits, key=max)]
 
 
 def hat_family(group: AbelianGroup, p: int) -> IdempotentFamily:
-    """Subgroup-average idempotents of F_p G for elementary abelian G of rank <= 2.
-
-    Rank 1 uses {G-hat, 1 - G-hat}; rank 2 uses G-hat plus H-hat - G-hat
-    over the q + 1 subgroups H of order q of C_q x C_q.  The family is certified
-    against the Frobenius orbit count or rejected outright.
-    """
+    """Subgroup-average idempotents of F_p G for elementary abelian G of rank
+    <= 2: {G-hat, 1 - G-hat} at rank 1, and G-hat plus H-hat - G-hat over the
+    q + 1 subgroups H of order q of C_q x C_q at rank 2, certified against
+    the Frobenius orbit count or rejected outright."""
     _require_prime(p, "hat_family")
     return _build_family(*_hat_route(GroupRing(ResidueRing(p), group)))
 

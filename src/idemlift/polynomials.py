@@ -18,8 +18,8 @@ gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the shifts a = 0, 1, 2, ...
 F_2.  Each split costs O(log p) products, not the O(p) gcds of trying
 every constant; the shifts are fixed, so identical input gives identical
 output.  Q - I is the trivial-group case of ``frobenius_fixed_basis``,
-Frob - I on (F_p[x]/(u)) G, which ``catalog`` reads to split F_{p^d} G for
-d > 1; a factor re-checks as irreducible when its nullity is 1.
+Frob - I on (F_p[x]/(u)) G, read by ``catalog`` for F_{p^d} G, d > 1, where
+exp(G) does not divide p^d - 1; a factor re-checks as irreducible by nullity 1.
 """
 
 from __future__ import annotations

@@ -210,10 +210,10 @@ class TestFrobeniusIdempotents:
         assert fam.count == 2**16 and len(fam.primitive) == 16
 
     def test_split_by_characters_not_by_zeros(self, monkeypatch):
-        # F_1009 C16 is split (16 divides 1008): its 16 components differ in
-        # the quadratic character of h + a for a few shifts a, at O(log p)
-        # products each; telling them apart only where h + a is 0 would
-        # walk hundreds of shifts
+        # F_1013 C16 is not split (16 does not divide 1012): its 8 components
+        # differ in the quadratic character of h + a for a few shifts a, at
+        # O(log p) products each; telling them apart only where h + a is 0
+        # would walk hundreds of shifts
         calls = []
         real = Ring.mul
 
@@ -222,14 +222,14 @@ class TestFrobeniusIdempotents:
             return real(self, a, b)
 
         monkeypatch.setattr(Ring, "mul", counting)
-        assert len(frobenius_idempotents(_over(1009, None, 16)).primitive) == 16
-        assert len(calls) <= 284  # 1,867 by the basis families alone
+        assert len(frobenius_idempotents(_over(1013, None, 16)).primitive) == 8
+        assert len(calls) <= 188  # 481 by the basis families alone
 
     def test_split_pieces_are_not_refined(self, monkeypatch):
-        # F_193 C64 has 64 components (64 divides 192).  A piece e with
-        # e * f = e lies under f and is kept without the products by the
-        # other members of f, and the scalar null vector splits nothing;
-        # multiplying every piece by every member took 10,499 products
+        # F_65521 C64 has 32 components (64 does not divide 65520).  A piece
+        # e with e * f = e lies under f and is kept without the products by
+        # the other members of f, and the scalar null vector splits nothing;
+        # multiplying every piece by every member took 1,071 products
         calls = []
         real = Ring.mul
 
@@ -238,8 +238,8 @@ class TestFrobeniusIdempotents:
             return real(self, a, b)
 
         monkeypatch.setattr(Ring, "mul", counting)
-        assert len(frobenius_idempotents(_over(193, None, 64)).primitive) == 64
-        assert len(calls) < 6200
+        assert len(frobenius_idempotents(_over(65521, None, 64)).primitive) == 32
+        assert len(calls) <= 944
 
     @pytest.mark.parametrize(
         "ring",
@@ -279,10 +279,22 @@ class TestFrobeniusIdempotents:
         with pytest.raises(ValueError):
             frobenius_idempotents(_over(4, None, 3))
 
+    @pytest.mark.parametrize("q", [(1, 0, 1), (1, 2, 1)], ids=["(x + 585)(x + 664)", "(x + 1)^2"])
+    def test_base_that_is_no_field_rejected(self, q):
+        # the certificate's count is a field's: over F_1249[x]/(x^2 + 1) =
+        # F_1249^2 it would be 3 where C3 gives 6 components, and the three
+        # character idempotents over F_1249^2 would pass it unsplit
+        with pytest.raises(ValueError, match="requires a field"):
+            frobenius_idempotents(_over(1249, q, 3))
+        assert enumerate_idempotents(_over(1249, q, 3)).count == 2 ** (6 if q[1] == 0 else 3)
+
 
 class TestCombinedSplit:
     """One combination h* of B's basis splits 1 first, as far as the linear
-    complexity d of its identity coefficients says, where 2 < k and p > k^2."""
+    complexity d of its identity coefficients says, where 2 < k and p > k^2.
+    Only rings that are not split (exp(G) not dividing q - 1) build B, so
+    every ring here is one of those, except where ``_split_by_combined`` is
+    called directly."""
 
     @pytest.fixture
     def complexities(self, monkeypatch):
@@ -294,37 +306,39 @@ class TestCombinedSplit:
     @pytest.mark.parametrize(
         "expr, admitted",
         [
-            ("Z(13){C3}", True),  # k = 3 and 13 > 9
-            ("Z(7){C3}", False),  # k = 3 and 7 < 9
-            ("Z(17){C4}", True),
-            ("Z(13){C4}", False),
-            ("Z(257){C16}", True),  # 257 > 256, and 2^16 = 1 mod 257
-            ("Z(241){C16}", False),
+            ("Z(11){C4}", True),  # k = 3 and 11 > 9
+            ("Z(7){C4}", False),  # k = 3 and 7 < 9
+            ("Z(41){C7}", True),  # k = 4 and 41 > 16
+            ("Z(13){C7}", False),
+            ("Z(281){C16}", True),  # k = 12 and 281 > 144
+            ("Z(137){C16}", False),  # k = 12 and 137 < 144
             ("Z(11){C3}", False),  # k = 2: h* is a multiple of the one h
             ("Z(2){C7}", False),  # k = 3 over F_2
-            ("Z(3){C2xC2}", False),
-            ("Z(1019)[i]{C5}", True),  # F_{1019^2} C5, k = 5
+            ("Z(103){C4xC4}", True),  # k = 10 and 103 > 100
+            ("Z(5){C3xC3}", False),
+            ("Z(47)[i]{C9}", True),  # F_{47^2} C9, k = 5
             ("Z(7)[i]{C5}", False),
         ],
     )
     def test_admitted_where_p_exceeds_k_squared(self, complexities, expr, admitted):
         ring = build_ring(expr)
         k, p = ring._components, ring.coefficient_modulus
+        assert catalog._characters(ring) is None
         assert len(frobenius_idempotents(ring).primitive) == k
         assert (2 < k and k * k < p) == admitted
         assert len(complexities) == admitted
 
     # from the d/k grid: admitted rings where h* takes fewer than k values
     SHORT = [
-        ("Z(11)[i]{C3}", 2, 3),
+        ("Z(59)[i]{C7}", 2, 3),
         ("Z(17){C6}", 3, 4),
         ("Z(41){C9}", 2, 3),
         ("Z(43){C2xC4}", 5, 6),
         ("Z(67){C8}", 4, 5),
-        ("Z(79){C2xC2xC2}", 7, 8),
-        ("Z(103){C3xC3}", 8, 9),
-        ("Z(31)[i]{C4}", 3, 4),
-        ("Z(71)[x]/(2 + x^2){C6}", 4, 6),
+        ("Z(211){C2xC2xC4}", 10, 12),
+        ("Z(127){C4xC4}", 9, 10),
+        ("Z(47)[i]{C9}", 4, 5),
+        ("Z(47)[x]/(2 + x^2){C5}", 2, 3),
     ]
 
     @pytest.mark.parametrize("expr, d, k", SHORT)
@@ -336,13 +350,18 @@ class TestCombinedSplit:
         monkeypatch.setattr(catalog, "_split_by_combined", lambda *args: None)
         assert _vectors(frobenius_idempotents(ring).primitive) == _vectors(fam.primitive)
 
-    def test_short_combination_matches_oracle(self, complexities):
+    def test_short_combination_matches_oracle(self, monkeypatch, complexities):
+        # no ring that is not split has d < k and few enough elements to
+        # scan (the smallest found, F_17 C6, has 17^6 > 2^24), so F_121 C3,
+        # which is split, is sent down the basis route by turning the
+        # character route off
+        monkeypatch.setattr(catalog, "_characters", lambda ring: None)
         ring = build_ring("Z(11)[i]{C3}")
         fam = frobenius_idempotents(ring)
         assert complexities == [2] and len(fam.primitive) == 3
         assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**21))
 
-    @pytest.mark.parametrize("expr", ["Z(1009){C7}", "Z(257){C16}", "Z(65537){C32}", "Z(1021){C5xC5}"])
+    @pytest.mark.parametrize("expr", ["Z(233){C16}", "Z(367){C32}", "Z(199){C5xC5}", "Z(83)[i]{C13}"])
     def test_separating_combination_makes_no_basis_family(self, monkeypatch, complexities, expr):
         # d = k: h*'s own shifts finish the split, and no h of the basis is
         # raised to a power
@@ -365,11 +384,95 @@ class TestCombinedSplit:
          (3, 31), (5, 71), (9, 163), (16, 3089)],
     )
     def test_one_value_per_component_of_a_split_cyclic_group(self, complexities, n, p):
-        # h* is a Moebius map of the value of g on each component, given
-        # r^n != 1: d = k whatever the order of 2 mod p.  In the last four
-        # the hash constant's own residue r has r^n = 1 and is passed over
-        fam = frobenius_idempotents(_over(p, None, n))
-        assert complexities == [n] == [len(fam.primitive)]
+        # on a split cyclic group the non-scalar orbit sums are g, ..., g^(n-1),
+        # and h* is a Moebius map of the value of g on each component, given
+        # r^n != 1: d = n whatever the order of 2 mod p.  In the last four
+        # the hash constant's own residue r has r^n = 1 and is passed over.
+        # The pipeline splits these rings by their characters, so the
+        # combination is called directly.
+        ring = _over(p, None, n)
+        hs = [ring.from_coeffs([int(i == j) for i in range(n)]) for j in range(1, n)]
+        pieces = catalog._split_by_combined(ring, hs, n, p)
+        assert complexities == [n] == [len(pieces)]
+        assert _vectors(pieces) == _vectors(frobenius_idempotents(ring).primitive)
+
+
+class TestCharacters:
+    """Where exp(G) = e divides q - 1, F_q G is split and its primitives are
+    its character idempotents, built with products in F_q alone; they go to
+    the same certificate as every other route's."""
+
+    GRID = [
+        "Z(7){C3}", "Z(13){C4}", "Z(11){C5}", "Z(1009){C7}", "Z(17){C8}", "Z(257){C16}",
+        "Z(97){C32}", "Z(193){C64}", "Z(13){C2xC6}", "Z(1021){C5xC5}", "Z(5){C2xC2xC4}",
+        "Z(17){C2xC2xC2xC4}", "Z(3){C2xC2xC2xC2xC2}", "Z(7){C2xC2xC2xC2xC2xC2}",
+        "Z(4611686018427388039){C6}", "Z(18446744073709551557){C4}",
+        "Z(18446744073709551557){C2xC4}", "Z(7)[i]{C8}", "Z(11)[i]{C3}", "Z(3)[i]{C8}",
+        "Z(5)[x]/(2 + x^2){C3xC3}", "Z(2)[x]/(1 + x + x^4){C15}",
+        "Z(2)[x]/(1 + x + x^2){C3xC3}",
+    ]
+
+    @pytest.mark.parametrize("expr", GRID)
+    def test_equals_the_basis_family_splitter(self, monkeypatch, expr):
+        ring = build_ring(expr)
+        assert len(catalog._characters(ring)) == ring.group.order == ring._components
+        fam = frobenius_idempotents(ring)
+        monkeypatch.setattr(catalog, "_characters", lambda ring: None)
+        assert _vectors(frobenius_idempotents(ring).primitive) == _vectors(fam.primitive)
+
+    @pytest.mark.parametrize("expr", ["Z(5){C4}", "Z(13){C3}", "Z(5){C2xC2}", "Z(3)[i]{C4}"])
+    def test_matches_oracle(self, expr):
+        ring = build_ring(expr)
+        assert catalog._characters(ring) is not None
+        fam = frobenius_idempotents(ring)
+        assert _vectors(fam.members) == _vectors(brute_force_scan(ring))
+
+    @pytest.mark.parametrize(
+        "expr, tried",
+        [
+            # 1 and 2 (of order 8 mod 17) give z of order 1 and 8; 3 is a
+            # primitive root
+            ("Z(17){C16}", [[1], [2], [3]]),
+            # over F_49, i has order 4 and 1 + i order 24, so z = y^6 has
+            # order 2 and 4; 2 + i has order 48
+            ("Z(7)[i]{C8}", [[0, 1], [1, 1], [2, 1]]),
+        ],
+    )
+    def test_search_passes_over_candidates_of_lower_order(self, monkeypatch, expr, tried):
+        ring = build_ring(expr)
+        packed = []
+        real = Ring.pack
+        monkeypatch.setattr(
+            Ring, "pack", lambda self, cs: (self is ring.base and packed.append(list(cs))) or real(self, cs)
+        )
+        assert len(frobenius_idempotents(ring).primitive) == ring.group.order
+        assert packed == tried
+
+    NOT_SPLIT = ["Z(11){C3}", "Z(2){C7}", "Z(3){C6}", "Z(7)[i]{C5}", "Z(17){C6}"]
+
+    @pytest.mark.parametrize("expr", GRID[:8] + ["Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3}", "Z(5){C2xC2}"])
+    def test_split_rings_build_no_fixed_space(self, monkeypatch, expr):
+        # neither B's basis nor its splitting families are made for a split
+        # ring, whichever public function it reaches the splitter from
+        def forbidden(*args):
+            raise AssertionError("the fixed space was built for a split ring")
+
+        for name in ("_orbit_sums", "frobenius_fixed_basis", "_splitting_families"):
+            monkeypatch.setattr(catalog, name, forbidden)
+        ring = build_ring(expr)
+        assert enumerate_idempotents(ring).count > 1  # certified, or it raises
+        if isinstance(ring.base, ResidueRing):
+            assert len(frobenius_idempotents(ring).primitive) == ring.group.order
+
+    @pytest.mark.parametrize("expr", NOT_SPLIT)
+    def test_other_rings_build_the_fixed_space(self, monkeypatch, expr):
+        def forbidden(*args):
+            raise AssertionError("the fixed space was built")
+
+        for name in ("_orbit_sums", "frobenius_fixed_basis", "_splitting_families"):
+            monkeypatch.setattr(catalog, name, forbidden)
+        with pytest.raises(AssertionError, match="the fixed space was built"):
+            frobenius_idempotents(build_ring(expr))
 
 
 class TestHatFamily:

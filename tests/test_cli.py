@@ -446,12 +446,26 @@ class TestCount:
         assert len(products) <= 90
 
     def test_admitted_splitter_raises_no_basis_element(self, capsys, products):
-        # F_1049 C8 is admitted (8^2 < 1049): h* separates the 8 components,
-        # and no basis element is raised to a power (588 products when every
-        # basis element was, at every shift)
-        out = "|E(Z(1049){C8})| = 256 = 2^8\nprimitive count: 8\n"
-        assert run(capsys, "count", "Z(1049){C8}") == (0, out, "")
-        assert len(products) <= 143
+        # F_233 C16 is not split (16 does not divide 232) and is admitted
+        # (12^2 < 233): h* separates the 12 components, and no basis element
+        # is raised to a power (485 products when every basis element was,
+        # at every shift)
+        out = "|E(Z(233){C16})| = 4096 = 2^12\nprimitive count: 12\n"
+        assert run(capsys, "count", "Z(233){C16}") == (0, out, "")
+        assert len(products) <= 170
+
+    @pytest.mark.parametrize(
+        "ring, log2, count",
+        [("Z(1009){C7}", 7, 13), ("Z(193){C64}", 64, 127), ("Z(1049){C8}", 8, 15)],
+    )
+    def test_split_ring_makes_only_the_certificate_products(self, capsys, products, ring, log2, count):
+        # exp(G) divides p - 1: the character idempotents are built with
+        # products in F_p alone, so the ring products are the certificate's
+        # 2k - 1 (295, 6,087 and 143 when these rings were split through
+        # the Frobenius-fixed subalgebra)
+        out = f"|E({ring})| = {2**log2} = 2^{log2}\nprimitive count: {log2}\n"
+        assert run(capsys, "count", ring) == (0, out, "")
+        assert len(products) == count == 2 * log2 - 1
 
     def test_unadmitted_splitter_unchanged(self, capsys, products):
         # F_3 C16 and F_11 C16 have 7 components each, and 7^2 exceeds both
@@ -461,13 +475,14 @@ class TestCount:
         assert len(products) == 122
 
     def test_frobenius_matrix_built_in_the_list_kernel(self, capsys, products):
-        # the F_{1009^d} C3 splitter's Frob - I comes from one x^p of the
-        # list kernel, not from d ring powers (593 products when it did)
-        code, out, _ = run(capsys, "count", "Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3}")
+        # the F_{1013^d} C3 splitter's Frob - I, for the factors of degree
+        # d = 3 and 5 (1013 = 2 mod 3, so neither F_{1013^d} C3 is split),
+        # comes from one x^p of the list kernel, not from d ring powers
+        code, out, _ = run(capsys, "count", "Z(1013)[x]/(3 + 2*x + x^5 + x^8){C3}")
         assert code == 0
-        assert out == ("|E(Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3})| = 512 = 2^9\n"
-                       "primitive count: 9\n")
-        assert len(products) <= 473
+        assert out == ("|E(Z(1013)[x]/(3 + 2*x + x^5 + x^8){C3})| = 16 = 2^4\n"
+                       "primitive count: 4\n")
+        assert len(products) <= 47
 
     @pytest.mark.parametrize(
         "ring, code, counts",
@@ -515,7 +530,8 @@ class TestCount:
 
     def test_fixed_space_matrix_only_over_extension_bases(self, capsys, monkeypatch):
         # over Z_p the splitter's basis is the orbit sums, and no Frob - I is
-        # built; F_{1009^d} C3 for d > 1 and Berlekamp still build theirs
+        # built; F_{1013^d} C3 for d = 3 and 5, which are not split, and
+        # Berlekamp still build theirs
         from idemlift import catalog, polynomials
 
         calls = []
@@ -526,7 +542,7 @@ class TestCount:
                                 calls.append(_name) or _real(*a))
         code, _, err = run(capsys, "count", "Z(99){C16}")
         assert (code, err, calls) == (0, "", [])
-        code, _, err = run(capsys, "count", "Z(1009)[x]/(3 + 2*x + x^5 + x^8){C3}")
+        code, _, err = run(capsys, "count", "Z(1013)[x]/(3 + 2*x + x^5 + x^8){C3}")
         assert (code, err) == (0, "")
         assert set(calls) == {"idemlift.catalog", "idemlift.polynomials"}
         calls.clear()
