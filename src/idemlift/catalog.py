@@ -40,7 +40,7 @@ from .group_rings import GroupRing, Ring
 from .groups import AbelianGroup, Subgroup, TRIVIAL_GROUP, order_q_subgroups
 from .lifting import verify_family, verify_idempotent
 from .oracle import DEFAULT_BRUTE_CAP, brute_force_scan
-from .polynomials import _product, _require_prime, berlekamp_factor, berlekamp_massey, frobenius_fixed_basis
+from .polynomials import _product, _require_prime, berlekamp_factor, frobenius_fixed_basis
 from .quotients import QuotientRing, ResidueRing
 from .rings import factorize, is_prime, modular_inverse
 
@@ -112,13 +112,11 @@ def _build_family(ring: Ring, primitive, components: int, provenance: str) -> Id
     return IdempotentFamily(ring=ring, primitive=primitive, provenance=provenance)
 
 
-def _refine(ring: Ring, families, k: int, primitive=None) -> list:
-    """Split 1, or the pieces ``primitive`` of it, into k pieces: each piece
-    e becomes the nonzero e*f over the members f of the next family of
-    orthogonal idempotents summing to 1, and a piece with e*f = e is kept
-    whole at once."""
-    if primitive is None:
-        primitive = [ring.one] if k else []  # k = 0 only in the zero ring, where 1 = 0
+def _refine(ring: Ring, families, k: int) -> list:
+    """Split 1 into k pieces: each piece e becomes the nonzero e*f over the
+    members f of the next family of orthogonal idempotents summing to 1,
+    and a piece with e*f = e is kept whole at once."""
+    primitive = [ring.one] if k else []  # k = 0 only in the zero ring, where 1 = 0
     while len(primitive) < k:
         family = next(families, None)
         if family is None:
@@ -199,8 +197,7 @@ def frobenius_idempotents(ring: GroupRing) -> IdempotentFamily:
     A = KG is the F_p-span of A's primitives (Friedl & Ronyai 1985): over F_p
     the orbit sums of g -> g^p on the p'-elements (``_orbit_sums``; E(F_p G)
     = E(F_p G_p'), Passman 1977), else the null space of Frob - I, split by
-    one combination h* first where p > (dim B)^2 (``_split_by_combined``),
-    then by the basis less the scalars (``_splitting_families``)."""
+    the basis less the scalars (``_splitting_families``, ``_refine``)."""
     _require_prime(p := ring.coefficient_modulus, "frobenius_idempotents")
     if (f := getattr(ring.base, "q", None)) and berlekamp_factor(f, p).factors != ((f, 1),):
         raise ValueError(f"frobenius_idempotents requires a field, got {ring.base.expression()}")
@@ -218,9 +215,8 @@ def _frobenius_route(ring: GroupRing):
             images = [group.power(g, p) for g in range(group.order)]
             basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
         # a scalar is constant on every component
-        hs, k = [h for h in basis if ring.scalar_of(h) is None], len(basis)
-        pieces = _split_by_combined(ring, hs, k, p) if 2 < k and k * k < p else None
-        primitive = _refine(ring, _splitting_families(ring, hs, p), k, pieces)
+        hs = [h for h in basis if ring.scalar_of(h) is None]
+        primitive = _refine(ring, _splitting_families(ring, hs, p), len(basis))
     return ring, primitive, ring._components, "factorization"
 
 
@@ -247,28 +243,6 @@ def _characters(ring: GroupRing) -> list | None:
         rows = [[t - a * b * (e // n) for t in row for b in range(n)]
                 for row in rows for a in range(n)]
     return [ring.element(ring, ring.pack([c for t in row for c in blocks[t % e]])) for row in rows]
-
-
-def _split_by_combined(ring: GroupRing, hs, k: int, p: int) -> list:
-    """1 split into d pieces by h* = sum_i r^i h_i alone, over the non-scalar
-    basis h_i in order, r the first of 2^64/phi mod p (Knuth's multiplicative
-    hash), plus 1, ..., with r^|G| != 0, 1 mod p, which on a split cyclic
-    <g> would make h* one-to-one in the value of g.  d, the linear complexity
-    of the identity coefficients of h*^i, i < 2k, is at most the number of
-    values of h*, which the shifts of ``_splitting_families`` separate.
-    Tried for 2 < k and p > k^2, where a uniform h in B collides on
-    C(k, 2)/p < 1/2 pairs of components on average; at k = 2, h* is a
-    multiple of the one h, and no k > 2 is admitted over F_2."""
-    n, start = ring.group.order, 0x9E3779B97F4A7C15 % p
-    r = next((r for r in range(start, start + p) if pow(r, n, p) > 1), 2)  # none if p - 1 | n
-    total = sum(pow(r, i, p) * h.value for i, h in enumerate(hs))
-    h = ring.from_coeffs(ring.unpack(total))  # slots stay under the product bound
-    powers = [1, h.value]
-    while len(powers) < 2 * k:
-        powers.append(ring.mul(powers[-1], h.value))
-    mask = (1 << ring._layout.slot) - 1
-    d = berlekamp_massey([v & mask for v in powers], p)
-    return _refine(ring, _splitting_families(ring, [h], p), d)
 
 
 def _orbit_sums(ring: GroupRing, p: int) -> list:

@@ -128,24 +128,6 @@ def _ext_gcd(f, g, p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in old_r], [c * inv % p for c in old_u]
 
 
-def berlekamp_massey(seq, p: int) -> int:
-    """The linear complexity of seq over F_p, p prime: the least L with some
-    recurrence s_n + c_1 s_{n-1} + ... + c_L s_{n-L} = 0 (mod p) for every
-    L <= n < len(seq), by Berlekamp-Massey (Massey 1969)."""
-    c, b, length, shift, last = [1], [1], 0, 1, 1
-    for n in range(len(seq)):
-        d = sum(ci * seq[n - i] for i, ci in enumerate(c)) % p  # c[i] = 0 where n < i
-        if d:
-            t, coef = c, d * pow(last, -1, p) % p
-            c = c + [0] * (len(b) + shift - len(c))
-            for i, bi in enumerate(b):
-                c[i + shift] = (c[i + shift] - coef * bi) % p
-            if 2 * length <= n:
-                length, b, last, shift = n + 1 - length, t, d, 0
-        shift += 1
-    return length
-
-
 def _powmod(base: list[int], e: int, tail, m: int) -> list[int]:
     """base**e in Z_m[x]/(x^n + tail), left to right over the bits of e."""
     base = reduce_mod(base, tail, m)

@@ -223,13 +223,17 @@ class TestFrobeniusIdempotents:
 
         monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(1013, None, 16)).primitive) == 8
-        assert len(calls) <= 188  # 481 by the basis families alone
+        # the old bound, 188, counted the products when one combination of
+        # the basis split 1 first
+        assert len(calls) <= 481
 
     def test_split_pieces_are_not_refined(self, monkeypatch):
         # F_65521 C64 has 32 components (64 does not divide 65520).  A piece
         # e with e * f = e lies under f and is kept without the products by
         # the other members of f, and the scalar null vector splits nothing;
-        # multiplying every piece by every member took 1,071 products
+        # multiplying every piece by every member takes 10,028 products.  The
+        # old bound, 944, counted the products when one combination of the
+        # basis split 1 first (1,071 without the break)
         calls = []
         real = Ring.mul
 
@@ -239,7 +243,7 @@ class TestFrobeniusIdempotents:
 
         monkeypatch.setattr(Ring, "mul", counting)
         assert len(frobenius_idempotents(_over(65521, None, 64)).primitive) == 32
-        assert len(calls) <= 944
+        assert len(calls) <= 7634
 
     @pytest.mark.parametrize(
         "ring",
@@ -289,112 +293,96 @@ class TestFrobeniusIdempotents:
         assert enumerate_idempotents(_over(1249, q, 3)).count == 2 ** (6 if q[1] == 0 else 3)
 
 
-class TestCombinedSplit:
-    """One combination h* of B's basis splits 1 first, as far as the linear
-    complexity d of its identity coefficients says, where 2 < k and p > k^2.
-    Only rings that are not split (exp(G) not dividing q - 1) build B, so
-    every ring here is one of those, except where ``_split_by_combined`` is
-    called directly."""
+_P64 = 2**64 - 59
 
-    @pytest.fixture
-    def complexities(self, monkeypatch):
-        seen = []
-        real = catalog.berlekamp_massey
-        monkeypatch.setattr(catalog, "berlekamp_massey", lambda s, p: seen.append(real(s, p)) or seen[-1])
-        return seen
 
-    @pytest.mark.parametrize(
-        "expr, admitted",
-        [
-            ("Z(11){C4}", True),  # k = 3 and 11 > 9
-            ("Z(7){C4}", False),  # k = 3 and 7 < 9
-            ("Z(41){C7}", True),  # k = 4 and 41 > 16
-            ("Z(13){C7}", False),
-            ("Z(281){C16}", True),  # k = 12 and 281 > 144
-            ("Z(137){C16}", False),  # k = 12 and 137 < 144
-            ("Z(11){C3}", False),  # k = 2: h* is a multiple of the one h
-            ("Z(2){C7}", False),  # k = 3 over F_2
-            ("Z(103){C4xC4}", True),  # k = 10 and 103 > 100
-            ("Z(5){C3xC3}", False),
-            ("Z(47)[i]{C9}", True),  # F_{47^2} C9, k = 5
-            ("Z(7)[i]{C5}", False),
-        ],
-    )
-    def test_admitted_where_p_exceeds_k_squared(self, complexities, expr, admitted):
-        ring = build_ring(expr)
-        k, p = ring._components, ring.coefficient_modulus
-        assert catalog._characters(ring) is None
-        assert len(frobenius_idempotents(ring).primitive) == k
-        assert (2 < k and k * k < p) == admitted
-        assert len(complexities) == admitted
+class TestBasisRoute:
+    """Every ring that is not split (exp(G) not dividing q - 1) takes one
+    path: B's basis less the scalars, refined by ``_splitting_families``
+    through ``_refine``.  Its primitives are held against the factorization
+    of x^n - 1, against B's basis from Frob - I, and against the oracle."""
 
-    # from the d/k grid: admitted rings where h* takes fewer than k values
-    SHORT = [
-        ("Z(59)[i]{C7}", 2, 3),
-        ("Z(17){C6}", 3, 4),
-        ("Z(41){C9}", 2, 3),
-        ("Z(43){C2xC4}", 5, 6),
-        ("Z(67){C8}", 4, 5),
-        ("Z(211){C2xC2xC4}", 10, 12),
-        ("Z(127){C4xC4}", 9, 10),
-        ("Z(47)[i]{C9}", 4, 5),
-        ("Z(47)[x]/(2 + x^2){C5}", 2, 3),
+    # (n, p): p dividing n or not, p from 2 to 2^64 - 59
+    CYCLIC = [
+        (3, 2), (5, 2), (7, 2), (9, 2), (12, 2), (15, 2), (21, 2), (27, 2),
+        (5, 3), (6, 3), (7, 3), (10, 3), (13, 3), (16, 3), (18, 3),
+        (8, 5), (12, 5), (25, 5), (9, 7), (14, 7), (24, 7), (49, 7),
+        (4, 11), (7, 11), (9, 11), (11, 13), (15, 17), (20, 31), (7, 41), (8, 103),
+        (16, 233), (32, 1019), (16, 1031), (64, 65521), (9, 1000003),
+        (12, 2**61 - 1), (3, _P64), (7, _P64), (16, _P64),
     ]
 
-    @pytest.mark.parametrize("expr, d, k", SHORT)
-    def test_basis_families_finish_what_h_star_cannot(self, monkeypatch, complexities, expr, d, k):
+    @pytest.mark.parametrize("n, p", CYCLIC)
+    def test_cyclic_matches_the_factorization_of_x_n_minus_1(self, n, p):
+        # F_p C_n is F_p[x]/(x^n - 1), g^i for x^i: the poly route splits it
+        # by Berlekamp's factorization, with no group ring product
+        ring = _over(p, None, n)
+        assert catalog._characters(ring) is None
+        poly = poly_crt_combine(p, (p - 1,) + (0,) * (n - 1) + (1,))
+        assert _vectors(frobenius_idempotents(ring).primitive) == _vectors(poly.primitive)
+
+    RINGS = [
+        "Z(2){C7}", "Z(11){C3}", "Z(11){C4}", "Z(17){C6}", "Z(41){C7}", "Z(41){C9}",
+        "Z(67){C8}", "Z(233){C16}", "Z(281){C16}", "Z(367){C32}", f"Z({_P64}){{C7}}",
+        "Z(2){C2xC6}", "Z(2){C3xC3xC3}", "Z(3){C3xC6}", "Z(3){C2xC2xC4}", "Z(5){C3xC3}",
+        "Z(5){C5xC4}", "Z(7){C3xC9}", "Z(11){C3xC5}", "Z(43){C2xC4}", "Z(103){C4xC4}",
+        "Z(127){C4xC4}", "Z(199){C5xC5}", "Z(211){C2xC2xC4}", f"Z({_P64}){{C3xC3}}",
+        "Z(3)[i]{C5}", "Z(3)[i]{C3xC4}", "Z(7)[i]{C5}", "Z(47)[i]{C9}", "Z(59)[i]{C7}",
+        "Z(83)[i]{C13}", "Z(1000003)[i]{C5}", "Z(2)[x]/(1 + x + x^2){C5}",
+        "Z(2)[x]/(1 + x + x^2){C2xC3}", "Z(5)[x]/(2 + x^2){C7}", "Z(47)[x]/(2 + x^2){C5}",
+        "Z(2)[x]/(1 + x + x^3){C9}", "Z(13)[x]/(2 + x^3){C7}", "Z(2)[x]/(1 + x + x^4){C7}",
+    ]
+
+    @pytest.mark.parametrize("expr", RINGS)
+    def test_each_primitive_spans_one_line_of_the_fixed_space(self, expr):
+        # B, the fixed space of a -> a^p, is F_p^k: e is primitive exactly
+        # when e * h is an F_p-multiple of e for every h in B.  B's basis is
+        # built here from Frob - I, also over F_p, where the route takes
+        # orbit sums instead
         ring = build_ring(expr)
-        fam = frobenius_idempotents(ring)
-        assert complexities == [d] and len(fam.primitive) == k == ring._components
-        # the primitives are unique: the basis families alone give the same ones
-        monkeypatch.setattr(catalog, "_split_by_combined", lambda *args: None)
-        assert _vectors(frobenius_idempotents(ring).primitive) == _vectors(fam.primitive)
-
-    def test_short_combination_matches_oracle(self, monkeypatch, complexities):
-        # no ring that is not split has d < k and few enough elements to
-        # scan (the smallest found, F_17 C6, has 17^6 > 2^24), so F_121 C3,
-        # which is split, is sent down the basis route by turning the
-        # character route off
-        monkeypatch.setattr(catalog, "_characters", lambda ring: None)
-        ring = build_ring("Z(11)[i]{C3}")
-        fam = frobenius_idempotents(ring)
-        assert complexities == [2] and len(fam.primitive) == 3
-        assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**21))
-
-    @pytest.mark.parametrize("expr", ["Z(233){C16}", "Z(367){C32}", "Z(199){C5xC5}", "Z(83)[i]{C13}"])
-    def test_separating_combination_makes_no_basis_family(self, monkeypatch, complexities, expr):
-        # d = k: h*'s own shifts finish the split, and no h of the basis is
-        # raised to a power
-        ring = build_ring(expr)
-        made = []
-        real = catalog._splitting_families
-
-        def families(ring, hs, p):
-            for family in real(ring, hs, p):
-                made.append(len(hs))
-                yield family
-
-        monkeypatch.setattr(catalog, "_splitting_families", families)
-        assert len(frobenius_idempotents(ring).primitive) == ring._components
-        assert complexities == [ring._components] and set(made) == {1}
+        p, group = ring.coefficient_modulus, ring.group
+        assert catalog._characters(ring) is None
+        images = [group.power(g, p) for g in range(group.order)]
+        basis = [ring.from_coeffs(v) for v in frobenius_fixed_basis(ring._shape[1], p, images)]
+        primitive = frobenius_idempotents(ring).primitive
+        assert len(primitive) == len(basis) == ring._components
+        for e in primitive:
+            v = e.coeff_vector()
+            i = next(i for i, c in enumerate(v) if c)
+            for h in basis:
+                w = (e * h).coeff_vector()
+                c = w[i] * pow(v[i], -1, p) % p
+                assert w == tuple(c * x % p for x in v), (e, h)
 
     @pytest.mark.parametrize(
-        "n, p",
-        [(7, 1009), (8, 1049), (11, 1013), (16, 257), (16, 1009), (32, 65537),
-         (3, 31), (5, 71), (9, 163), (16, 3089)],
+        "expr",
+        ["Z(2){C9}", "Z(2){C15}", "Z(2){C2xC2xC3}", "Z(3){C5}", "Z(3){C8}", "Z(3){C10}",
+         "Z(5){C3}", "Z(7){C4}", "Z(11){C4}", "Z(2)[x]/(1 + x + x^2){C7}", "Z(3)[i]{C5}"],
     )
-    def test_one_value_per_component_of_a_split_cyclic_group(self, complexities, n, p):
-        # on a split cyclic group the non-scalar orbit sums are g, ..., g^(n-1),
-        # and h* is a Moebius map of the value of g on each component, given
-        # r^n != 1: d = n whatever the order of 2 mod p.  In the last four
-        # the hash constant's own residue r has r^n = 1 and is passed over.
-        # The pipeline splits these rings by their characters, so the
-        # combination is called directly.
-        ring = _over(p, None, n)
-        hs = [ring.from_coeffs([int(i == j) for i in range(n)]) for j in range(1, n)]
-        pieces = catalog._split_by_combined(ring, hs, n, p)
-        assert complexities == [n] == [len(pieces)]
-        assert _vectors(pieces) == _vectors(frobenius_idempotents(ring).primitive)
+    def test_matches_oracle(self, expr):
+        ring = build_ring(expr)
+        assert catalog._characters(ring) is None
+        fam = frobenius_idempotents(ring)
+        assert _vectors(fam.members) == _vectors(brute_force_scan(ring, cap=2**16))
+
+    def test_refine_keeps_a_piece_under_a_member_whole(self, monkeypatch):
+        # F_2 C7 has components a, b, c: {a + b, c} splits 1 in two products,
+        # then {b + c, a} splits a + b in two and keeps c after one, c * (b + c)
+        a, b, c = frobenius_idempotents(build_ring("Z(2){C7}")).primitive
+        ring, calls = a.ring, []
+        real = Ring.mul
+        monkeypatch.setattr(Ring, "mul", lambda self, x, y: calls.append(None) or real(self, x, y))
+        families = iter([[a + b, c], [b + c, a]])
+        assert catalog._refine(ring, families, 3) == [b, a, c]
+        assert len(calls) == 5
+
+    def test_refine_refuses_families_that_run_out(self):
+        a, b, c = frobenius_idempotents(build_ring("Z(2){C7}")).primitive
+        with pytest.raises(VerificationError, match="split 1 into 2, not 3, pieces"):
+            catalog._refine(a.ring, iter([[a + b, c]]), 3)
+
+    def test_refine_of_the_zero_ring(self):
+        assert catalog._refine(ResidueRing(1), iter([]), 0) == []
 
 
 class TestCharacters:

@@ -445,14 +445,17 @@ class TestCount:
         assert out == "|E(Z(936){C5xC5})| = 2097152 = 2^21\nprimitive count: 21\n"
         assert len(products) <= 90
 
-    def test_admitted_splitter_raises_no_basis_element(self, capsys, products):
-        # F_233 C16 is not split (16 does not divide 232) and is admitted
-        # (12^2 < 233): h* separates the 12 components, and no basis element
-        # is raised to a power (485 products when every basis element was,
-        # at every shift)
-        out = "|E(Z(233){C16})| = 4096 = 2^12\nprimitive count: 12\n"
-        assert run(capsys, "count", "Z(233){C16}") == (0, out, "")
-        assert len(products) <= 170
+    @pytest.mark.parametrize(
+        "ring, log2, count",
+        [("Z(242){C7}", 6, 52), ("Z(242){C9}", 6, 66), ("Z(99){C4}", 6, 53), ("Z(99){C7}", 5, 33)],
+    )
+    def test_unsplit_ring_split_by_the_basis_alone(self, capsys, products, ring, log2, count):
+        # F_11 C4, C7 and C9 have k = 3 components each and are not split:
+        # the basis families alone refine 1, with no combination of the basis
+        # first (54, 57, 54 and 35 products while one was tried for p > k^2)
+        out = f"|E({ring})| = {2**log2} = 2^{log2}\nprimitive count: {log2}\n"
+        assert run(capsys, "count", ring) == (0, out, "")
+        assert len(products) == count
 
     @pytest.mark.parametrize(
         "ring, log2, count",
@@ -468,8 +471,8 @@ class TestCount:
         assert len(products) == count == 2 * log2 - 1
 
     def test_unadmitted_splitter_unchanged(self, capsys, products):
-        # F_3 C16 and F_11 C16 have 7 components each, and 7^2 exceeds both
-        # primes: the basis families alone split them, as before h*
+        # F_3 C16 and F_11 C16 have 7 components each, and neither is split:
+        # the basis families alone split them, as they always have
         out = "|E(Z(99){C16})| = 16384 = 2^14\nprimitive count: 14\n"
         assert run(capsys, "count", "Z(99){C16}") == (0, out, "")
         assert len(products) == 122
