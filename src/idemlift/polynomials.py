@@ -9,10 +9,12 @@ ring elements, of ``QuotientRing`` and ``ResidueRing`` alike, multiply in
 the packed kernel of ``group_rings`` instead.  Gcds and Berlekamp
 factorization require a prime modulus and say so.
 
-The factorizer is Berlekamp's method: squarefree reduction through gcd
-with the derivative (p-th powers handled by coefficient-wise p-th roots,
-which are trivial over F_p), null space of Q - I by Gaussian elimination,
-and splitting by the quadratic character of each basis element b(x):
+The factorizer is Berlekamp's method, one pass over what is left of the
+input: p-th roots (coefficient-wise, trivial over F_p) until the derivative
+is nonzero, one split of that root's squarefree part r / gcd(r, r'), and
+each factor divided out completely, counting its multiplicity.  A split
+takes the null space of Q - I by Gaussian elimination and splits by the
+quadratic character of each basis element b(x):
 gcd(u, (b(x) + a)^((p-1)/2) - 1 mod u) over the shifts a = 0, 1, 2, ...
 (Berlekamp 1970; Cantor & Zassenhaus 1981), or gcd(u, b(x) mod u) over
 F_2.  Each split costs O(log p) products, not the O(p) gcds of trying
@@ -27,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import zip_longest
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, VerificationError
 from .rings import is_prime, modular_inverse
 
 BERLEKAMP_DEGREE_CAP = 64
@@ -212,7 +214,7 @@ def _split_by(u: list[int], h: list[int], p: int) -> list[list[int]]:
         todo = pending
         if not todo:
             return done
-    raise ArithmeticError(f"no shift below {p} splits {u} by {h}")
+    raise VerificationError(f"no shift below {p} splits {u} by {h}")
 
 
 def _split_squarefree(f: list[int], p: int) -> list[list[int]]:
@@ -229,31 +231,10 @@ def _split_squarefree(f: list[int], p: int) -> list[list[int]]:
             continue
         factors = [piece for u in factors for piece in _split_by(u, h, p)]
     if len(factors) != want:
-        raise ArithmeticError(
+        raise VerificationError(
             f"Berlekamp basis of size {want} split {f} into {len(factors)} factors"
         )
     return factors
-
-
-def _distinct_irreducible_factors(f: list[int], p: int) -> list[tuple[int, ...]]:
-    """The monic irreducible factors of a monic f, sorted by (degree, coeffs)."""
-    result = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if len(g) < 2:
-            continue
-        gp = _trim([i * c % p for i, c in enumerate(g)][1:])
-        if not gp:
-            # a p-th power: its p-th root takes every p-th coefficient
-            stack.append(g[::p])
-            continue
-        d = _gcd(g, gp, p)
-        for q in _split_squarefree(_divmod(g, d, p)[0], p):
-            result.add(tuple(q))
-        if len(d) > 1:
-            stack.append(d)
-    return sorted(result, key=lambda q: (len(q), q))
 
 
 class PolyFactorization(namedtuple("PolyFactorization", "unit factors cofactors inverses")):
@@ -272,10 +253,11 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
     """Deterministic full factorization over F_p of the coefficient
     sequence ``coeffs``, lowest degree first.
 
-    Verifies its own output: the factors multiply back to the input, each
-    passes an irreducibility re-check, and each divides it at least once
-    with a cofactor invertible modulo its power, which makes them pairwise
-    coprime (the cofactor of q_i is the product of the other q_j^{e_j}).
+    Verifies its own output and raises ``VerificationError`` if a check
+    fails: the factors multiply back to the input, each passes an
+    irreducibility re-check, and each divides it at least once with a
+    cofactor invertible modulo its power, which makes them pairwise coprime
+    (the cofactor of q_i is the product of the other q_j^{e_j}).
     """
     _require_prime(p, "berlekamp_factor")
     f = _trim([c % p for c in coeffs])
@@ -286,37 +268,32 @@ def berlekamp_factor(coeffs, p: int) -> PolyFactorization:
     unit = f[-1]
     inv = pow(unit, -1, p)
     monic = [c * inv % p for c in f]
-    distinct = _distinct_irreducible_factors(monic, p)
-    factors = []
-    powers = []
+    found = []  # (q, e, q^e), each q divided out of rest completely
     rest = monic
-    for q in distinct:
-        e, qe = 0, [1]
-        while True:
-            quo, rem = _divmod(rest, q, p)
-            if _trim(rem):
-                break
-            rest, e, qe = quo, e + 1, [c % p for c in _product(qe, q)]
-        if not e:  # q listed twice: its cofactor check below would pass vacuously
-            raise ArithmeticError(f"factor {q} does not divide what is left of the input")
-        factors.append((q, e))
-        powers.append(qe)
-    if rest != [1]:
-        raise ArithmeticError("factorization did not exhaust the input")
+    while len(rest) > 1:
+        r = rest
+        while not (dr := _trim([i * c % p for i, c in enumerate(r)][1:])):
+            r = r[::p]  # a p-th power: its p-th root takes every p-th coefficient
+        for q in _split_squarefree(_divmod(r, _gcd(r, dr, p), p)[0], p):
+            e, qe = 0, [1]
+            while not _trim((div := _divmod(rest, q, p))[1]):
+                rest, e, qe = div[0], e + 1, [c % p for c in _product(qe, q)]
+            if not e:  # q split out twice: its cofactor check below would pass vacuously
+                raise VerificationError(f"factor {q} does not divide what is left of the input")
+            found.append((q, e, qe))
     check = [unit]
-    for q, qe in zip(distinct, powers):
+    factors, cofactors, inverses = [], [], []
+    for q, e, qe in sorted(found, key=lambda t: (len(t[0]), t[0])):
         check = [c % p for c in _product(check, qe)]
         if len(q) > 2 and len(frobenius_fixed_basis(q[:-1], p, (0,))) != 1:
-            raise ArithmeticError(f"factor {q} failed irreducibility re-check")
-    if check != f:
-        raise ArithmeticError("factor product does not reproduce the input")
-    cofactors = []
-    inverses = []
-    for qe in powers:
+            raise VerificationError(f"factor {q} failed irreducibility re-check")
         cof = _divmod(monic, qe, p)[0]
         d, u = _ext_gcd(cof, qe, p)
         if len(d) != 1:
-            raise ArithmeticError("cofactor is not invertible modulo its factor")
+            raise VerificationError("cofactor is not invertible modulo its factor")
+        factors.append((tuple(q), e))
         cofactors.append(tuple(cof))
         inverses.append(tuple(_trim(reduce_mod(u, qe[:-1], p))))
+    if check != f:
+        raise VerificationError("factor product does not reproduce the input")
     return PolyFactorization(unit, tuple(factors), tuple(cofactors), tuple(inverses))

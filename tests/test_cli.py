@@ -796,6 +796,19 @@ class TestErrors:
         code, _, _ = run(capsys, "verify", "Z(12)", "x + 1")
         assert code == 2
 
+    def test_failed_factorizer_check_exits_5(self, capsys, monkeypatch):
+        # a factor split out twice fails the factorizer's "does not divide"
+        # check, which reaches the user as one mapped error line
+        import idemlift.polynomials as polynomials
+
+        real = polynomials._split_squarefree
+        monkeypatch.setattr(polynomials, "_split_squarefree", lambda g, p: real(g, p)[:1] + real(g, p))
+        code, out, err = run(capsys, "count", "Z(5)[x]/(4 + x^2)")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "does not divide" in err and "Traceback" not in err
+
     def test_seed_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "Z(12)", "--seed", "1"])

@@ -14,7 +14,7 @@ from itertools import product, zip_longest
 
 import pytest
 
-from idemlift.errors import SizeLimitError, UnsupportedError
+from idemlift.errors import SizeLimitError, UnsupportedError, VerificationError
 from idemlift.group_rings import GroupRing
 from idemlift.groups import TRIVIAL_GROUP, AbelianGroup
 from idemlift.quotients import QuotientRing, ResidueRing
@@ -273,16 +273,36 @@ class TestBerlekamp:
 
     @pytest.mark.parametrize("f, p", [((4, 0, 1), 5), ((1, 0, 1), 3), ((4,) + (0,) * 6 + (1,), 29)])
     def test_duplicated_factor_rejected(self, monkeypatch, f, p):
-        # a factor listed twice divides what the first copy leaves 0 times,
+        # a factor split out twice divides what the first copy leaves 0 times,
         # and its cofactor check modulo q^0 = 1 would pass; no pairwise gcd
-        # is taken any more, so the exponent check must catch it
+        # is taken, so the exponent check must catch it
         import idemlift.polynomials as polynomials
 
-        real = polynomials._distinct_irreducible_factors
-        monkeypatch.setattr(polynomials, "_distinct_irreducible_factors",
+        real = polynomials._split_squarefree
+        monkeypatch.setattr(polynomials, "_split_squarefree",
                             lambda g, q: real(g, q)[:1] + real(g, q))
-        with pytest.raises(ArithmeticError, match="does not divide"):
+        with pytest.raises(VerificationError, match="does not divide"):
             berlekamp_factor(f, p)
+
+    @pytest.mark.parametrize(
+        "f, p, degrees",
+        [
+            # (x^7 - 1)^9: x^7 - 1 is split once, not once per multiplicity
+            (_pow((1008,) + (0,) * 6 + (1,), 9, 1009), 1009, [7]),
+            # (x^2 + 1)^6 (x + 1): x + 1, then the cube root's squarefree part
+            (_mul(_pow((1, 0, 1), 6, 3), (1, 1), 3), 3, [1, 2]),
+        ],
+    )
+    def test_each_squarefree_part_split_once(self, monkeypatch, f, p, degrees):
+        import idemlift.polynomials as polynomials
+
+        calls = []
+        real = polynomials._split_squarefree
+        monkeypatch.setattr(polynomials, "_split_squarefree",
+                            lambda g, q: calls.append(len(g) - 1) or real(g, q))
+        fact = berlekamp_factor(f, p)
+        assert calls == degrees
+        assert (fact.unit, sorted(fact.factors)) == _sympy_factorization(f, p)
 
     def test_prime_checked_once(self, monkeypatch):
         # the splitting and Bezout gcds trust the entry check
@@ -353,7 +373,8 @@ def _sympy_factorization(f, p: int):
 
 
 class TestBerlekampAgainstSympy:
-    PRIMES = [1009, 1000003, 2**61 - 1]
+    # the small primes meet multiplicities divisible by p, and p-th roots
+    PRIMES = [2, 3, 5, 1009, 1000003, 2**61 - 1]
 
     @staticmethod
     def _check(f, p: int):
@@ -378,6 +399,17 @@ class TestBerlekampAgainstSympy:
                 g = tuple(rng.randrange(p) for _ in range(deg)) + (1,)
                 f = _mul(f, _pow(g, rng.randrange(1, 4), p), p)
             self._check(f, p)
+
+    @pytest.mark.parametrize("p", PRIMES[:3])
+    def test_multiplicities_multiple_of_p(self, p):
+        # the first six irreducibles to the powers p, p + 1, 2p, p^2, 1, 1:
+        # three splits, the second after one p-th root, the third after two
+        irreducibles = (q for d in range(1, 5) for q in _all_monic(p, d)
+                        if oracle_is_irreducible(q, p))
+        f = (p - 1,)
+        for q, e in zip(irreducibles, [p, p + 1, 2 * p, p * p, 1, 1]):
+            f = _mul(f, _pow(q, e, p), p)
+        self._check(f, p)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_split_into_linear_factors(self, p):
